@@ -211,11 +211,19 @@ def _token_path_scores(snap: InfectionSnapshot) -> dict:
     return score
 
 
-def estimate_map_leaf(snap: InfectionSnapshot, rng=None, tie_break="uniform") -> Estimate:
+def estimate_map_leaf(snap: InfectionSnapshot, rng=None, tie_break="uniform",
+                      finite: bool = False) -> Estimate:
     """MAP rule for always-pass spreads: pick the boundary leaf minimizing
     the product of (degree-1) over its path to the center.  Also reports the
     extremal product Lambda and the conditional detection probability
-    1/Lambda."""
+    1/Lambda.
+
+    A token that is not h_T = T/2 hops from the center means the spread was
+    not always-pass, which raises on trees.  On a finite graph (finite=True)
+    an always-pass spread gets there too when a holder with no tree child
+    had to keep the token; the source is then not at a leaf, and the
+    estimate is inconclusive, with the reason in `info`.
+    """
     rng = _rng(rng)
     T = snap.T
     if T == 0:
@@ -223,6 +231,10 @@ def estimate_map_leaf(snap: InfectionSnapshot, rng=None, tie_break="uniform") ->
         return Estimate(only, [only], {only: 1.0}, 1, "map-leaf",
                         info={"lambda": 1.0, "pd_conditional": 1.0})
     if T >= 2 and snap.h_T != T // 2:
+        if finite:
+            return Estimate(None, [], None, 0, "map-leaf", inconclusive=True,
+                            info={"reason": f"token kept on a finite graph: h_T={snap.h_T}, "
+                                            f"not T/2={T // 2}"})
         raise ValueError("snapshot did not come from an always-pass spread (source not at a leaf)")
     deg = snap.net_degree
     children, up, depth = _children_from_center(snap)

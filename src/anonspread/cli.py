@@ -41,7 +41,7 @@ from .spread import (
 CONFIG_KEYS = {
     "network", "d", "degree_table", "edge_list", "protocol", "alpha_policy",
     "d0", "q", "g", "fanout_cap", "T", "adversary", "p", "trials", "seed",
-    "output", "workers", "line_n", "estimator_d0", "estimator_g", "observe_T",
+    "output", "trial_output", "workers", "line_n", "estimator_d0", "estimator_g", "observe_T",
     "label", "compare",
 }
 
@@ -84,9 +84,6 @@ def config_from_options(opts: dict) -> ExperimentConfig:
         horizon=int(opts.get("T", 0)),
         seed=int(opts.get("seed", 0)),
     )
-    output = opts.get("output")
-    if output and not os.path.isabs(output):
-        output = os.path.join(default_output_dir(), output)
     return ExperimentConfig(
         network=opts.get("network", "regular-tree"),
         d=int(opts.get("d", 3)),
@@ -102,9 +99,17 @@ def config_from_options(opts: dict) -> ExperimentConfig:
         observe_T=int(opts["observe_T"]) if "observe_T" in opts else None,
         line_n=int(opts.get("line_n", 101)),
         workers=int(opts.get("workers", 1)),
-        output=output,
+        output=_output_path(opts.get("output")),
+        trial_output=_output_path(opts.get("trial_output")),
         label=opts.get("label", ""),
     )
+
+
+def _output_path(path):
+    """Relative output paths land in the default output directory."""
+    if path and not os.path.isabs(path):
+        return os.path.join(default_output_dir(), path)
+    return path
 
 
 def _collect_options(args) -> dict:
@@ -215,9 +220,10 @@ def cmd_estimate(args) -> int:
     if kind == "snapshot":
         est = adv.estimate_snapshot_regular(snap, rng=rng)
     elif kind == "irregular-ml":
-        est = adv.estimate_irregular_ml(snap, cfg.estimator_d0 or cfg.d, rng=rng)
+        d0 = cfg.estimator_d0 or cfg.protocol.d0 or cfg.d
+        est = adv.estimate_irregular_ml(snap, int(d0), rng=rng, cyclic=net.is_finite)
     elif kind == "map-leaf":
-        est = adv.estimate_map_leaf(snap, rng=rng)
+        est = adv.estimate_map_leaf(snap, rng=rng, finite=net.is_finite)
     else:
         raise ValueError(f"estimate supports snapshot/irregular-ml/map-leaf, got {kind!r}")
     print(f"estimator,{est.kind}")

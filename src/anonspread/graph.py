@@ -147,6 +147,7 @@ class ContactNetwork:
 
     kind = "abstract"
     is_finite = False
+    is_tree = False  # acyclic: every node is reached from any other by one path
 
     def degree(self, v) -> int:
         raise NotImplementedError
@@ -167,6 +168,7 @@ class RegularTree(ContactNetwork):
     """
 
     kind = "regular-tree"
+    is_tree = True
 
     def __init__(self, d: int, seed: int = 0):
         if d < 2:
@@ -192,9 +194,12 @@ class RegularTree(ContactNetwork):
         return list(range(base, base + d - 1))
 
     def neighbors(self, v) -> list:
-        p = self.parent(v)
-        ch = self.children(v)
-        return ch if p is None else [p] + ch
+        # parent() and children() inlined: this is the spread's hot call
+        d = self.d
+        if v == 0:
+            return list(range(1, d + 1))
+        base = (v - 1) * (d - 1) + d + 1
+        return [0 if v <= d else (v - d - 1) // (d - 1) + 1, *range(base, base + d - 1)]
 
     def depth(self, v: int) -> int:
         depth = 0
@@ -215,6 +220,7 @@ class GaltonWatsonTree(ContactNetwork):
     """
 
     kind = "galton-watson"
+    is_tree = True
 
     def __init__(self, dist: DegreeDistribution, seed: int):
         self.dist = dist
@@ -414,24 +420,41 @@ def synthetic_heavy_tail(n: int, m: int = 3, seed: int = 0) -> ExplicitGraph:
     return from_edges(edges)
 
 
-def hop_distance(net: ContactNetwork, a, b, cap: int = 10**6) -> int:
-    """BFS hop distance; on trees this is the unique-path length."""
+def hop_distance(net: ContactNetwork, a, b) -> int:
+    """Hop distance between a and b on a finite graph or on the grid.
+
+    On a finite graph this is a bidirectional BFS: it grows the smaller of
+    the two search frontiers one full level at a time and stops at the first
+    level where the searches meet, so it visits two balls of about half the
+    distance instead of one ball of the whole.  A node not in the graph
+    raises KeyError; nodes in different components raise ValueError.  On the
+    grid it is the L1 distance of the decoded coordinates.  Other infinite
+    networks are never searched; paths on lazy trees follow parent pointers
+    (adversary._net_path).
+    """
+    if isinstance(net, Grid):
+        (ax, ay), (bx, by) = grid_decode(a), grid_decode(b)
+        return abs(ax - bx) + abs(ay - by)
+    if not net.is_finite:
+        raise ValueError(f"{net.kind} network is infinite; hop distance is not searched on it")
+    for v in (a, b):
+        net.degree(v)  # an unknown node raises KeyError before any search
     if a == b:
         return 0
-    seen = {a}
-    frontier = [a]
-    dist = 0
-    while frontier:
+    seen = ({a}, {b})
+    frontier = [[a], [b]]
+    dist = 0  # levels grown on both sides together
+    while frontier[0] and frontier[1]:
+        side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+        mine, other = seen[side], seen[1 - side]
         dist += 1
-        if dist > cap:
-            raise RuntimeError("hop_distance cap exceeded")
         nxt = []
-        for v in frontier:
+        for v in frontier[side]:
             for w in net.neighbors(v):
-                if w == b:
+                if w in other:
                     return dist
-                if w not in seen:
-                    seen.add(w)
+                if w not in mine:
+                    mine.add(w)
                     nxt.append(w)
-        frontier = nxt
+        frontier[side] = nxt
     raise ValueError(f"{a} and {b} are not connected")

@@ -26,6 +26,7 @@ from .graph import (
     degree_distribution,
     galton_watson_tree,
     grid,
+    hop_distance,
     load_edge_list,
     regular_tree,
 )
@@ -181,8 +182,10 @@ def _hop(net, snap_protocol, a, b):
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
     if snap_protocol == "polya-line":
         return abs(a - b)
-    try:
+    if not net.is_finite:  # lazy trees: walk the parent pointers
         return len(adv._net_path(net, a, b)) - 1
+    try:
+        return hop_distance(net, a, b)
     except ValueError:  # a and b lie in different components
         return None
 
@@ -242,7 +245,7 @@ def run_trial(cfg: ExperimentConfig, index: int, shared=None) -> TrialRecord:
         d0 = cfg.estimator_d0 or cfg.protocol.d0 or cfg.d
         est = adv.estimate_irregular_ml(snap, int(d0), rng=rng, cyclic=net.is_finite)
     elif kind == "map-leaf":
-        est = adv.estimate_map_leaf(snap, rng=rng)
+        est = adv.estimate_map_leaf(snap, rng=rng, finite=net.is_finite)
     elif kind == "paad-map":
         est = adv.estimate_paad_map(snap, cfg.estimator_g, rng=rng)
     elif kind == "multi-snapshot":
@@ -256,21 +259,46 @@ def run_trial(cfg: ExperimentConfig, index: int, shared=None) -> TrialRecord:
                        snap.n_infected, int(est.inconclusive))
 
 
+_worker_graph = None  # set in each pool worker, at start-up, to its experiments' shared graph
+
+
+def _install_graph(graph):
+    global _worker_graph
+    _worker_graph = graph
+
+
+def _start_pool(workers: int, graph):
+    """A spawn pool whose workers each receive `graph` (None for networks
+    built per trial) once, at start-up."""
+    return get_context("spawn").Pool(workers, initializer=_install_graph, initargs=(graph,))
+
+
 def _worker_batch(args):
     cfg, indices = args
-    shared = _shared_graph(cfg)
-    return [run_trial(cfg, i, shared) for i in indices]
+    return [run_trial(cfg, i, _worker_graph) for i in indices]
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
+def _pool_trials(cfg: ExperimentConfig, pool, indices) -> list:
+    cfg = replace(cfg, graph=None)  # the workers hold it; batches do not carry it
+    chunk = max(1, len(indices) // (cfg.workers * 4))
+    batches = [(cfg, indices[i:i + chunk]) for i in range(0, len(indices), chunk)]
+    return [r for out in pool.map(_worker_batch, batches) for r in out]
+
+
+def run_experiment(cfg: ExperimentConfig, pool=None) -> ExperimentSummary:
     """Run cfg.trials seeded trials and aggregate; inconclusive trials count
-    as non-detections but are reported separately."""
+    as non-detections but are reported separately.
+
+    `pool`, from _start_pool with cfg's shared graph, runs the trials on
+    workers that already hold that graph (sweep passes one pool to every
+    value).  Without it, workers > 1 starts a pool and closes it on return.
+    """
     indices = list(range(cfg.trials))
-    if cfg.workers > 1:
-        chunk = max(1, len(indices) // (cfg.workers * 4))
-        batches = [(cfg, indices[i:i + chunk]) for i in range(0, len(indices), chunk)]
-        with get_context("spawn").Pool(cfg.workers) as pool:
-            records = [r for out in pool.map(_worker_batch, batches) for r in out]
+    if pool is not None:
+        records = _pool_trials(cfg, pool, indices)
+    elif cfg.workers > 1:
+        with _start_pool(cfg.workers, _shared_graph(cfg)) as own_pool:
+            records = _pool_trials(cfg, own_pool, indices)
     else:
         shared = _shared_graph(cfg)
         records = [run_trial(cfg, i, shared) for i in indices]
@@ -321,10 +349,27 @@ def write_trial_csv(records, fh) -> None:
                          r.n_infected, r.inconclusive])
 
 
+# sweeping one of these changes the pool or the graph, so each value gets its own
+_PER_VALUE_SETUP = ("workers", "edge_list", "graph", "network")
+
+
+def _value_path(path, label: str):
+    """A sweep value's per-trial file: trials.csv -> trials.T=4.csv."""
+    if not path:
+        return path
+    root, ext = os.path.splitext(path)
+    return f"{root}.{label.replace(os.sep, '_')}{ext}"
+
+
 def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
     """Repeat run_experiment once per value of `parameter` (a config field,
-    or 'T' / 'd0' / 'q' on the protocol) and stack the rows."""
-    rows = []
+    or 'T' / 'd0' / 'q' on the protocol) and stack the rows.
+
+    The shared graph is loaded once and, with workers > 1, one pool serves
+    every value, unless the parameter changes either (_PER_VALUE_SETUP).
+    Each value writes its per-trial records to its own file (_value_path).
+    """
+    subs = []
     for v in values:
         if parameter in ("T", "horizon"):
             sub = replace(cfg, protocol=replace(cfg.protocol, horizon=v))
@@ -334,8 +379,21 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
             sub = replace(cfg, **{parameter: v})
         else:
             raise ValueError(f"unknown sweep parameter {parameter!r}")
-        sub = replace(sub, label=f"{cfg.label or parameter}={v}", output=None)
-        rows.extend(run_experiment(sub).rows)
+        label = f"{cfg.label or parameter}={v}"
+        subs.append(replace(sub, label=label, output=None,
+                            trial_output=_value_path(sub.trial_output, label)))
+    shared_setup = parameter not in _PER_VALUE_SETUP
+    shared = _shared_graph(cfg) if shared_setup else None
+    pool = _start_pool(cfg.workers, shared) if shared_setup and cfg.workers > 1 else None
+    rows = []
+    try:
+        for sub in subs:
+            if shared is not None:
+                sub = replace(sub, graph=shared)
+            rows.extend(run_experiment(sub, pool=pool).rows)
+    finally:
+        if pool is not None:
+            pool.terminate()
     summary = ExperimentSummary(rows, cfg)
     if cfg.output:
         with open(cfg.output, "wt", encoding="utf-8") as fh:

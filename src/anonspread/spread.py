@@ -216,6 +216,7 @@ class _State:
         # on trees the infector is the only infected neighbor at infection
         # time, so the uninfected-neighbor count needs no scan
         self.scan_open = net.is_finite
+        self.scanned: dict = {}  # node -> its neighbors, once a lazy-tree wave has infected them all
 
     def infect(self, v, t, parent):
         self.time[v] = t
@@ -245,6 +246,9 @@ def _wave(st: _State, origin, blocked, t: int, cap, rng) -> None:
     if st.scan_open:
         _tree_link_wave(st, origin, blocked, t, cap, rng)
         return
+    if cap is None and st.net.is_tree:
+        _lazy_tree_wave(st, origin, blocked, t)
+        return
     visited = {origin}
     stack = [(origin, blocked)]
     while stack:
@@ -266,6 +270,39 @@ def _wave(st: _State, origin, blocked, t: int, cap, rng) -> None:
             st.infect(w, t, v)
         for w in relays:
             stack.append((w, v))
+
+
+def _lazy_tree_wave(st: _State, origin, blocked, t: int) -> None:
+    """_wave on a lazy tree without a fan-out cap, in the same order.  On a
+    tree each infected node is reached once, from its one neighbor on the
+    origin's side, so no visited set is kept; a neighbor is infected as the
+    scan meets it, which is the order _wave infects its targets in.  A
+    scanned node has no uninfected neighbor left, so later waves relay
+    through its kept neighbor list without querying the network."""
+    time, parent, net_degree, open_degree = st.time, st.parent, st.net_degree, st.open_degree
+    neighbors, degree, scanned = st.net.neighbors, st.net.degree, st.scanned
+    stack = [(origin, blocked)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        v, frm = pop()
+        nbrs = scanned.get(v)
+        if nbrs is not None:
+            for w in nbrs:
+                if w != frm:
+                    push((w, v))
+            continue
+        nbrs = scanned[v] = neighbors(v)
+        for w in nbrs:
+            if w == frm:
+                continue
+            if w in time:
+                push((w, v))
+            else:
+                deg = degree(w)
+                time[w] = t
+                parent[w] = v
+                net_degree[w] = deg
+                open_degree[w] = deg - 1
 
 
 def _tree_link_wave(st: _State, origin, blocked, t: int, cap, rng) -> None:

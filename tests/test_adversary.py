@@ -241,6 +241,31 @@ class TestMapLeaf:
         with pytest.raises(ValueError):
             estimate_map_leaf(s)
 
+    def test_forced_keep_on_finite_graph_is_inconclusive(self):
+        # trial 746 of seed 0: an always-pass spread whose token met a holder
+        # with no tree child, so it was kept and the source is not at a leaf
+        import math
+
+        from anonspread.graph import prune_min_degree, synthetic_heavy_tail
+        from anonspread.harness import ExperimentConfig, _trial_rng, run_trial
+
+        g = prune_min_degree(synthetic_heavy_tail(400, 3), 3)
+        proto = ProtocolParams(kind="adaptive", d0=math.inf, horizon=8)
+        rng = _trial_rng(0, 746)
+        source = g.nodes()[int(rng.integers(g.n_nodes))]
+        s = spread_adaptive(g, source, proto, rng=rng)
+        assert s.h_T < s.T // 2
+        est = estimate_map_leaf(s, rng=RNG(0), finite=True)
+        assert est.inconclusive and est.v_hat is None and est.candidates == []
+        assert "token kept" in est.info["reason"]
+        with pytest.raises(ValueError):
+            estimate_map_leaf(s, rng=RNG(0))  # on a tree this spread was not always-pass
+
+        cfg = ExperimentConfig(network="explicit", graph=g, protocol=proto,
+                               adversary="map-leaf", trials=1, seed=0)
+        rec = run_trial(cfg, 746, g)
+        assert rec.inconclusive == 1 and rec.detected == 0 and rec.hop_distance is None
+
 
 def _extreme_snapshot(T, d=5):
     """Balanced snapshot with a low-degree path from the center to one leaf."""

@@ -67,6 +67,37 @@ class TestSpreadEstimate:
         assert code == 0
         assert "candidates,6" in out
 
+    def test_irregular_ml_on_edge_list_trace_scores_as_harness(self, tmp_path):
+        import math
+
+        import numpy as np
+
+        from anonspread.adversary import estimate_irregular_ml
+        from anonspread.graph import load_edge_list, prune_min_degree, synthetic_heavy_tail
+        from anonspread.spread import ProtocolParams, spread_adaptive
+
+        g = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+        edges = tmp_path / "g.edges"
+        edges.write_text("".join(f"{u} {w}\n" for u, nbrs in g.adj.items() for w in nbrs if u < w))
+        trace = tmp_path / "trace.csv"
+        common = ["--network", "explicit", "--edge_list", str(edges), "--d0", "inf", "--seed", "2"]
+        assert run_cli(["spread", *common, "--protocol", "adaptive", "--T", "6",
+                        "--output", str(trace)])[0] == 0
+        code, out = run_cli(["estimate", *common, "--adversary", "irregular-ml", str(trace)])
+        assert code == 0
+        lines = dict(line.split(",") for line in out.strip().splitlines())
+
+        # the same spread in memory, scored as harness.run_trial scores it
+        net = load_edge_list(str(edges))
+        rng = np.random.default_rng(2)
+        source = net.nodes()[int(rng.integers(net.n_nodes))]
+        snap = spread_adaptive(net, source, ProtocolParams(d0=math.inf, horizon=6), rng=rng)
+        est = estimate_irregular_ml(snap, 3, rng=rng, cyclic=net.is_finite)
+        best = max(est.scores.values())
+        ties = {v for v, sc in est.scores.items() if sc == best}
+        assert int(lines["candidates"]) == est.tie_count == len(ties)
+        assert int(lines["v_hat"]) in ties
+
 
 class TestExperiment:
     def test_config_file_and_gate(self, tmp_path):
@@ -94,6 +125,22 @@ class TestExperiment:
         cfg.write_text("nonsense = 5\n")
         with pytest.raises(ValueError):
             parse_config_file(cfg)
+
+    def test_trial_output_key(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("network = regular-tree\nd = 3\nT = 4\ntrials = 30\nseed = 2\n"
+                       f"trial_output = {tmp_path / 'trials.csv'}\n")
+        code, _ = run_cli(["experiment", "--config", str(cfg)])
+        assert code == 0
+        lines = (tmp_path / "trials.csv").read_text().splitlines()
+        assert lines[0] == "# anonspread-trials v1" and len(lines) == 32
+
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setenv("ANONSPREAD_OUTPUT_DIR", str(out_dir))
+        code, _ = run_cli(["sweep", "--config", str(cfg), "--trial_output", "sweep.csv", "T", "2,4"])
+        assert code == 0  # a relative path lands in the output directory, one file per value
+        assert sorted(p.name for p in out_dir.iterdir()) == ["sweep.T=2.csv", "sweep.T=4.csv"]
 
     def test_sweep_cli(self):
         code, out = run_cli(["sweep", "--network", "regular-tree", "--d", "3",

@@ -54,6 +54,13 @@ class TestRegularTree:
             for c in net.children(v):
                 assert net.parent(c) == v
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_neighbors_are_parent_then_children(self, d):
+        net = regular_tree(d)
+        for v in list(ball(net, 0, 4)):
+            p = net.parent(v)
+            assert net.neighbors(v) == ([] if p is None else [p]) + net.children(v)
+
     def test_rejects_degree_below_two(self):
         with pytest.raises(ValueError):
             regular_tree(1)

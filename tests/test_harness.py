@@ -107,6 +107,130 @@ class TestRunner:
             _hop(g, "adaptive", 99, 0)  # not a node of the graph
 
 
+def _write_edge_list(path, g):
+    with open(path, "w") as fh:
+        for u, nbrs in g.adj.items():
+            fh.writelines(f"{u} {w}\n" for w in nbrs if u < w)
+    return str(path)
+
+
+def _heavy_tail(n=1500, m=5, seed=5):
+    from anonspread.graph import prune_min_degree, synthetic_heavy_tail
+
+    return prune_min_degree(synthetic_heavy_tail(n, m, seed=seed), 3)
+
+
+def graph_cfg(edge_list, **kw):
+    base = dict(network="explicit", edge_list=edge_list,
+                protocol=ProtocolParams(kind="adaptive", d0=float("inf"), horizon=4),
+                adversary="irregular-ml", trials=60, seed=3)
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def _bfs_distance(g, a, b):
+    dist = {a: 0}
+    frontier = [a]
+    while frontier and b not in dist:
+        nxt = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist.get(b)
+
+
+class TestPooledSweep:
+    def test_pooled_sweep_matches_serial(self, tmp_path):
+        edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail())
+        serial = summary_csv_text(sweep(graph_cfg(edges), "T", [4, 6]))
+        pooled = summary_csv_text(sweep(graph_cfg(edges, workers=2), "T", [4, 6]))
+        assert serial == pooled
+        assert serial.count("\n") == 4  # header lines and one row per value
+
+    def test_sweep_starts_one_pool(self, tmp_path, monkeypatch):
+        from anonspread import harness
+
+        edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail(300, 3))
+        started, loads = [], []
+        real_start, real_load = harness._start_pool, harness.load_edge_list
+
+        def counting_start(workers, graph):
+            started.append(graph)
+            return real_start(workers, graph)
+
+        def counting_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(harness, "_start_pool", counting_start)
+        monkeypatch.setattr(harness, "load_edge_list", counting_load)
+        s = sweep(graph_cfg(edges, workers=2, trials=20), "T", [2, 4, 6])
+        assert len(s.rows) == 3
+        assert len(started) == 1 and started[0] is not None  # the graph went to the workers
+        assert loads == [edges]  # loaded once, in this process
+
+        started.clear()
+        run_experiment(graph_cfg(edges, workers=2, trials=20))
+        assert len(started) == 1  # a direct call starts its own
+
+    def test_sweep_over_workers(self, tmp_path):
+        edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail(300, 3))
+        rows = sweep(graph_cfg(edges), "workers", [1, 2]).rows
+        expected = run_experiment(graph_cfg(edges)).row()
+        for row in rows:
+            assert (row.detections, row.mean_hops, row.mean_n_infected) == (
+                expected.detections, expected.mean_hops, expected.mean_n_infected)
+        assert [r.label for r in rows] == ["workers=1", "workers=2"]
+
+    def test_sweep_over_edge_lists(self, tmp_path):
+        files = [_write_edge_list(tmp_path / "a.edges", _heavy_tail(300, 3)),
+                 _write_edge_list(tmp_path / "b.edges", _heavy_tail(500, 4, seed=1))]
+        rows = sweep(graph_cfg(files[0], workers=2), "edge_list", files).rows
+        for path, row in zip(files, rows):
+            expected = run_experiment(graph_cfg(path)).row()
+            assert (row.detections, row.mean_hops, row.mean_n_infected) == (
+                expected.detections, expected.mean_hops, expected.mean_n_infected)
+        assert rows[0].mean_n_infected != rows[1].mean_n_infected
+
+    def test_sweep_writes_each_values_trials(self, tmp_path):
+        out = tmp_path / "trials.csv"
+        s = sweep(small_cfg(trials=5, trial_output=str(out)), "T", [2, 4])
+        assert not out.exists()
+        for row in s.rows:
+            lines = (tmp_path / f"trials.{row.label}.csv").read_text().strip().splitlines()
+            assert len(lines) == 2 + row.trials
+            n_infected = {int(line.split(",")[6]) for line in lines[2:]}
+            assert n_infected == {n_regular(3, row.T)}
+
+
+class TestHopDistance:
+    def test_matches_plain_bfs(self):
+        from anonspread.harness import _hop
+
+        g = _heavy_tail()
+        nodes = g.nodes()
+        rng = np.random.default_rng(0)
+        pairs = rng.integers(len(nodes), size=(2500, 2))
+        got = [_hop(g, "adaptive", nodes[i], nodes[j]) for i, j in pairs]
+        assert got == [_bfs_distance(g, nodes[i], nodes[j]) for i, j in pairs]
+        assert max(got) >= 4
+
+    def test_disconnected_and_unknown_nodes(self):
+        from anonspread.graph import from_edges, hop_distance
+
+        g = from_edges([(0, 1), (1, 2), (2, 3), (5, 6)])
+        assert hop_distance(g, 3, 0) == 3
+        with pytest.raises(ValueError):
+            hop_distance(g, 5, 0)
+        with pytest.raises(KeyError):
+            hop_distance(g, 0, 99)  # the unknown node is on the far side
+        with pytest.raises(ValueError):
+            hop_distance(regular_tree(3), 0, 5)  # lazy trees are never searched
+
+
 class TestConfidenceIntervals:
     def test_normal_half_width(self):
         assert normal_ci_half(50, 100) == pytest.approx(1.96 * 0.05)

@@ -145,6 +145,23 @@ class TestAdaptive:
         expected = state_distribution_regular(d, T) * n
         assert chisquare(counts, expected).pvalue > 0.001
 
+    @pytest.mark.parametrize("tree", [regular_tree(3), regular_tree(4),
+                                      galton_watson_tree({2: 0.3, 3: 0.4, 5: 0.3}, seed=6)])
+    def test_lazy_tree_wave_matches_generic_scan(self, tree):
+        # the same network with its tree flag off takes _wave's generic scan
+        class Untagged(type(tree)):
+            is_tree = False
+
+        generic = Untagged.__new__(Untagged)
+        generic.__dict__.update(tree.__dict__)
+        for T in (1, 4, 7, 8):
+            for seed in range(25):
+                p = ProtocolParams(horizon=T, seed=seed, d0=3)
+                a, b = spread_adaptive(tree, 0, p), spread_adaptive(generic, 0, p)
+                for field in ("time", "parent", "net_degree", "open_degree"):
+                    assert list(getattr(a, field).items()) == list(getattr(b, field).items())
+                assert (a.centers, a.vs_events, a.h_history) == (b.centers, b.vs_events, b.h_history)
+
     def test_gw_needs_explicit_d0(self):
         net = galton_watson_tree({3: 0.5, 4: 0.5}, seed=1)
         with pytest.raises(ValueError):
