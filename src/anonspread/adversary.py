@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .graph import ContactNetwork
-from .spread import InfectionSnapshot, LineTrace, alpha_regular
+from .spread import InfectionSnapshot, LineTrace, _g_hop_neighborhood_size, _pick, alpha_regular
 
 
 @dataclass
@@ -34,22 +35,14 @@ class Estimate:
     info: dict = field(default_factory=dict)
 
 
-def _pick(rng, items):
-    return items[int(rng.integers(len(items)))]
-
-
-def _argmax_pick(scores: dict, rng, mode="uniform", reverse=False):
+def _argmax_pick(scores: dict, rng, reverse=False):
     """Best-scoring keys with uniform tie-breaking (rel. tolerance 1e-12)."""
     if not scores:
         raise ValueError("empty candidate set")
     best = min(scores.values()) if reverse else max(scores.values())
     tol = 1e-12 * max(1.0, abs(best))
     ties = [v for v, s in scores.items() if abs(s - best) <= tol]
-    if mode == "lowest":
-        chosen = min(ties, key=repr)
-    else:
-        chosen = _pick(rng, ties)
-    return chosen, ties
+    return _pick(rng, ties), ties
 
 
 def _rng(rng):
@@ -96,7 +89,7 @@ def _path_up(up, v):
 # snapshot estimators
 
 
-def estimate_snapshot_regular(snap: InfectionSnapshot, rng=None, tie_break="uniform") -> Estimate:
+def estimate_snapshot_regular(snap: InfectionSnapshot, rng=None) -> Estimate:
     """Exact-schedule spreads on regular trees make every non-center node
     equally likely, so the estimator is uniform over the snapshot minus the
     token holder(s); mid-transition snapshots exclude both symmetric
@@ -113,8 +106,7 @@ def estimate_snapshot_regular(snap: InfectionSnapshot, rng=None, tie_break="unif
     else:
         excluded = set(snap.centers)
     candidates = [v for v in nodes if v not in excluded]
-    v_hat = candidates[0] if tie_break == "lowest" else _pick(rng, candidates)
-    return Estimate(v_hat, candidates, None, len(candidates), "snapshot-uniform")
+    return Estimate(_pick(rng, candidates), candidates, None, len(candidates), "snapshot-uniform")
 
 
 def irregular_ml_scores(snap: InfectionSnapshot, d0: int):
@@ -161,8 +153,7 @@ def irregular_ml_scores(snap: InfectionSnapshot, d0: int):
     return score, likelihood
 
 
-def estimate_irregular_ml(snap: InfectionSnapshot, d0: int, rng=None, tie_break="uniform",
-                          cyclic: bool = False) -> Estimate:
+def estimate_irregular_ml(snap: InfectionSnapshot, d0: int, rng=None, cyclic: bool = False) -> Estimate:
     """ML source estimate under a degree-d0 schedule run on an irregular
     tree, via one O(N) message-passing sweep from the center.
 
@@ -186,7 +177,7 @@ def estimate_irregular_ml(snap: InfectionSnapshot, d0: int, rng=None, tie_break=
     else:
         score, likelihood = irregular_ml_scores(snap, d0)
         candidates = {v: s for v, s in score.items() if v != snap.virtual_source}
-    v_hat, ties = _argmax_pick(candidates, rng, tie_break)
+    v_hat, ties = _argmax_pick(candidates, rng)
     return Estimate(v_hat, sorted(candidates, key=repr), score, len(ties), "irregular-ml",
                     info={"likelihood": likelihood, "d0": d0})
 
@@ -211,8 +202,7 @@ def _token_path_scores(snap: InfectionSnapshot) -> dict:
     return score
 
 
-def estimate_map_leaf(snap: InfectionSnapshot, rng=None, tie_break="uniform",
-                      finite: bool = False) -> Estimate:
+def estimate_map_leaf(snap: InfectionSnapshot, rng=None, finite: bool = False) -> Estimate:
     """MAP rule for always-pass spreads: pick the boundary leaf minimizing
     the product of (degree-1) over its path to the center.  Also reports the
     extremal product Lambda and the conditional detection probability
@@ -248,58 +238,57 @@ def estimate_map_leaf(snap: InfectionSnapshot, rng=None, tie_break="uniform",
             prod[v] = acc
         for c in children[v]:
             stack.append((c, acc * (deg[v] - 1)))
-    v_hat, ties = _argmax_pick(prod, rng, tie_break, reverse=True)
+    v_hat, ties = _argmax_pick(prod, rng, reverse=True)
     lam = deg[root] * prod[v_hat]
     scores = {v: 1.0 / (deg[root] * pr) for v, pr in prod.items()}
     return Estimate(v_hat, sorted(prod, key=repr), scores, len(ties), "map-leaf",
                     info={"lambda": lam, "pd_conditional": 1.0 / lam})
 
 
-def _neighborhood_size(adj: dict, v, blocked, g: int) -> int:
-    seen = {v, blocked} if blocked is not None else {v}
-    frontier = [v]
-    count = 0
-    for _ in range(g):
-        nxt = []
-        for u in frontier:
-            if u not in adj:
-                raise ValueError("snapshot lacks the frontier ring needed for this g")
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    count += 1
-        frontier = nxt
-    return count
+def paad_map_scores(snap: InfectionSnapshot, g: int, cyclic: bool = False) -> dict:
+    """Score of each candidate source from the probability Q(v) of the token
+    walking from v to the observed center under neighborhood-weighted
+    passing; each hand-off weighs a next holder by its g-hop neighborhood
+    away from the current one.
 
-
-def paad_map_scores(snap: InfectionSnapshot, g: int) -> dict:
-    """d_v * Q(v) for each boundary leaf, where Q is the probability of the
-    token walking from v to the observed center under neighborhood-weighted
-    passing."""
+    On trees the candidates are the boundary leaves, every hand-off is
+    weighed over the holder's graph neighbors other than the previous
+    holder, and the score is d_v * Q(v).  With cyclic=True (finite graphs)
+    the token walks down the infection tree, as spread_paad hands it on:
+    the candidates are the infected nodes h_T hops from the center, the
+    first hand-off is weighed over all graph neighbors of the candidate and
+    each later one over the holder's infection-tree neighbors other than
+    the previous holder, and the score is Q(v) itself (as in
+    _token_path_scores).  A keep forced on a holder without children lets
+    later waves add children to earlier holders, so Q is then approximate.
+    """
     if snap.region_adj is None:
         raise ValueError("snapshot lacks frontier adjacency; spread with the paad protocol")
     adj = snap.region_adj
+    region = SimpleNamespace(neighbors=adj.__getitem__)
+    hand_off = snap.subtree_adjacency() if cyclic else adj
     children, up, depth = _children_from_center(snap)
+    candidates = [v for v, dv in depth.items() if dv == snap.h_T] if cyclic else snap.boundary()
     scores = {}
-    for leaf in snap.boundary():
-        path = _path_up(up, leaf)  # leaf .. root
+    for v in candidates:
+        path = _path_up(up, v)  # v .. center
         q = 1.0
-        prev = None
         for i in range(len(path) - 1):
             cur, nxt = path[i], path[i + 1]
-            eligible = [w for w in adj[cur] if w != prev]
-            weights = [_neighborhood_size(adj, w, cur, g) for w in eligible]
+            eligible = adj[cur] if i == 0 else [w for w in hand_off[cur] if w != path[i - 1]]
+            try:
+                weights = [_g_hop_neighborhood_size(region, w, cur, g) for w in eligible]
+            except KeyError:
+                raise ValueError("snapshot lacks the frontier ring needed for this g") from None
             q *= weights[eligible.index(nxt)] / sum(weights)
-            prev = cur
-        scores[leaf] = len(adj[leaf]) * q
+        scores[v] = q if cyclic else len(adj[v]) * q
     return scores
 
 
-def estimate_paad_map(snap: InfectionSnapshot, g: int, rng=None, tie_break="uniform") -> Estimate:
+def estimate_paad_map(snap: InfectionSnapshot, g: int, rng=None, cyclic: bool = False) -> Estimate:
     rng = _rng(rng)
-    scores = paad_map_scores(snap, g)
-    v_hat, ties = _argmax_pick(scores, rng, tie_break)
+    scores = paad_map_scores(snap, g, cyclic)
+    v_hat, ties = _argmax_pick(scores, rng)
     total = sum(scores.values())
     return Estimate(v_hat, sorted(scores, key=repr), scores, len(ties), "paad-map",
                     info={"pd_conditional": max(scores.values()) / total})
@@ -483,7 +472,7 @@ def algorithm_pivot_candidates(net: ContactNetwork, observations, max_leaves: in
     return frontier, l_min, level, s0, pivots
 
 
-def estimate_spy_ml(net: ContactNetwork, observations, rng=None, tie_break="uniform") -> Estimate:
+def estimate_spy_ml(net: ContactNetwork, observations, rng=None) -> Estimate:
     """Pivot-based ML estimator for the tree protocol on regular trees:
     uniform over the feasible leaves that survive pivot elimination."""
     rng = _rng(rng)
@@ -491,8 +480,7 @@ def estimate_spy_ml(net: ContactNetwork, observations, rng=None, tie_break="unif
     if out is None or not out[0]:
         return Estimate(None, [], None, 0, "spy-ml", inconclusive=True)
     candidates, l_min, level, s0, pivots = out
-    v_hat = candidates[0] if tie_break == "lowest" else _pick(rng, candidates)
-    return Estimate(v_hat, candidates, None, len(candidates), "spy-ml",
+    return Estimate(_pick(rng, candidates), candidates, None, len(candidates), "spy-ml",
                     info={"pivot": l_min, "pivot_level": level, "s0": s0.node,
                           "pivots": pivots})
 
@@ -508,7 +496,7 @@ def estimate_first_spy(observations, rng=None) -> Estimate:
                     info={"spy": first.node, "time": t0})
 
 
-def estimate_spy_irregular(net: ContactNetwork, observations, rng=None, tie_break="uniform",
+def estimate_spy_irregular(net: ContactNetwork, observations, rng=None,
                            open_degree: dict | None = None) -> Estimate:
     """Pivot candidates re-weighted for irregular degrees: candidate u gets
     1/deg(u) * prod of 1/(deg(v)-1) over the interior of its path to the
@@ -533,7 +521,7 @@ def estimate_spy_irregular(net: ContactNetwork, observations, rng=None, tie_brea
         for v in path[1:-1]:
             w /= max(eff_degree(v) - 1, 1)
         weights[u] = w
-    v_hat, ties = _argmax_pick(weights, rng, tie_break)
+    v_hat, ties = _argmax_pick(weights, rng)
     return Estimate(v_hat, candidates, weights, len(ties), "spy-irregular",
                     info={"pivot": l_min, "pivot_level": level, "s0": s0.node})
 
@@ -579,7 +567,7 @@ def estimate_line_ml(trace: LineTrace, rng=None) -> Estimate:
 # combined spy + snapshot estimator (regular trees, even T)
 
 
-def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng=None, tie_break="uniform") -> Estimate:
+def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng=None) -> Estimate:
     """Joint ML over boundary leaves on a regular tree: a leaf survives if a
     spine running from it through the observed center can explain every
     spy's direction bit, parent pointer, and receipt time.  Snapshot size
@@ -594,8 +582,7 @@ def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng=None, tie_b
     leaves = snap.boundary()
     obs = [o for o in observations if o.node in snap.time]
     if not obs:
-        v_hat = leaves[0] if tie_break == "lowest" else _pick(rng, leaves)
-        return Estimate(v_hat, leaves, None, len(leaves), "spy-snapshot")
+        return Estimate(_pick(rng, leaves), leaves, None, len(leaves), "spy-snapshot")
 
     spy_chains = []
     for o in obs:
@@ -653,8 +640,7 @@ def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng=None, tie_b
             survivors.append(leaf)
     if not survivors:
         return Estimate(None, [], None, 0, "spy-snapshot", inconclusive=True)
-    v_hat = survivors[0] if tie_break == "lowest" else _pick(rng, survivors)
-    return Estimate(v_hat, survivors, None, len(survivors), "spy-snapshot")
+    return Estimate(_pick(rng, survivors), survivors, None, len(survivors), "spy-snapshot")
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ import sys
 
 import numpy as np
 
-from . import adversary as adv
 from . import analysis
-from .graph import grid, load_edge_list, regular_tree, galton_watson_tree
 from .harness import (
+    ADVERSARIES,
+    NETWORKS,
+    PROTOCOLS,
     ExperimentConfig,
     compare_with_theory,
     default_output_dir,
@@ -27,21 +28,12 @@ from .harness import (
     sweep as run_sweep,
     write_summary_csv,
 )
-from .spread import (
-    InfectionSnapshot,
-    ProtocolParams,
-    spread_adaptive,
-    spread_deterministic,
-    spread_diffusion,
-    spread_grid,
-    spread_paad,
-    spread_tree_protocol,
-)
+from .spread import InfectionSnapshot, ProtocolParams
 
 CONFIG_KEYS = {
     "network", "d", "degree_table", "edge_list", "protocol", "alpha_policy",
     "d0", "q", "g", "fanout_cap", "T", "adversary", "p", "trials", "seed",
-    "output", "trial_output", "workers", "line_n", "estimator_d0", "estimator_g", "observe_T",
+    "output", "trial_output", "workers", "line_n", "estimator_d0", "observe_T",
     "label", "compare",
 }
 
@@ -95,7 +87,6 @@ def config_from_options(opts: dict) -> ExperimentConfig:
         trials=int(opts.get("trials", 1000)),
         seed=int(opts.get("seed", 0)),
         estimator_d0=int(opts["estimator_d0"]) if "estimator_d0" in opts else None,
-        estimator_g=int(opts.get("estimator_g", 1)),
         observe_T=int(opts["observe_T"]) if "observe_T" in opts else None,
         line_n=int(opts.get("line_n", 101)),
         workers=int(opts.get("workers", 1)),
@@ -130,32 +121,10 @@ def _add_common(sp):
 
 
 def cmd_spread(args) -> int:
-    opts = _collect_options(args)
-    cfg = config_from_options(opts)
+    cfg = config_from_options(_collect_options(args))
     rng = np.random.default_rng(cfg.seed)
-    if cfg.network == "regular-tree":
-        net, source = regular_tree(cfg.d), 0
-    elif cfg.network == "galton-watson":
-        net, source = galton_watson_tree(cfg.degree_table, cfg.seed), 0
-    elif cfg.network == "grid":
-        net, source = grid(0), (0, 0)
-    else:
-        net = load_edge_list(cfg.edge_list)
-        source = net.nodes()[int(rng.integers(net.n_nodes))]
-    proto = cfg.protocol
-    fn = {
-        "adaptive": spread_adaptive,
-        "paad": spread_paad,
-        "tree-protocol": spread_tree_protocol,
-        "grid-adaptive": spread_grid,
-        "diffusion": spread_diffusion,
-    }.get(proto.kind)
-    if fn is None and proto.kind == "deterministic":
-        snap = spread_deterministic(net, source, proto.horizon, rng=rng)
-    elif fn is None:
-        raise ValueError(f"unknown protocol {proto.kind!r}")
-    else:
-        snap = fn(net, source, proto, rng=rng)
+    net, source = NETWORKS[cfg.network](cfg, rng, None)
+    snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng)
     if cfg.output:
         with open(cfg.output, "wt", encoding="utf-8") as fh:
             snap.to_csv(fh)
@@ -164,8 +133,11 @@ def cmd_spread(args) -> int:
     return 0
 
 
-def load_trace(path: str, net) -> InfectionSnapshot:
-    """Rebuild a snapshot from a trace CSV plus the network it ran on."""
+def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
+    """Rebuild a snapshot from a trace CSV plus the network it ran on.
+
+    T is the snapshot time; without it, the latest infection time is taken,
+    which falls one short of T when the last epoch kept the token."""
     import csv as _csv
 
     time, parent, direction, level = {}, {}, {}, {}
@@ -182,7 +154,7 @@ def load_trace(path: str, net) -> InfectionSnapshot:
             if row["is_virtual_source_at_t"]:
                 vs_marks.append((int(row["is_virtual_source_at_t"]), v))
     vs_marks.sort()
-    T = max(time.values())
+    T = T or max(time.values())
     source = min(time, key=time.get)
     in_window = [(t, v) for t, v in vs_marks if t <= T]
     t_vs, vs = in_window[-1]
@@ -206,63 +178,41 @@ def load_trace(path: str, net) -> InfectionSnapshot:
 
 
 def cmd_estimate(args) -> int:
-    opts = _collect_options(args)
-    cfg = config_from_options(opts)
-    if cfg.network == "regular-tree":
-        net = regular_tree(cfg.d)
-    elif cfg.network == "galton-watson":
-        net = galton_watson_tree(cfg.degree_table, cfg.seed)
-    else:
-        net = load_edge_list(cfg.edge_list)
-    snap = load_trace(args.trace, net)
-    rng = np.random.default_rng(cfg.seed)
-    kind = cfg.adversary
-    if kind == "snapshot":
-        est = adv.estimate_snapshot_regular(snap, rng=rng)
-    elif kind == "irregular-ml":
-        d0 = cfg.estimator_d0 or cfg.protocol.d0 or cfg.d
-        est = adv.estimate_irregular_ml(snap, int(d0), rng=rng, cyclic=net.is_finite)
-    elif kind == "map-leaf":
-        est = adv.estimate_map_leaf(snap, rng=rng, finite=net.is_finite)
-    else:
-        raise ValueError(f"estimate supports snapshot/irregular-ml/map-leaf, got {kind!r}")
+    cfg = config_from_options(_collect_options(args))
+    # the network gets a stream of its own, so that a galton-watson tree is
+    # the one `spread` grew with the same seed
+    net, _ = NETWORKS[cfg.network](cfg, np.random.default_rng(cfg.seed), None)
+    snap = load_trace(args.trace, net, cfg.protocol.horizon)
+    est = ADVERSARIES[cfg.adversary](cfg, net, snap, np.random.default_rng(cfg.seed))
     print(f"estimator,{est.kind}")
     print(f"v_hat,{est.v_hat}")
     print(f"candidates,{est.tie_count}")
     return 0
 
 
-def cmd_experiment(args) -> int:
+def _report(args, run) -> int:
+    """Run `experiment` or `sweep`, compare with the closed form if asked,
+    and print and write the summary."""
     opts = _collect_options(args)
     cfg = config_from_options(opts)
-    summary = run_experiment(cfg)
-    compare = opts.get("compare") or getattr(args, "compare", None)
+    summary = run(cfg)
+    compare = opts.get("compare")
     if compare:
         compare_with_theory(summary, compare)
     write_summary_csv(summary, sys.stdout)
     if cfg.output:
         with open(cfg.output, "wt", encoding="utf-8") as fh:
             write_summary_csv(summary, fh)
-    if compare and any(r.flag for r in summary.rows):
-        return 2
-    return 0
+    return 2 if compare and any(r.flag for r in summary.rows) else 0
+
+
+def cmd_experiment(args) -> int:
+    return _report(args, run_experiment)
 
 
 def cmd_sweep(args) -> int:
-    opts = _collect_options(args)
-    cfg = config_from_options(opts)
     values = [_coerce(v) for v in args.values.split(",")]
-    summary = run_sweep(cfg, args.parameter, values)
-    compare = opts.get("compare") or getattr(args, "compare", None)
-    if compare:
-        compare_with_theory(summary, compare)
-    write_summary_csv(summary, sys.stdout)
-    if cfg.output:
-        with open(cfg.output, "wt", encoding="utf-8") as fh:
-            write_summary_csv(summary, fh)
-    if compare and any(r.flag for r in summary.rows):
-        return 2
-    return 0
+    return _report(args, lambda cfg: run_sweep(cfg, args.parameter, values))
 
 
 def _coerce(text: str):

@@ -85,9 +85,6 @@ class DegreeDistribution:
                 return f
         return self.support[-1]
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.choice(self.support, size=size, p=self.probs)
-
 
 def degree_distribution(table: dict) -> DegreeDistribution:
     """Build a DegreeDistribution from a {degree: probability} mapping."""
@@ -200,13 +197,6 @@ class RegularTree(ContactNetwork):
             return list(range(1, d + 1))
         base = (v - 1) * (d - 1) + d + 1
         return [0 if v <= d else (v - d - 1) // (d - 1) + 1, *range(base, base + d - 1)]
-
-    def depth(self, v: int) -> int:
-        depth = 0
-        while v != 0:
-            v = self.parent(v)
-            depth += 1
-        return depth
 
 
 class GaltonWatsonTree(ContactNetwork):

@@ -21,7 +21,6 @@ import numpy as np
 from . import adversary as adv
 from . import analysis
 from .graph import (
-    DegreeDistribution,
     ExplicitGraph,
     degree_distribution,
     galton_watson_tree,
@@ -32,6 +31,7 @@ from .graph import (
 )
 from .spread import (
     ProtocolParams,
+    _pick,
     assign_spies,
     observations_for,
     spread_adaptive,
@@ -52,7 +52,7 @@ SUMMARY_SCHEMA = "anonspread-summary v1"
 
 @dataclass
 class ExperimentConfig:
-    network: str = "regular-tree"  # regular-tree | galton-watson | grid | explicit | line
+    network: str = "regular-tree"  # a NETWORKS name
     d: int = 3
     degree_table: dict | None = None
     edge_list: str | None = None
@@ -63,11 +63,10 @@ class ExperimentConfig:
     trials: int = 1000
     seed: int = 0
     estimator_d0: int | None = None
-    estimator_g: int = 1
     observe_T: int | None = None  # multi-snapshot observation time
     line_n: int = 101
     workers: int = 1
-    output: str | None = None
+    output: str | None = None  # summary CSV, written by the CLI
     trial_output: str | None = None  # per-trial estimator records
     wilson: bool = False  # Wilson intervals instead of the normal approximation
     label: str = ""
@@ -149,18 +148,15 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _make_network(cfg: ExperimentConfig, rng: np.random.Generator, shared):
-    if cfg.network == "regular-tree":
-        return regular_tree(cfg.d)
-    if cfg.network == "galton-watson":
-        table = cfg.degree_table
-        dist = table if isinstance(table, DegreeDistribution) else degree_distribution(table)
-        return galton_watson_tree(dist, int(rng.integers(2**62)))
-    if cfg.network == "grid":
-        return grid(0)
-    if cfg.network == "explicit":
-        return shared
-    raise ValueError(f"unknown network kind {cfg.network!r}")
+def _galton_watson(cfg: ExperimentConfig, rng, shared):
+    if cfg.degree_table is None:
+        raise ValueError("galton-watson network needs degree_table")
+    return galton_watson_tree(cfg.degree_table, int(rng.integers(2**62))), 0
+
+
+def _explicit(cfg: ExperimentConfig, rng, shared):
+    net = shared if shared is not None else _shared_graph(cfg)
+    return net, _pick(rng, net.nodes())
 
 
 def _shared_graph(cfg: ExperimentConfig):
@@ -171,6 +167,69 @@ def _shared_graph(cfg: ExperimentConfig):
     if cfg.edge_list is None:
         raise ValueError("explicit network needs edge_list or graph")
     return load_edge_list(cfg.edge_list)
+
+
+def _spies(cfg: ExperimentConfig, snap, rng) -> list:
+    return observations_for(snap, assign_spies(snap, cfg.p, int(rng.integers(2**62))))
+
+
+def _needs_line_trace(cfg, net, snap, rng):
+    raise ValueError("line-ml needs a line trace: run_trial draws its own polya-line spread, "
+                     "and a snapshot does not carry one")
+
+
+class Registry(dict):
+    """Kind name -> entry; an unknown name raises ValueError."""
+
+    def __init__(self, what: str, entries: dict):
+        super().__init__(entries)
+        self.what = what
+
+    def __missing__(self, kind):
+        raise ValueError(f"unknown {self.what} kind {kind!r}")
+
+
+# One entry per kind, keyed by the config names, for run_trial and the CLI.
+# Entries look their callees up in this module's globals (and in `adv`) when
+# called, so a wrapper put over one of those names sees every call.
+
+# (cfg, rng, shared explicit graph or None) -> (network, source)
+NETWORKS = Registry("network", {
+    "regular-tree": lambda cfg, rng, shared: (regular_tree(cfg.d), 0),
+    "galton-watson": _galton_watson,
+    "grid": lambda cfg, rng, shared: (grid(0), (0, 0)),
+    "explicit": _explicit,
+})
+
+# (network, source, ProtocolParams, rng) -> InfectionSnapshot
+PROTOCOLS = Registry("protocol", {
+    "adaptive": lambda net, source, proto, rng: spread_adaptive(net, source, proto, rng=rng),
+    "paad": lambda net, source, proto, rng: spread_paad(net, source, proto, rng=rng),
+    "tree-protocol": lambda net, source, proto, rng: spread_tree_protocol(net, source, proto, rng=rng),
+    "grid-adaptive": lambda net, source, proto, rng: spread_grid(net, source, proto, rng=rng),
+    "diffusion": lambda net, source, proto, rng: spread_diffusion(net, source, proto, rng=rng),
+    "deterministic": lambda net, source, proto, rng: spread_deterministic(net, source, proto.horizon,
+                                                                          rng=rng),
+})
+
+# (cfg, network, snapshot, rng) -> Estimate; the spy kinds draw the spies first
+ADVERSARIES = Registry("adversary", {
+    "snapshot": lambda cfg, net, snap, rng: adv.estimate_snapshot_regular(snap, rng=rng),
+    "irregular-ml": lambda cfg, net, snap, rng: adv.estimate_irregular_ml(
+        snap, int(cfg.estimator_d0 or cfg.protocol.d0 or cfg.d), rng=rng, cyclic=net.is_finite),
+    "map-leaf": lambda cfg, net, snap, rng: adv.estimate_map_leaf(snap, rng=rng, finite=net.is_finite),
+    "paad-map": lambda cfg, net, snap, rng: adv.estimate_paad_map(snap, cfg.protocol.g, rng=rng,
+                                                                  cyclic=net.is_finite),
+    "multi-snapshot": lambda cfg, net, snap, rng: adv.estimate_multiple_snapshots(
+        snap, cfg.observe_T or snap.T, rng=rng),
+    "first-spy": lambda cfg, net, snap, rng: adv.estimate_first_spy(_spies(cfg, snap, rng), rng=rng),
+    "spy-ml": lambda cfg, net, snap, rng: adv.estimate_spy_ml(net, _spies(cfg, snap, rng), rng=rng),
+    "spy-irregular": lambda cfg, net, snap, rng: adv.estimate_spy_irregular(
+        net, _spies(cfg, snap, rng), rng=rng, open_degree=snap.open_degree if net.is_finite else None),
+    "spy-snapshot": lambda cfg, net, snap, rng: adv.estimate_spy_snapshot(snap, _spies(cfg, snap, rng),
+                                                                          rng=rng),
+    "line-ml": _needs_line_trace,
+})
 
 
 def _hop(net, snap_protocol, a, b):
@@ -191,68 +250,17 @@ def _hop(net, snap_protocol, a, b):
 
 
 def run_trial(cfg: ExperimentConfig, index: int, shared=None) -> TrialRecord:
+    """Build network -> spread -> estimate -> score, on the trial's own RNG
+    stream.  line-ml runs its own line, spread and estimator."""
     rng = _trial_rng(cfg.seed, index)
-    kind = cfg.adversary
-
-    if kind == "line-ml":
-        source = int(rng.integers(1, cfg.line_n + 1))
+    if cfg.adversary == "line-ml":
+        net, source = None, int(rng.integers(1, cfg.line_n + 1))
         snap, trace = spread_polya_line(cfg.line_n, source, rng=rng)
         est = adv.estimate_line_ml(trace, rng=rng)
-        detected = int(not est.inconclusive and est.v_hat == source)
-        hop = None if est.inconclusive else abs(est.v_hat - source)
-        return TrialRecord(index, est.kind, est.v_hat, est.tie_count, detected, hop,
-                           snap.n_infected, int(est.inconclusive))
-
-    net = _make_network(cfg, rng, shared)
-    if cfg.network == "grid":
-        source = (0, 0)
-    elif net.is_finite:
-        source = adv._pick(rng, net.nodes())
     else:
-        source = 0
-
-    proto = cfg.protocol
-    if proto.kind == "adaptive":
-        snap = spread_adaptive(net, source, proto, rng=rng)
-    elif proto.kind == "paad":
-        snap = spread_paad(net, source, proto, rng=rng)
-    elif proto.kind == "tree-protocol":
-        snap = spread_tree_protocol(net, source, proto, rng=rng)
-    elif proto.kind == "grid-adaptive":
-        snap = spread_grid(net, source, proto, rng=rng)
-    elif proto.kind == "diffusion":
-        snap = spread_diffusion(net, source, proto, rng=rng)
-    elif proto.kind == "deterministic":
-        snap = spread_deterministic(net, source, proto.horizon, rng=rng)
-    else:
-        raise ValueError(f"unknown protocol kind {proto.kind!r}")
-
-    if kind in ("spy-ml", "spy-irregular", "first-spy", "spy-snapshot"):
-        spies = assign_spies(snap, cfg.p, int(rng.integers(2**62)))
-        observations = observations_for(snap, spies)
-        if kind == "first-spy":
-            est = adv.estimate_first_spy(observations, rng=rng)
-        elif kind == "spy-ml":
-            est = adv.estimate_spy_ml(net, observations, rng=rng)
-        elif kind == "spy-irregular":
-            est = adv.estimate_spy_irregular(net, observations, rng=rng,
-                                             open_degree=snap.open_degree if net.is_finite else None)
-        else:
-            est = adv.estimate_spy_snapshot(snap, observations, rng=rng)
-    elif kind == "snapshot":
-        est = adv.estimate_snapshot_regular(snap, rng=rng)
-    elif kind == "irregular-ml":
-        d0 = cfg.estimator_d0 or cfg.protocol.d0 or cfg.d
-        est = adv.estimate_irregular_ml(snap, int(d0), rng=rng, cyclic=net.is_finite)
-    elif kind == "map-leaf":
-        est = adv.estimate_map_leaf(snap, rng=rng, finite=net.is_finite)
-    elif kind == "paad-map":
-        est = adv.estimate_paad_map(snap, cfg.estimator_g, rng=rng)
-    elif kind == "multi-snapshot":
-        est = adv.estimate_multiple_snapshots(snap, cfg.observe_T or proto.horizon, rng=rng)
-    else:
-        raise ValueError(f"unknown adversary kind {kind!r}")
-
+        net, source = NETWORKS[cfg.network](cfg, rng, shared)
+        snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng)
+        est = ADVERSARIES[cfg.adversary](cfg, net, snap, rng)
     detected = int(not est.inconclusive and est.v_hat == source)
     hop = None if est.inconclusive else _hop(net, snap.protocol, est.v_hat, source)
     return TrialRecord(index, est.kind, est.v_hat, est.tie_count, detected, hop,
@@ -332,9 +340,6 @@ def run_experiment(cfg: ExperimentConfig, pool=None) -> ExperimentSummary:
     if cfg.trial_output:
         with open(cfg.trial_output, "wt", encoding="utf-8") as fh:
             write_trial_csv(records, fh)
-    if cfg.output:
-        with open(cfg.output, "wt", encoding="utf-8") as fh:
-            write_summary_csv(summary, fh)
     return summary
 
 
@@ -380,8 +385,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
         else:
             raise ValueError(f"unknown sweep parameter {parameter!r}")
         label = f"{cfg.label or parameter}={v}"
-        subs.append(replace(sub, label=label, output=None,
-                            trial_output=_value_path(sub.trial_output, label)))
+        subs.append(replace(sub, label=label, trial_output=_value_path(sub.trial_output, label)))
     shared_setup = parameter not in _PER_VALUE_SETUP
     shared = _shared_graph(cfg) if shared_setup else None
     pool = _start_pool(cfg.workers, shared) if shared_setup and cfg.workers > 1 else None
@@ -394,11 +398,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
     finally:
         if pool is not None:
             pool.terminate()
-    summary = ExperimentSummary(rows, cfg)
-    if cfg.output:
-        with open(cfg.output, "wt", encoding="utf-8") as fh:
-            write_summary_csv(summary, fh)
-    return summary
+    return ExperimentSummary(rows, cfg)
 
 
 # ---------------------------------------------------------------------------

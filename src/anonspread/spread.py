@@ -238,47 +238,25 @@ def _wave(st: _State, origin, blocked, t: int, cap, rng) -> None:
     `origin` (skipping `blocked`), infecting the uninfected boundary.  Each
     node infects at most `cap` new nodes per wave.
 
-    On finite graphs the relay follows infection-tree links only (a node's
-    parent and children), so a wave that starts past `blocked` stays on that
-    side of the infection tree even where graph edges close a cycle.  On
-    trees every infected neighbor is a tree link, so the plain scan below
-    is the same rule without the per-relay check."""
-    if st.scan_open:
-        _tree_link_wave(st, origin, blocked, t, cap, rng)
-        return
+    The relay follows infection-tree links only (a node's parent and
+    children), so a wave that starts past `blocked` stays on that side of
+    the infection tree even where graph edges close a cycle.  On trees every
+    infected neighbor is a tree link, and lazy trees without a fan-out cap
+    take _lazy_tree_wave, the same rule without the per-relay check."""
     if cap is None and st.net.is_tree:
         _lazy_tree_wave(st, origin, blocked, t)
-        return
-    visited = {origin}
-    stack = [(origin, blocked)]
-    while stack:
-        v, frm = stack.pop()
-        relays = []
-        targets = []
-        for w in st.net.neighbors(v):
-            if w == frm or w in visited:
-                continue
-            visited.add(w)
-            if w in st.time:
-                relays.append(w)
-            else:
-                targets.append(w)
-        if cap is not None and len(targets) > cap:
-            idx = rng.choice(len(targets), size=cap, replace=False)
-            targets = [targets[int(i)] for i in idx]
-        for w in targets:
-            st.infect(w, t, v)
-        for w in relays:
-            stack.append((w, v))
+    else:
+        _tree_link_wave(st, origin, blocked, t, cap, rng)
 
 
 def _lazy_tree_wave(st: _State, origin, blocked, t: int) -> None:
-    """_wave on a lazy tree without a fan-out cap, in the same order.  On a
-    tree each infected node is reached once, from its one neighbor on the
-    origin's side, so no visited set is kept; a neighbor is infected as the
-    scan meets it, which is the order _wave infects its targets in.  A
-    scanned node has no uninfected neighbor left, so later waves relay
-    through its kept neighbor list without querying the network."""
+    """_tree_link_wave on a lazy tree without a fan-out cap, in the same
+    order.  On a tree each infected node is reached once, from its one
+    neighbor on the origin's side, so no visited set is kept; a neighbor is
+    infected as the scan meets it, which is the order _tree_link_wave
+    infects its targets in.  A scanned node has no uninfected neighbor
+    left, so later waves relay through its kept neighbor list without
+    querying the network."""
     time, parent, net_degree, open_degree = st.time, st.parent, st.net_degree, st.open_degree
     neighbors, degree, scanned = st.net.neighbors, st.net.degree, st.scanned
     stack = [(origin, blocked)]
@@ -306,8 +284,8 @@ def _lazy_tree_wave(st: _State, origin, blocked, t: int) -> None:
 
 
 def _tree_link_wave(st: _State, origin, blocked, t: int, cap, rng) -> None:
-    """_wave on a graph with cycles: infected neighbors that are not
-    infection-tree links neither relay nor count as visited."""
+    """_wave's relay: infected neighbors that are not infection-tree links
+    neither relay nor count as visited."""
     parent = st.parent
     visited = {origin}
     stack = [(origin, blocked)]

@@ -363,6 +363,59 @@ class TestPaadMap:
         with pytest.raises(ValueError):
             estimate_paad_map(snap, 1)
 
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_cyclic_score_is_the_spreads_pick_probability(self, g, monkeypatch):
+        # the spread's own next-holder weights, recorded through the
+        # _vs_weights hook, give the probability of the token path it took;
+        # the cyclic score of the true source must be exactly that
+        from anonspread import spread
+        from anonspread.graph import prune_min_degree, synthetic_heavy_tail
+
+        real_spread, picks = spread.spread_adaptive, []
+
+        def recording(net, source, params, rng=None, _vs_weights=None, _protocol_name="adaptive"):
+            def weights(net_, holder, candidates):
+                w = _vs_weights(net_, holder, candidates)
+                picks.append((list(candidates), list(w)))
+                return w
+            return real_spread(net, source, params, rng=rng, _vs_weights=weights,
+                               _protocol_name=_protocol_name)
+
+        monkeypatch.setattr(spread, "spread_adaptive", recording)
+        net = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+        rng = RNG(46)
+        nodes = net.nodes()
+        for _ in range(40):
+            picks.clear()
+            src = nodes[int(rng.integers(len(nodes)))]
+            s = spread_paad(net, src, ProtocolParams(kind="paad", g=g, horizon=6), rng=rng)
+            assert len(picks) == len(s.vs_events) - 1  # a pick for every hand-off
+            prob = 1.0
+            for (candidates, w), (_, holder, _) in zip(picks, s.vs_events[1:]):
+                prob *= w[candidates.index(holder)] / sum(w)
+            assert paad_map_scores(s, g, cyclic=True)[src] == pytest.approx(prob, rel=1e-12)
+
+    def test_cyclic_beats_blind_guess_at_depth_h(self):
+        # baseline: a uniform guess over the infected nodes h_T hops from the
+        # center, where the source sits; it hits with b = 1/|candidates|
+        from anonspread.graph import prune_min_degree, synthetic_heavy_tail
+
+        net = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+        rng = RNG(47)
+        nodes = net.nodes()
+        n, hits, mean_b, var_b = 200, 0, 0.0, 0.0
+        for _ in range(n):
+            src = nodes[int(rng.integers(len(nodes)))]
+            s = spread_paad(net, src, ProtocolParams(kind="paad", g=1, horizon=6), rng=rng)
+            est = estimate_paad_map(s, 1, rng=rng, cyclic=True)
+            assert src in est.candidates
+            hits += int(est.v_hat == src)
+            b = 1.0 / len(est.candidates)
+            mean_b += b
+            var_b += b * (1.0 - b)
+        z = (hits - mean_b) / np.sqrt(var_b)
+        assert z >= 3.0, (hits / n, mean_b / n, z)
+
 
 class TestSpyML:
     def test_worked_example(self):

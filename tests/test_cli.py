@@ -99,6 +99,49 @@ class TestSpreadEstimate:
         assert int(lines["v_hat"]) in ties
 
 
+    @pytest.mark.parametrize("policy", ["exact", "always-pass"])
+    def test_estimate_runs_every_snapshot_adversary(self, policy, tmp_path, capsys):
+        from anonspread.harness import ADVERSARIES
+
+        trace = tmp_path / "trace.csv"
+        common = ["--T", "4", "--seed", "3"]
+        assert run_cli(["spread", "--protocol", "adaptive", "--alpha_policy", policy, *common,
+                        "--output", str(trace)])[0] == 0
+        # line-ml and paad-map need what a trace lacks (test_bad_input_exits_1_with_message)
+        for kind in sorted(set(ADVERSARIES) - {"line-ml", "paad-map"}):
+            capsys.readouterr()
+            code, out = run_cli(["estimate", "--adversary", kind, "--p", "0.3", *common, str(trace)])
+            if kind == "map-leaf" and policy == "exact":  # the source is not at a leaf
+                assert code == 1
+                assert "error: snapshot did not come from an always-pass" in capsys.readouterr().err
+                continue
+            assert code == 0, kind
+            assert out.startswith("estimator,")
+            if kind == "multi-snapshot":  # the trace ends at T: no later token move to watch
+                assert "v_hat,None" in out
+        if policy == "always-pass":  # without --T, watch from the trace's own end, not from 0
+            code, out = run_cli(["estimate", "--adversary", "multi-snapshot", str(trace)])
+            assert code == 0 and "v_hat,None" in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["spread", "--network", "bogus"], "unknown network kind 'bogus'"),
+    (["spread", "--network", "explicit"], "explicit network needs edge_list or graph"),
+    (["estimate", "--network", "explicit", "TRACE"], "explicit network needs edge_list or graph"),
+    (["experiment", "--network", "galton-watson", "--trials", "2"],
+     "galton-watson network needs degree_table"),
+    (["estimate", "--adversary", "line-ml", "TRACE"], "line-ml needs a line trace"),
+    (["estimate", "--adversary", "paad-map", "TRACE"], "snapshot lacks frontier adjacency"),
+    (["estimate", "--adversary", "bogus", "TRACE"], "unknown adversary kind 'bogus'"),
+])
+def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    assert run_cli(["spread", "--T", "4", "--seed", "1", "--output", str(trace)])[0] == 0
+    code, _ = run_cli([str(trace) if a == "TRACE" else a for a in args])  # raises if one escapes
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestExperiment:
     def test_config_file_and_gate(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

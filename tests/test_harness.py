@@ -10,6 +10,7 @@ from anonspread.harness import (
     multi_snapshot_detection_mc,
     normal_ci_half,
     run_experiment,
+    run_trial,
     spy_tree_detection_mc,
     summary_csv_text,
     sweep,
@@ -95,6 +96,31 @@ class TestRunner:
         gp = tmp_path / "sweep.gp"
         write_gnuplot_script(str(out), str(gp))
         assert "logscale" in gp.read_text()
+
+    def test_paad_map_scores_with_the_protocols_g(self):
+        # paad-map weighs hand-offs by the spread's own g; replay each trial
+        # on its RNG stream and score it with g=2 by hand
+        import copy
+
+        from anonspread.adversary import estimate_paad_map
+        from anonspread.harness import _trial_rng
+        from anonspread.spread import spread_paad
+
+        table = {2: 0.3, 3: 0.4, 5: 0.3}
+        proto = ProtocolParams(kind="paad", g=2, horizon=4)
+        cfg = small_cfg(network="galton-watson", degree_table=table, protocol=proto,
+                        adversary="paad-map", trials=30)
+        differs = 0
+        for i in range(cfg.trials):
+            rng = _trial_rng(cfg.seed, i)
+            net = galton_watson_tree(table, int(rng.integers(2**62)))
+            snap = spread_paad(net, 0, proto, rng=rng)
+            with_g1 = estimate_paad_map(snap, 1, rng=copy.deepcopy(rng))
+            est = estimate_paad_map(snap, 2, rng=rng)
+            record = run_trial(cfg, i)
+            assert (record.v_hat, record.n_candidates) == (est.v_hat, est.tie_count)
+            differs += with_g1.scores != est.scores
+        assert differs  # g=1 would have scored these trials differently
 
     def test_hop_distance_errors_are_not_swallowed(self):
         from anonspread.graph import from_edges
@@ -204,6 +230,39 @@ class TestPooledSweep:
             assert len(lines) == 2 + row.trials
             n_infected = {int(line.split(",")[6]) for line in lines[2:]}
             assert n_infected == {n_regular(3, row.T)}
+
+
+def _load_spans():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTraceHooks:
+    """The bench's spans wrap the callees in the harness namespace and in
+    `adversary`; a registry that bound them at import would hide every call."""
+
+    @pytest.mark.parametrize("kind", ["tree", "edge-list"])
+    def test_one_spread_and_one_adversary_span_per_trial(self, kind, tmp_path):
+        from anonspread import adversary, harness
+
+        spans = _load_spans()
+        if kind == "tree":
+            cfg = small_cfg(trials=20)
+        else:
+            cfg = graph_cfg(_write_edge_list(tmp_path / "g.edges", _heavy_tail(300, 3)), trials=20)
+        tracer = spans.Tracer()
+        with spans.installed(tracer, harness, adversary):
+            run_experiment(cfg)
+        names = [s.name for s in tracer.spans]
+        assert sum(n.startswith("spread.") for n in names) == 20
+        assert sum(n.startswith("adversary.") for n in names) == 20
+        assert names.count("harness.run_trial") == 20
 
 
 class TestHopDistance:

@@ -148,7 +148,7 @@ class TestAdaptive:
     @pytest.mark.parametrize("tree", [regular_tree(3), regular_tree(4),
                                       galton_watson_tree({2: 0.3, 3: 0.4, 5: 0.3}, seed=6)])
     def test_lazy_tree_wave_matches_generic_scan(self, tree):
-        # the same network with its tree flag off takes _wave's generic scan
+        # the same network with its tree flag off takes _tree_link_wave
         class Untagged(type(tree)):
             is_tree = False
 
