@@ -28,7 +28,7 @@ from .harness import (
     sweep as run_sweep,
     write_summary_csv,
 )
-from .spread import InfectionSnapshot, ProtocolParams
+from .spread import InfectionSnapshot, OpenDegrees, ProtocolParams
 
 CONFIG_KEYS = {
     "network", "d", "degree_table", "edge_list", "protocol", "alpha_policy",
@@ -168,7 +168,7 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
         time=time,
         parent=parent,
         net_degree={v: net.degree(v) for v in time},
-        open_degree={v: sum(1 for w in net.neighbors(v) if w not in time) for v in time},
+        open_degree=OpenDegrees(net, time),  # the rows are in infection order
         centers=centers,
         mid_pass=mid,
         vs_events=[(t, v, i) for i, (t, v) in enumerate(vs_marks)],

@@ -154,6 +154,12 @@ def _galton_watson(cfg: ExperimentConfig, rng, shared):
     return galton_watson_tree(cfg.degree_table, int(rng.integers(2**62))), 0
 
 
+def _grid(cfg: ExperimentConfig, rng, shared):
+    if cfg.protocol.kind != "grid-adaptive":
+        raise ValueError("grid network runs only the grid-adaptive protocol")
+    return grid(0), (0, 0)
+
+
 def _explicit(cfg: ExperimentConfig, rng, shared):
     net = shared if shared is not None else _shared_graph(cfg)
     return net, _pick(rng, net.nodes())
@@ -197,7 +203,7 @@ class Registry(dict):
 NETWORKS = Registry("network", {
     "regular-tree": lambda cfg, rng, shared: (regular_tree(cfg.d), 0),
     "galton-watson": _galton_watson,
-    "grid": lambda cfg, rng, shared: (grid(0), (0, 0)),
+    "grid": _grid,
     "explicit": _explicit,
 })
 

@@ -2,8 +2,8 @@
 
 Every protocol produces an InfectionSnapshot carrying the full metadata an
 adversary might see: infection times, parents, the virtual-source history,
-per-node levels/directions for the distributed tree protocol, and the
-uninfected frontier.
+per-node levels/directions for the distributed tree protocol, and each
+node's uninfected-neighbor count when it was infected.
 
 Timing convention used throughout: the token holder at an even epoch te
 decides to keep or pass; the resulting infection waves occupy steps te+1
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,11 @@ class ProtocolParams:
     to and keeps the token, which breaks that guarantee.  fanout_cap limits
     new infections per node per step; it defaults to 3 on finite explicit
     graphs and to no cap on infinite networks.
+
+    A snapshot's open_degree (uninfected neighbors at infection time) is
+    deg - 1 on infinite networks, set as each node is infected; on finite
+    graphs it is an OpenDegrees, computed from the infection order when
+    first read.
     """
 
     kind: str = "adaptive"
@@ -141,7 +147,7 @@ class InfectionSnapshot:
     time: dict
     parent: dict
     net_degree: dict
-    open_degree: dict
+    open_degree: Mapping  # uninfected neighbors at infection time (OpenDegrees on finite graphs)
     centers: list
     mid_pass: bool = False
     vs_events: list = field(default_factory=list)  # (t, node, h) token handoffs
@@ -149,7 +155,6 @@ class InfectionSnapshot:
     direction: dict = field(default_factory=dict)  # tree protocol metadata
     level: dict = field(default_factory=dict)
     grid_displacement: tuple | None = None
-    frontier: set = field(default_factory=set)
     region_adj: dict | None = None  # adjacency over G_T and its observed frontier
 
     @property
@@ -206,16 +211,47 @@ class InfectionSnapshot:
 # shared machinery
 
 
+class OpenDegrees(Mapping):
+    """Each infected node's count of uninfected neighbors at the time it was
+    infected, computed when first read.  `time`'s insertion order is the
+    infection order, so the count is deg(v) minus the neighbors infected
+    before v."""
+
+    def __init__(self, net, time: dict):
+        self.net, self.time = net, time
+        self.rank = None  # node -> infection rank, built on the first read
+        self.cache: dict = {}
+
+    def __getitem__(self, v):
+        if v not in self.cache:
+            if self.rank is None:
+                self.rank = {u: i for i, u in enumerate(self.time)}
+            r = self.rank[v]
+            before = sum(1 for w in self.net.neighbors(v) if self.rank.get(w, r) < r)
+            self.cache[v] = self.net.degree(v) - before
+        return self.cache[v]
+
+    def __contains__(self, v):
+        return v in self.time
+
+    def __iter__(self):
+        return iter(self.time)
+
+    def __len__(self):
+        return len(self.time)
+
+
 class _State:
     def __init__(self, net):
         self.net = net
         self.time: dict = {}
         self.parent: dict = {}
         self.net_degree: dict = {}
-        self.open_degree: dict = {}
         # on trees the infector is the only infected neighbor at infection
-        # time, so the uninfected-neighbor count needs no scan
-        self.scan_open = net.is_finite
+        # time, so the uninfected-neighbor count is deg - 1; finite graphs
+        # count it from the infection order when a reader asks
+        self.eager_open = not net.is_finite
+        self.open_degree = {} if self.eager_open else OpenDegrees(net, self.time)
         self.scanned: dict = {}  # node -> its neighbors, once a lazy-tree wave has infected them all
 
     def infect(self, v, t, parent):
@@ -223,9 +259,7 @@ class _State:
         self.parent[v] = parent
         deg = self.net.degree(v)
         self.net_degree[v] = deg
-        if self.scan_open:
-            self.open_degree[v] = sum(1 for w in self.net.neighbors(v) if w not in self.time)
-        else:
+        if self.eager_open:
             self.open_degree[v] = deg if parent is None else deg - 1
 
 
@@ -284,48 +318,39 @@ def _lazy_tree_wave(st: _State, origin, blocked, t: int) -> None:
 
 
 def _tree_link_wave(st: _State, origin, blocked, t: int, cap, rng) -> None:
-    """_wave's relay: infected neighbors that are not infection-tree links
-    neither relay nor count as visited."""
-    parent = st.parent
-    visited = {origin}
+    """_wave's relay: infected neighbors that are not infection-tree links do
+    not relay.  The relay walks the infection tree away from `origin`, so it
+    reaches each infected node once and needs no visited set; only the
+    targets claimed in this wave, the ones the cap passed over too, are kept
+    so that no later relay claims them again."""
+    time, parent = st.time, st.parent
+    neighbors = st.net.neighbors
+    claimed = set()
     stack = [(origin, blocked)]
     while stack:
         v, frm = stack.pop()
+        up = parent[v]
         relays = []
         targets = []
-        for w in st.net.neighbors(v):
-            if w == frm or w in visited:
-                continue
-            if w in st.time:
-                if parent[w] != v and parent[v] != w:
-                    continue
-                relays.append(w)
-            else:
+        for w in neighbors(v):
+            if w in time:
+                if w != frm and (w == up or parent[w] == v):
+                    relays.append(w)
+            elif w not in claimed:
                 targets.append(w)
-            visited.add(w)
+                claimed.add(w)
         if cap is not None and len(targets) > cap:
             idx = rng.choice(len(targets), size=cap, replace=False)
             targets = [targets[int(i)] for i in idx]
         for w in targets:
             st.infect(w, t, v)
-        for w in relays:
-            stack.append((w, v))
+        stack.extend((w, v) for w in relays)
 
 
 def _default_cap(net: ContactNetwork, params: ProtocolParams):
     if params.fanout_cap is not None:
         return params.fanout_cap
     return 3 if net.is_finite else None
-
-
-def compute_frontier(net: ContactNetwork, time: dict) -> set:
-    """Uninfected one-hop neighbors of the infected set."""
-    out = set()
-    for v in time:
-        for w in net.neighbors(v):
-            if w not in time:
-                out.add(w)
-    return out
 
 
 def _rng_for(params: ProtocolParams, rng):
@@ -414,10 +439,7 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng=Non
     return _adaptive_snapshot(_protocol_name, st, T, source, centers, mid_pass, vs_events, h_history)
 
 
-def _adaptive_snapshot(name, st, T, source, centers, mid_pass, vs_events, h_history,
-                       region_adj=None) -> InfectionSnapshot:
-    # the frontier scan is worth its cost only where estimators use it
-    frontier = compute_frontier(st.net, st.time) if st.net.is_finite else set()
+def _adaptive_snapshot(name, st, T, source, centers, mid_pass, vs_events, h_history) -> InfectionSnapshot:
     return InfectionSnapshot(
         protocol=name,
         T=T,
@@ -430,8 +452,6 @@ def _adaptive_snapshot(name, st, T, source, centers, mid_pass, vs_events, h_hist
         mid_pass=mid_pass,
         vs_events=vs_events,
         h_history=h_history,
-        frontier=frontier,
-        region_adj=region_adj,
     )
 
 
@@ -470,7 +490,6 @@ def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng=None) -
 
     snap = spread_adaptive(net, source, p2, rng=rng, _vs_weights=weights, _protocol_name="paad")
     snap.region_adj = _region_adjacency(net, snap, g + 1)
-    snap.frontier = {w for v in snap.time for w in snap.region_adj[v] if w not in snap.time}
     return snap
 
 
@@ -729,14 +748,7 @@ def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng=None) -> Infec
 
 def _grid_snapshot(time, parent, T, source, centers, mid_pass, vs_events, h_history, disp):
     degree = {v: 4 for v in time}
-    open_deg = {}
-    for v in time:
-        open_deg[v] = sum(1 for w in Grid.neighbors_xy(v).values() if w not in time)
-    frontier = set()
-    for v in time:
-        for w in Grid.neighbors_xy(v).values():
-            if w not in time:
-                frontier.add(w)
+    open_deg = {v: sum(1 for w in Grid.neighbors_xy(v).values() if w not in time) for v in time}
     return InfectionSnapshot(
         protocol="grid-adaptive",
         T=T,
@@ -750,7 +762,6 @@ def _grid_snapshot(time, parent, T, source, centers, mid_pass, vs_events, h_hist
         vs_events=vs_events,
         h_history=h_history,
         grid_displacement=disp,
-        frontier=frontier,
     )
 
 
@@ -863,7 +874,6 @@ def spread_polya_line(n: int, source: int, seed=None, rng=None, horizon: int | N
         centers=[vs],
         vs_events=vs_events,
         h_history=h_history,
-        frontier={left_edge - 1, right_edge + 1},
     )
     spy_times = {s: time[s] for s in (0, n + 1) if s in time}
     first_spy = min(spy_times, key=spy_times.get) if spy_times else None

@@ -98,6 +98,28 @@ class TestSpreadEstimate:
         assert int(lines["candidates"]) == est.tie_count == len(ties)
         assert int(lines["v_hat"]) in ties
 
+    def test_trace_keeps_the_spread_open_degrees(self, tmp_path):
+        # open degrees count uninfected neighbors when each node was
+        # infected, not at T; spy-irregular weighs candidates by them
+        import numpy as np
+
+        from anonspread.cli import load_trace
+        from anonspread.graph import prune_min_degree, regular_tree, synthetic_heavy_tail
+        from anonspread.spread import ProtocolParams, spread_adaptive, spread_tree_protocol
+
+        g = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+        trace = tmp_path / "trace.csv"
+        for net, spread, kind in [(g, spread_tree_protocol, "tree-protocol"), (g, spread_adaptive, "adaptive"),
+                                  (regular_tree(3), spread_adaptive, "adaptive")]:
+            nodes = net.nodes() if net.is_finite else [0]
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                source = nodes[int(rng.integers(len(nodes)))]
+                snap = spread(net, source, ProtocolParams(kind=kind, d0=3, horizon=6), rng=rng)
+                with open(trace, "w", newline="") as fh:
+                    snap.to_csv(fh)
+                loaded = load_trace(str(trace), net, 6)
+                assert list(loaded.open_degree.items()) == list(snap.open_degree.items())
 
     @pytest.mark.parametrize("policy", ["exact", "always-pass"])
     def test_estimate_runs_every_snapshot_adversary(self, policy, tmp_path, capsys):
@@ -133,6 +155,9 @@ class TestSpreadEstimate:
     (["estimate", "--adversary", "line-ml", "TRACE"], "line-ml needs a line trace"),
     (["estimate", "--adversary", "paad-map", "TRACE"], "snapshot lacks frontier adjacency"),
     (["estimate", "--adversary", "bogus", "TRACE"], "unknown adversary kind 'bogus'"),
+    (["experiment", "--network", "grid", "--protocol", "diffusion", "--q", "0.5", "--T", "4", "--trials", "3"],
+     "grid network runs only the grid-adaptive protocol"),
+    (["spread", "--network", "grid", "--d0", "4", "--T", "4"], "grid network runs only the grid-adaptive protocol"),
 ])
 def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     trace = tmp_path / "trace.csv"

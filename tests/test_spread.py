@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
+from anonspread import spread as spread_module
 from anonspread.adversary import _children_from_center
 from anonspread.analysis import (
     deterministic_n,
@@ -13,6 +14,7 @@ from anonspread.analysis import (
     state_distribution_regular,
 )
 from anonspread.graph import (
+    ExplicitGraph,
     from_edges,
     galton_watson_tree,
     grid,
@@ -215,6 +217,116 @@ class TestCyclicGraphs:
                 # the waves at te+1 and te+2 follow the pass recorded at te+2
                 holder = [node for tt, node, _ in holders if tt <= t + t % 2][-1]
                 assert holder in _ancestors(s, s.parent[v]), (v, t, holder)
+
+
+class _ScanState:
+    """spread._State with an eager open degree: each new node's uninfected
+    neighbors are counted by a scan when it is infected."""
+
+    def __init__(self, net):
+        self.net = net
+        self.time, self.parent, self.net_degree, self.open_degree = {}, {}, {}, {}
+        self.scan_open = net.is_finite
+        self.scanned = {}
+
+    def infect(self, v, t, parent):
+        self.time[v] = t
+        self.parent[v] = parent
+        deg = self.net.degree(v)
+        self.net_degree[v] = deg
+        if self.scan_open:
+            self.open_degree[v] = sum(1 for w in self.net.neighbors(v) if w not in self.time)
+        else:
+            self.open_degree[v] = deg if parent is None else deg - 1
+
+
+def _visited_set_wave(st, origin, blocked, t, cap, rng):
+    """spread._tree_link_wave with a visited set over every scanned node."""
+    parent = st.parent
+    visited = {origin}
+    stack = [(origin, blocked)]
+    while stack:
+        v, frm = stack.pop()
+        relays = []
+        targets = []
+        for w in st.net.neighbors(v):
+            if w == frm or w in visited:
+                continue
+            if w in st.time:
+                if parent[w] != v and parent[v] != w:
+                    continue
+                relays.append(w)
+            else:
+                targets.append(w)
+            visited.add(w)
+        if cap is not None and len(targets) > cap:
+            idx = rng.choice(len(targets), size=cap, replace=False)
+            targets = [targets[int(i)] for i in idx]
+        for w in targets:
+            st.infect(w, t, v)
+        for w in relays:
+            stack.append((w, v))
+
+
+class TestFiniteGraphScans:
+    """Finite-graph spreads scan no neighbor list that nothing reads: the
+    wave keeps only the targets it claimed, and open degrees are computed
+    from the infection order when first read."""
+
+    SPREADS = {
+        "always-pass": lambda net, src, T, rng: spread_adaptive(
+            net, src, ProtocolParams(alpha_policy="always-pass", horizon=T), rng=rng),
+        "d0-3-cap-2": lambda net, src, T, rng: spread_adaptive(
+            net, src, ProtocolParams(d0=3, fanout_cap=2, horizon=T), rng=rng),
+        "paad": lambda net, src, T, rng: spread_paad(
+            net, src, ProtocolParams(kind="paad", horizon=T), rng=rng),
+        "tree-protocol": lambda net, src, T, rng: spread_tree_protocol(
+            net, src, ProtocolParams(kind="tree-protocol", horizon=T), rng=rng),
+    }
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+
+    def _outputs(self, graph, spread):
+        nodes = graph.nodes()
+        out = []
+        for T in (0, 1, 2, 5, 6, 8):
+            for seed in range(8):
+                rng = np.random.default_rng(1000 * T + seed)
+                s = spread(graph, nodes[int(rng.integers(len(nodes)))], T, rng)
+                out.append([list(getattr(s, f).items())
+                            for f in ("time", "parent", "net_degree", "open_degree", "direction", "level")]
+                           + [s.centers, s.mid_pass, s.vs_events, s.h_history, rng.random()])
+        return out
+
+    @pytest.mark.parametrize("kind", sorted(SPREADS))
+    def test_matches_scanning_reference(self, kind, graph, monkeypatch):
+        spread = self.SPREADS[kind]
+        fast = self._outputs(graph, spread)
+        monkeypatch.setattr(spread_module, "_State", _ScanState)
+        monkeypatch.setattr(spread_module, "_tree_link_wave", _visited_set_wave)
+        assert fast == self._outputs(graph, spread)
+
+    def test_neighbor_queries_fewer_than_infected_nodes(self, graph):
+        # a scan of every infected node, per infection or per snapshot,
+        # alone makes as many queries as there are infected nodes
+        class Counting(ExplicitGraph):
+            calls = 0
+
+            def neighbors(self, v):
+                self.calls += 1
+                return super().neighbors(v)
+
+        net = Counting(graph.adj)
+        nodes = net.nodes()
+        rng = np.random.default_rng(8)
+        infected = 0
+        for _ in range(200):
+            s = spread_adaptive(net, nodes[int(rng.integers(len(nodes)))],
+                                ProtocolParams(alpha_policy="always-pass", horizon=8), rng=rng)
+            infected += s.n_infected
+        assert net.calls < infected, (net.calls, infected)
 
 
 class TestDeterministicAndDiffusion:
