@@ -258,11 +258,6 @@ class Grid(ContactNetwork):
         x, y = grid_decode(v)
         return [grid_encode(x + dx, y + dy) for dx, dy in GRID_DIRECTIONS.values()]
 
-    @staticmethod
-    def neighbors_xy(xy: tuple) -> dict:
-        x, y = xy
-        return {k: (x + dx, y + dy) for k, (dx, dy) in GRID_DIRECTIONS.items()}
-
 
 class ExplicitGraph(ContactNetwork):
     """Finite undirected simple graph held as an adjacency map."""
@@ -280,7 +275,10 @@ class ExplicitGraph(ContactNetwork):
                     raise ValueError("self-loops are not allowed")
                 if u not in adj.get(w, ()):
                     raise ValueError(f"asymmetric adjacency between {u} and {w}")
-        self.adj = adj
+        # one canonical order, whatever order the edges came in: run_trial
+        # draws the source by position in nodes()
+        self.adj = {u: adj[u] for u in sorted(adj)}
+        self._nodes = tuple(self.adj)
 
     def degree(self, v) -> int:
         return len(self.adj[v])
@@ -288,8 +286,9 @@ class ExplicitGraph(ContactNetwork):
     def neighbors(self, v) -> list:
         return self.adj[v]
 
-    def nodes(self):
-        return list(self.adj.keys())
+    def nodes(self) -> tuple:
+        """Every node, in increasing id order."""
+        return self._nodes
 
     @property
     def n_nodes(self) -> int:

@@ -282,9 +282,10 @@ def _install_graph(graph):
 
 
 def _start_pool(workers: int, graph):
-    """A spawn pool whose workers each receive `graph` (None for networks
-    built per trial) once, at start-up."""
-    return get_context("spawn").Pool(workers, initializer=_install_graph, initargs=(graph,))
+    """A fork pool whose workers each hold `graph` (None for networks built
+    per trial): they inherit it, with the imported modules, from this
+    process, so nothing is re-imported or pickled at start-up."""
+    return get_context("fork").Pool(workers, initializer=_install_graph, initargs=(graph,))
 
 
 def _worker_batch(args):
@@ -292,32 +293,26 @@ def _worker_batch(args):
     return [run_trial(cfg, i, _worker_graph) for i in indices]
 
 
-def _pool_trials(cfg: ExperimentConfig, pool, indices) -> list:
+def _batches(cfg: ExperimentConfig) -> list:
+    """cfg's trials in about workers * 4 (cfg, indices) batches for the pool."""
     cfg = replace(cfg, graph=None)  # the workers hold it; batches do not carry it
-    chunk = max(1, len(indices) // (cfg.workers * 4))
-    batches = [(cfg, indices[i:i + chunk]) for i in range(0, len(indices), chunk)]
-    return [r for out in pool.map(_worker_batch, batches) for r in out]
+    indices = range(cfg.trials)
+    chunk = max(1, cfg.trials // (cfg.workers * 4))
+    return [(cfg, indices[i:i + chunk]) for i in range(0, cfg.trials, chunk)]
 
 
-def run_experiment(cfg: ExperimentConfig, pool=None) -> ExperimentSummary:
-    """Run cfg.trials seeded trials and aggregate; inconclusive trials count
-    as non-detections but are reported separately.
+def _pool_records(pool, cfgs) -> list:
+    """Each config's trial records, from one submission of every config's
+    batches to the pool, so it drains once rather than once per config."""
+    per_cfg = [_batches(cfg) for cfg in cfgs]
+    outs = iter(pool.map(_worker_batch, [b for batches in per_cfg for b in batches], chunksize=1))
+    return [[r for _ in batches for r in next(outs)] for batches in per_cfg]
 
-    `pool`, from _start_pool with cfg's shared graph, runs the trials on
-    workers that already hold that graph (sweep passes one pool to every
-    value).  Without it, workers > 1 starts a pool and closes it on return.
-    """
-    indices = list(range(cfg.trials))
-    if pool is not None:
-        records = _pool_trials(cfg, pool, indices)
-    elif cfg.workers > 1:
-        with _start_pool(cfg.workers, _shared_graph(cfg)) as own_pool:
-            records = _pool_trials(cfg, own_pool, indices)
-    else:
-        shared = _shared_graph(cfg)
-        records = [run_trial(cfg, i, shared) for i in indices]
-    records.sort(key=lambda r: r.index)
 
+def _summarize(cfg: ExperimentConfig, records: list) -> ExperimentSummary:
+    """Aggregate one config's records into its summary row (inconclusive
+    trials count as non-detections but are reported separately) and write
+    them to cfg.trial_output if set."""
     n = len(records)
     det = sum(r.detected for r in records)
     inconclusive = sum(r.inconclusive for r in records)
@@ -342,11 +337,23 @@ def run_experiment(cfg: ExperimentConfig, pool=None) -> ExperimentSummary:
         mean_n_infected=float(np.mean([r.n_infected for r in records])),
         inconclusive=inconclusive,
     )
-    summary = ExperimentSummary([row], cfg)
     if cfg.trial_output:
         with open(cfg.trial_output, "wt", encoding="utf-8") as fh:
             write_trial_csv(records, fh)
-    return summary
+    return ExperimentSummary([row], cfg)
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
+    """Run cfg.trials seeded trials and aggregate them into one summary row.
+    With workers > 1 the trials run on a pool started for this call and
+    closed on return."""
+    shared = _shared_graph(cfg)
+    if cfg.workers > 1:
+        with _start_pool(cfg.workers, shared) as pool:
+            records = _pool_records(pool, [cfg])[0]
+    else:
+        records = [run_trial(cfg, i, shared) for i in range(cfg.trials)]
+    return _summarize(cfg, records)
 
 
 def write_trial_csv(records, fh) -> None:
@@ -373,12 +380,14 @@ def _value_path(path, label: str):
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
-    """Repeat run_experiment once per value of `parameter` (a config field,
-    or 'T' / 'd0' / 'q' on the protocol) and stack the rows.
+    """Run cfg once per value of `parameter` (a config field, or 'T' / 'd0'
+    / 'q' on the protocol) and stack the rows.
 
-    The shared graph is loaded once and, with workers > 1, one pool serves
-    every value, unless the parameter changes either (_PER_VALUE_SETUP).
-    Each value writes its per-trial records to its own file (_value_path).
+    The shared graph is loaded once and, with workers > 1, one pool runs
+    every value's trials from a single submission, unless the parameter
+    changes the pool or the graph (_PER_VALUE_SETUP); then each value is a
+    run_experiment of its own.  Each value writes its per-trial records to
+    its own file (_value_path).
     """
     subs = []
     for v in values:
@@ -392,19 +401,14 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
             raise ValueError(f"unknown sweep parameter {parameter!r}")
         label = f"{cfg.label or parameter}={v}"
         subs.append(replace(sub, label=label, trial_output=_value_path(sub.trial_output, label)))
-    shared_setup = parameter not in _PER_VALUE_SETUP
-    shared = _shared_graph(cfg) if shared_setup else None
-    pool = _start_pool(cfg.workers, shared) if shared_setup and cfg.workers > 1 else None
-    rows = []
-    try:
-        for sub in subs:
-            if shared is not None:
-                sub = replace(sub, graph=shared)
-            rows.extend(run_experiment(sub, pool=pool).rows)
-    finally:
-        if pool is not None:
-            pool.terminate()
-    return ExperimentSummary(rows, cfg)
+    if parameter not in _PER_VALUE_SETUP:
+        shared = _shared_graph(cfg)
+        subs = [replace(sub, graph=shared) for sub in subs]
+        if cfg.workers > 1:
+            with _start_pool(cfg.workers, shared) as pool:
+                records = _pool_records(pool, subs)
+            return ExperimentSummary([_summarize(sub, recs).row() for sub, recs in zip(subs, records)], cfg)
+    return ExperimentSummary([run_experiment(sub).row() for sub in subs], cfg)
 
 
 # ---------------------------------------------------------------------------

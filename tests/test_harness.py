@@ -168,6 +168,23 @@ def _bfs_distance(g, a, b):
     return dist.get(b)
 
 
+class TestNodeOrder:
+    def test_edge_list_order_does_not_change_trials(self, tmp_path):
+        # run_trial draws the source by position in nodes(); reloading the
+        # graph from a file that lists it in another order changes no trial
+        from anonspread.graph import load_edge_list
+
+        g = _heavy_tail()
+        path = tmp_path / "reversed.edges"
+        lines = [f"{w} {u}\n" for u, nbrs in g.adj.items() for w in nbrs if u < w]
+        path.write_text("".join(reversed(lines)))
+        loaded = load_edge_list(str(path))
+        assert loaded.adj == g.adj
+        cfg = graph_cfg(str(path), seed=5, trials=300)
+        in_memory = [run_trial(cfg, i, g) for i in range(cfg.trials)]
+        assert in_memory == [run_trial(cfg, i, loaded) for i in range(cfg.trials)]
+
+
 class TestPooledSweep:
     def test_pooled_sweep_matches_serial(self, tmp_path):
         edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail())
@@ -201,6 +218,41 @@ class TestPooledSweep:
         started.clear()
         run_experiment(graph_cfg(edges, workers=2, trials=20))
         assert len(started) == 1  # a direct call starts its own
+
+    def test_pooled_sweep_is_one_submission(self, tmp_path, monkeypatch):
+        # every value's batches go to the pool in one call; rows and
+        # per-value trial files equal the serial sweep's
+        from anonspread import harness
+
+        edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail(300, 3))
+        submissions = []
+        real_start = harness._start_pool
+
+        def counted(name, submit):
+            def call(*args, **kwargs):
+                submissions.append(name)
+                return submit(*args, **kwargs)
+
+            return call
+
+        def counting_start(workers, graph):
+            pool = real_start(workers, graph)
+            for name in ("apply", "apply_async", "map", "map_async", "imap", "imap_unordered",
+                         "starmap", "starmap_async"):
+                setattr(pool, name, counted(name, getattr(pool, name)))
+            return pool
+
+        monkeypatch.setattr(harness, "_start_pool", counting_start)
+        pooled = sweep(graph_cfg(edges, workers=2, trials=40, trial_output=str(tmp_path / "pool.csv")),
+                       "T", [2, 4, 6])
+        assert len(submissions) == 1
+
+        serial = sweep(graph_cfg(edges, trials=40, trial_output=str(tmp_path / "serial.csv")),
+                       "T", [2, 4, 6])
+        assert summary_csv_text(pooled) == summary_csv_text(serial)
+        for row in serial.rows:
+            assert ((tmp_path / f"pool.{row.label}.csv").read_text()
+                    == (tmp_path / f"serial.{row.label}.csv").read_text())
 
     def test_sweep_over_workers(self, tmp_path):
         edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail(300, 3))

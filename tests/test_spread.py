@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency, chisquare
+from scipy.stats import chi2_contingency, chisquare, ks_2samp
 
 from anonspread import spread as spread_module
 from anonspread.adversary import _children_from_center
@@ -260,8 +260,7 @@ def _visited_set_wave(st, origin, blocked, t, cap, rng):
                 targets.append(w)
             visited.add(w)
         if cap is not None and len(targets) > cap:
-            idx = rng.choice(len(targets), size=cap, replace=False)
-            targets = [targets[int(i)] for i in idx]
+            targets = spread_module._sample(rng, targets, cap)
         for w in targets:
             st.infect(w, t, v)
         for w in relays:
@@ -327,6 +326,64 @@ class TestFiniteGraphScans:
                                 ProtocolParams(alpha_policy="always-pass", horizon=8), rng=rng)
             infected += s.n_infected
         assert net.calls < infected, (net.calls, infected)
+
+
+def _choice_sample(rng, items, k):
+    """The fan-out cap draw that spread._sample replaced: rng.choice without
+    replacement."""
+    idx = rng.choice(len(items), size=k, replace=False)
+    return [items[int(i)] for i in idx]
+
+
+class TestCapDraw:
+    """spread._sample draws the same law as rng.choice without replacement:
+    always-pass spreads against the cyclic irregular-ml estimator on the
+    bench graph give n_infected, h_T and detection that a two-sample test
+    cannot tell from the old draw's."""
+
+    TRIALS = 2000
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return prune_min_degree(synthetic_heavy_tail(1500, 5, seed=5), 3)
+
+    @staticmethod
+    def _outcomes(graph, T, seed, monkeypatch):
+        import math
+
+        from anonspread import harness
+
+        h_T = []
+        spread = harness.spread_adaptive
+
+        def recording(*args, **kwargs):
+            snap = spread(*args, **kwargs)
+            h_T.append(snap.h_T)
+            return snap
+
+        cfg = harness.ExperimentConfig(network="explicit", graph=graph, adversary="irregular-ml",
+                                       protocol=ProtocolParams(kind="adaptive", d0=math.inf, horizon=T),
+                                       trials=TestCapDraw.TRIALS, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "spread_adaptive", recording)
+            records = [harness.run_trial(cfg, i, graph) for i in range(cfg.trials)]
+        return [r.n_infected for r in records], h_T, [r.detected for r in records]
+
+    @staticmethod
+    def _table(a, b):
+        values = sorted(set(a) | set(b))
+        return [[a.count(v) for v in values], [b.count(v) for v in values]]
+
+    @pytest.mark.parametrize("T", [6, 8])
+    def test_same_law_as_choice_draw(self, T, graph, monkeypatch):
+        new = self._outcomes(graph, T, 1, monkeypatch)
+        monkeypatch.setattr(spread_module, "_sample", _choice_sample)
+        old = self._outcomes(graph, T, 2, monkeypatch)
+        assert ks_2samp(new[0], old[0]).pvalue > 0.001  # n_infected
+        for name, a, b in (("h_T", new[1], old[1]), ("detected", new[2], old[2])):
+            table = self._table(a, b)
+            if len(table[0]) > 1:
+                assert chi2_contingency(table)[1] > 0.001, (name, table)
 
 
 class TestDeterministicAndDiffusion:
