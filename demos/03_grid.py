@@ -10,7 +10,7 @@ from anonspread.graph import grid
 from anonspread.spread import ProtocolParams, spread_grid
 
 rng = np.random.default_rng(0)
-net = grid(0)
+net = grid()
 
 print("=== one spread, drawn ===")
 snap = spread_grid(net, (0, 0), ProtocolParams(kind="grid-adaptive", horizon=8), rng=rng)

@@ -33,7 +33,7 @@ print(f"scaling: P(401)/P(101) = {rates[401]/rates[101]:.3f}, "
       f"P(1601)/P(401) = {rates[1601]/rates[401]:.3f} (1/sqrt(4) = 0.5)")
 
 print("\n=== one trace, annotated ===")
-snap, trace = spread_polya_line(25, 9, seed=12)
+snap, trace = spread_polya_line(25, 9, rng=np.random.default_rng(12))
 print(f"source 9, direction {trace.direction}, latent pass probability {trace.q:.3f}")
 print(f"first report: spy {trace.first_spy} at t={trace.t_first}")
 est = estimate_line_ml(trace, rng=rng)

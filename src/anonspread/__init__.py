@@ -49,7 +49,6 @@ from .adversary import (
     estimate_spy_irregular,
     estimate_spy_ml,
     estimate_spy_snapshot,
-    oracle_trajectory_likelihood,
 )
 from . import analysis
 from .harness import (

@@ -295,52 +295,9 @@ def estimate_paad_map(snap: InfectionSnapshot, g: int, rng=None, cyclic: bool = 
 
 
 # ---------------------------------------------------------------------------
-# brute-force trajectory oracle (test-only)
-
-
-def oracle_trajectory_likelihood(snap: InfectionSnapshot, candidate, d0: int) -> float:
-    """Exact likelihood of `candidate` by summing over every keep/pass
-    trajectory that walks the token from the candidate to the observed
-    center.  Exponential in T; refuses T > 12."""
-    T = snap.T
-    if T % 2:
-        raise ValueError("oracle requires even T")
-    if T > 12:
-        raise ValueError("oracle is exponential in T; refuse T > 12")
-    deg = snap.net_degree
-    children, up, depth = _children_from_center(snap)
-    root = snap.virtual_source
-    if candidate == root:
-        return 0.0
-    path = _path_up(up, candidate)  # candidate .. root
-    h = len(path) - 1
-    a_val = 1.0 / deg[candidate]
-    for w in path[1:-1]:
-        a_val /= deg[w] - 1
-
-    slots = list(range(2, T - 1, 2))
-    passes_needed = h - 1
-    if passes_needed < 0 or passes_needed > len(slots):
-        return 0.0
-    total_b = 0.0
-    for mask in range(1 << len(slots)):
-        if bin(mask).count("1") != passes_needed:
-            continue
-        cur_h = 1
-        prob = 1.0
-        for i, te in enumerate(slots):
-            a = alpha_regular(d0, te, cur_h)
-            if mask >> i & 1:
-                prob *= 1.0 - a
-                cur_h += 1
-            else:
-                prob *= a
-        total_b += prob
-    return a_val * total_b
-
-
-# ---------------------------------------------------------------------------
 # spy estimators
+
+MAX_PIVOT_LEAVES = 2_000_000  # algorithm_pivot_candidates refuses a larger feasible region
 
 
 def _net_path(net: ContactNetwork, a, b):
@@ -403,7 +360,7 @@ def _solve_pivot(path_s_to_anchor, t_anchor, t_spy):
     return h1, h2
 
 
-def algorithm_pivot_candidates(net: ContactNetwork, observations, max_leaves: int = 2_000_000):
+def algorithm_pivot_candidates(net: ContactNetwork, observations):
     """Candidate machinery for the distributed tree protocol.
 
     Finds the lowest-level spine spy, derives a pivot from every other spy in
@@ -466,7 +423,7 @@ def algorithm_pivot_candidates(net: ContactNetwork, observations, max_leaves: in
                 if w not in visited:
                     visited.add(w)
                     nxt.append(w)
-        if len(nxt) > max_leaves:
+        if len(nxt) > MAX_PIVOT_LEAVES:
             raise RuntimeError("feasible region too large to enumerate")
         frontier = nxt
     return frontier, l_min, level, s0, pivots

@@ -10,9 +10,9 @@ comparison-gate failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,22 +20,18 @@ from . import analysis
 from .harness import (
     ADVERSARIES,
     NETWORKS,
+    OPTIONS,
     PROTOCOLS,
     ExperimentConfig,
+    Registry,
     compare_with_theory,
     default_output_dir,
     run_experiment,
     sweep as run_sweep,
+    with_options,
     write_summary_csv,
 )
-from .spread import InfectionSnapshot, OpenDegrees, ProtocolParams
-
-CONFIG_KEYS = {
-    "network", "d", "degree_table", "edge_list", "protocol", "alpha_policy",
-    "d0", "q", "g", "fanout_cap", "T", "adversary", "p", "trials", "seed",
-    "output", "trial_output", "workers", "line_n", "estimator_d0", "observe_T",
-    "label", "compare",
-}
+from .spread import InfectionSnapshot, OpenDegrees
 
 
 def parse_config_file(path: str) -> dict:
@@ -64,36 +60,28 @@ def _parse_degree_table(text: str) -> dict:
     return table
 
 
+def _int_or_float(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)  # also "inf"
+
+
+# a field's annotation, less any "| None", -> its text parser.  The config
+# modules postpone annotations, so each is its source text.  d0's
+# "float | int" keeps 3 an int and reads inf as a float.
+_PARSE = {"int": int, "float": float, "str": str, "dict": _parse_degree_table, "float | int": _int_or_float}
+
+# key -> parser, for every option with a text form; `compare` is the CLI's own
+_PARSERS = Registry("option", {
+    name: _PARSE[f.type.removesuffix(" | None")]
+    for name, (_, f) in OPTIONS.items() if f.type.removesuffix(" | None") in _PARSE})
+CONFIG_KEYS = {*_PARSERS, "compare"}
+
+
 def config_from_options(opts: dict) -> ExperimentConfig:
-    proto = ProtocolParams(
-        kind=opts.get("protocol", "adaptive"),
-        alpha_policy=opts.get("alpha_policy", "exact"),
-        d0=(math.inf if opts.get("d0") in ("inf", "infinity") else
-            float(opts["d0"]) if "d0" in opts else None),
-        q=float(opts["q"]) if "q" in opts else None,
-        g=int(opts.get("g", 1)),
-        fanout_cap=int(opts["fanout_cap"]) if "fanout_cap" in opts else None,
-        horizon=int(opts.get("T", 0)),
-        seed=int(opts.get("seed", 0)),
-    )
-    return ExperimentConfig(
-        network=opts.get("network", "regular-tree"),
-        d=int(opts.get("d", 3)),
-        degree_table=_parse_degree_table(opts["degree_table"]) if "degree_table" in opts else None,
-        edge_list=opts.get("edge_list"),
-        protocol=proto,
-        adversary=opts.get("adversary", "snapshot"),
-        p=float(opts.get("p", 0.0)),
-        trials=int(opts.get("trials", 1000)),
-        seed=int(opts.get("seed", 0)),
-        estimator_d0=int(opts["estimator_d0"]) if "estimator_d0" in opts else None,
-        observe_T=int(opts["observe_T"]) if "observe_T" in opts else None,
-        line_n=int(opts.get("line_n", 101)),
-        workers=int(opts.get("workers", 1)),
-        output=_output_path(opts.get("output")),
-        trial_output=_output_path(opts.get("trial_output")),
-        label=opts.get("label", ""),
-    )
+    cfg = with_options(ExperimentConfig(), {k: _PARSERS[k](v) for k, v in opts.items() if k != "compare"})
+    return replace(cfg, output=_output_path(cfg.output), trial_output=_output_path(cfg.trial_output))
 
 
 def _output_path(path):
@@ -211,18 +199,11 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = [_coerce(v) for v in args.values.split(",")]
+    parse = _PARSERS[args.parameter]
+    # a degree table is itself comma-separated, so tables are separated by ';'
+    sep = ";" if parse is _parse_degree_table else ","
+    values = [parse(text) for text in args.values.split(sep)]
     return _report(args, lambda cfg: run_sweep(cfg, args.parameter, values))
-
-
-def _coerce(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return text
 
 
 def cmd_predict(args) -> int:
@@ -290,8 +271,8 @@ def main(argv=None) -> int:
     sp = sub.add_parser("sweep", help="repeat an experiment over parameter values")
     _add_common(sp)
     sp.add_argument("--compare")
-    sp.add_argument("parameter")
-    sp.add_argument("values", help="comma-separated values")
+    sp.add_argument("parameter", help="any config key but compare")
+    sp.add_argument("values", help="comma-separated values (degree tables: ';'-separated)")
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("predict", help="closed-form predictions as CSV")

@@ -167,11 +167,10 @@ class RegularTree(ContactNetwork):
     kind = "regular-tree"
     is_tree = True
 
-    def __init__(self, d: int, seed: int = 0):
+    def __init__(self, d: int):
         if d < 2:
             raise ValueError("regular tree needs degree >= 2")
         self.d = d
-        self.seed = seed
 
     def degree(self, v) -> int:
         return self.d
@@ -248,9 +247,6 @@ class Grid(ContactNetwork):
 
     kind = "grid"
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
     def degree(self, v) -> int:
         return 4
 
@@ -303,8 +299,8 @@ class ExplicitGraph(ContactNetwork):
 # constructors
 
 
-def regular_tree(d: int, seed: int = 0) -> RegularTree:
-    return RegularTree(d, seed)
+def regular_tree(d: int) -> RegularTree:
+    return RegularTree(d)
 
 
 def galton_watson_tree(dist, seed: int) -> GaltonWatsonTree:
@@ -313,8 +309,8 @@ def galton_watson_tree(dist, seed: int) -> GaltonWatsonTree:
     return GaltonWatsonTree(dist, seed)
 
 
-def grid(seed: int = 0) -> Grid:
-    return Grid(seed)
+def grid() -> Grid:
+    return Grid()
 
 
 def from_edges(edges) -> ExplicitGraph:

@@ -10,10 +10,9 @@ trials are distributed over workers.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -68,7 +67,6 @@ class ExperimentConfig:
     workers: int = 1
     output: str | None = None  # summary CSV, written by the CLI
     trial_output: str | None = None  # per-trial estimator records
-    wilson: bool = False  # Wilson intervals instead of the normal approximation
     label: str = ""
 
     def __post_init__(self):
@@ -76,6 +74,38 @@ class ExperimentConfig:
             raise ValueError("trial count must be >= 1")
         if not 0.0 <= self.p < 1.0:
             raise ValueError("spy probability must lie in [0, 1)")
+
+
+class Registry(dict):
+    """Name -> entry; an unknown name raises ValueError."""
+
+    def __init__(self, what: str, entries: dict):
+        super().__init__(entries)
+        self.what = what
+
+    def __missing__(self, name):
+        raise ValueError(f"unknown {self.what} {name!r}")
+
+
+# An option is a field of ExperimentConfig or of its ProtocolParams, named as
+# the field is except for these two.  The `protocol` field itself is not an
+# option: its fields are.
+_OPTION_NAMES = {"horizon": "T", "kind": "protocol"}
+
+# option name -> (ExperimentConfig or ProtocolParams, the dataclass field)
+OPTIONS = Registry("option", {_OPTION_NAMES.get(f.name, f.name): (owner, f)
+                              for owner in (ProtocolParams, ExperimentConfig) for f in fields(owner)
+                              if f.name != "protocol"})
+
+
+def with_options(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """cfg with each named option (an OPTIONS key) set to its value."""
+    changes = {ExperimentConfig: {}, ProtocolParams: {}}
+    for name, value in values.items():
+        owner, f = OPTIONS[name]
+        changes[owner][f.name] = value
+    return replace(cfg, protocol=replace(cfg.protocol, **changes[ProtocolParams]),
+                   **changes[ExperimentConfig])
 
 
 @dataclass
@@ -130,16 +160,6 @@ def normal_ci_half(k: int, n: int, z: float = 1.96) -> float:
     return z * math.sqrt(max(ph * (1.0 - ph), 0.0) / n)
 
 
-def wilson_ci(k: int, n: int, z: float = 1.96):
-    if n == 0:
-        return (float("nan"), float("nan"))
-    ph = k / n
-    denom = 1.0 + z * z / n
-    center = (ph + z * z / (2 * n)) / denom
-    half = z * math.sqrt(ph * (1 - ph) / n + z * z / (4 * n * n)) / denom
-    return (center - half, center + half)
-
-
 # ---------------------------------------------------------------------------
 # per-trial machinery
 
@@ -157,7 +177,7 @@ def _galton_watson(cfg: ExperimentConfig, rng, shared):
 def _grid(cfg: ExperimentConfig, rng, shared):
     if cfg.protocol.kind != "grid-adaptive":
         raise ValueError("grid network runs only the grid-adaptive protocol")
-    return grid(0), (0, 0)
+    return grid(), (0, 0)
 
 
 def _explicit(cfg: ExperimentConfig, rng, shared):
@@ -184,23 +204,12 @@ def _needs_line_trace(cfg, net, snap, rng):
                      "and a snapshot does not carry one")
 
 
-class Registry(dict):
-    """Kind name -> entry; an unknown name raises ValueError."""
-
-    def __init__(self, what: str, entries: dict):
-        super().__init__(entries)
-        self.what = what
-
-    def __missing__(self, kind):
-        raise ValueError(f"unknown {self.what} kind {kind!r}")
-
-
 # One entry per kind, keyed by the config names, for run_trial and the CLI.
 # Entries look their callees up in this module's globals (and in `adv`) when
 # called, so a wrapper put over one of those names sees every call.
 
 # (cfg, rng, shared explicit graph or None) -> (network, source)
-NETWORKS = Registry("network", {
+NETWORKS = Registry("network kind", {
     "regular-tree": lambda cfg, rng, shared: (regular_tree(cfg.d), 0),
     "galton-watson": _galton_watson,
     "grid": _grid,
@@ -208,18 +217,17 @@ NETWORKS = Registry("network", {
 })
 
 # (network, source, ProtocolParams, rng) -> InfectionSnapshot
-PROTOCOLS = Registry("protocol", {
-    "adaptive": lambda net, source, proto, rng: spread_adaptive(net, source, proto, rng=rng),
-    "paad": lambda net, source, proto, rng: spread_paad(net, source, proto, rng=rng),
-    "tree-protocol": lambda net, source, proto, rng: spread_tree_protocol(net, source, proto, rng=rng),
-    "grid-adaptive": lambda net, source, proto, rng: spread_grid(net, source, proto, rng=rng),
-    "diffusion": lambda net, source, proto, rng: spread_diffusion(net, source, proto, rng=rng),
-    "deterministic": lambda net, source, proto, rng: spread_deterministic(net, source, proto.horizon,
-                                                                          rng=rng),
+PROTOCOLS = Registry("protocol kind", {
+    "adaptive": lambda net, source, proto, rng: spread_adaptive(net, source, proto, rng),
+    "paad": lambda net, source, proto, rng: spread_paad(net, source, proto, rng),
+    "tree-protocol": lambda net, source, proto, rng: spread_tree_protocol(net, source, proto, rng),
+    "grid-adaptive": lambda net, source, proto, rng: spread_grid(net, source, proto, rng),
+    "diffusion": lambda net, source, proto, rng: spread_diffusion(net, source, proto, rng),
+    "deterministic": lambda net, source, proto, rng: spread_deterministic(net, source, proto, rng),
 })
 
 # (cfg, network, snapshot, rng) -> Estimate; the spy kinds draw the spies first
-ADVERSARIES = Registry("adversary", {
+ADVERSARIES = Registry("adversary kind", {
     "snapshot": lambda cfg, net, snap, rng: adv.estimate_snapshot_regular(snap, rng=rng),
     "irregular-ml": lambda cfg, net, snap, rng: adv.estimate_irregular_ml(
         snap, int(cfg.estimator_d0 or cfg.protocol.d0 or cfg.d), rng=rng, cyclic=net.is_finite),
@@ -317,11 +325,6 @@ def _summarize(cfg: ExperimentConfig, records: list) -> ExperimentSummary:
     det = sum(r.detected for r in records)
     inconclusive = sum(r.inconclusive for r in records)
     hops = [r.hop_distance for r in records if r.hop_distance is not None]
-    if cfg.wilson:
-        lo, hi = wilson_ci(det, n)
-        half = (hi - lo) / 2.0
-    else:
-        half = normal_ci_half(det, n)
     row = SummaryRow(
         label=cfg.label,
         network=cfg.network,
@@ -332,7 +335,7 @@ def _summarize(cfg: ExperimentConfig, records: list) -> ExperimentSummary:
         trials=n,
         detections=det,
         p_hat=det / n,
-        ci_half=half,
+        ci_half=normal_ci_half(det, n),
         mean_hops=float(np.mean(hops)) if hops else float("nan"),
         mean_n_infected=float(np.mean([r.n_infected for r in records])),
         inconclusive=inconclusive,
@@ -380,8 +383,8 @@ def _value_path(path, label: str):
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
-    """Run cfg once per value of `parameter` (a config field, or 'T' / 'd0'
-    / 'q' on the protocol) and stack the rows.
+    """Run cfg once per value of the option `parameter` (see with_options)
+    and stack the rows.
 
     The shared graph is loaded once and, with workers > 1, one pool runs
     every value's trials from a single submission, unless the parameter
@@ -391,15 +394,10 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
     """
     subs = []
     for v in values:
-        if parameter in ("T", "horizon"):
-            sub = replace(cfg, protocol=replace(cfg.protocol, horizon=v))
-        elif parameter in ("d0", "q"):
-            sub = replace(cfg, protocol=replace(cfg.protocol, **{parameter: v}))
-        elif hasattr(cfg, parameter):
-            sub = replace(cfg, **{parameter: v})
-        else:
-            raise ValueError(f"unknown sweep parameter {parameter!r}")
-        label = f"{cfg.label or parameter}={v}"
+        sub = with_options(cfg, {parameter: v})
+        # a degree table is labelled in its `3:0.5,4:0.5` form, not as a dict
+        text = ",".join(f"{k}:{p}" for k, p in v.items()) if isinstance(v, dict) else v
+        label = f"{cfg.label or parameter}={text}"
         subs.append(replace(sub, label=label, trial_output=_value_path(sub.trial_output, label)))
     if parameter not in _PER_VALUE_SETUP:
         shared = _shared_graph(cfg)
@@ -479,12 +477,6 @@ def write_summary_csv(summary: ExperimentSummary, fh) -> None:
         ])
 
 
-def summary_csv_text(summary: ExperimentSummary) -> str:
-    buf = io.StringIO()
-    write_summary_csv(summary, buf)
-    return buf.getvalue()
-
-
 def default_output_dir() -> str:
     return os.environ.get("ANONSPREAD_OUTPUT_DIR", ".")
 
@@ -539,7 +531,10 @@ def spy_tree_detection_mc(d: int, p: float, trials: int, seed: int = 0):
     return detections, trials, cand_total / trials
 
 
-def multi_snapshot_trial(d: int, T: int, rng, max_extra_epochs: int = 200):
+MAX_EXTRA_EPOCHS = 200  # how far past T multi_snapshot_trial follows the token
+
+
+def multi_snapshot_trial(d: int, T: int, rng):
     """One trial of the every-step-snapshot adversary: run the exact-schedule
     protocol to even T, then follow only the token (the infection past T is
     irrelevant to the estimator) until it moves once, and hand both to the
@@ -553,7 +548,7 @@ def multi_snapshot_trial(d: int, T: int, rng, max_extra_epochs: int = 200):
     prev = snap.vs_events[-2][1] if len(snap.vs_events) >= 2 else None
     h = snap.h_T
     te = T
-    for _ in range(max_extra_epochs):
+    for _ in range(MAX_EXTRA_EPOCHS):
         if rng.random() >= alpha_regular(d, te, h):
             eligible = [w for w in net.neighbors(vs) if w != prev]
             nxt = eligible[int(rng.integers(len(eligible)))]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,7 +62,6 @@ def alpha_grid(t: int, h: int) -> float:
 
 ALWAYS_PASS = "always-pass"
 EXACT = "exact"
-FIXED_TABLE = "fixed-table"
 
 
 @dataclass
@@ -86,12 +85,10 @@ class ProtocolParams:
     kind: str = "adaptive"
     alpha_policy: str = EXACT
     d0: float | int | None = None
-    alpha_table: object = None
     q: float | None = None
     g: int = 1
     fanout_cap: int | None = None
     horizon: int = 0
-    seed: int | None = None
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -111,13 +108,6 @@ class ProtocolParams:
         """Return the callable (even t, h) -> keep probability."""
         if self.alpha_policy == ALWAYS_PASS:
             return lambda t, h: 0.0
-        if self.alpha_policy == FIXED_TABLE:
-            table = self.alpha_table
-            if callable(table):
-                return table
-            if isinstance(table, dict):
-                return lambda t, h: table[(t, h)]
-            raise ValueError("fixed-table policy needs alpha_table dict or callable")
         d = self.d0
         if d is None:
             d = getattr(net, "d", None)
@@ -359,17 +349,11 @@ def _default_cap(net: ContactNetwork, params: ProtocolParams):
     return 3 if net.is_finite else None
 
 
-def _rng_for(params: ProtocolParams, rng):
-    if rng is not None:
-        return rng
-    return np.random.default_rng(params.seed)
-
-
 # ---------------------------------------------------------------------------
 # adaptive diffusion (trees and explicit graphs)
 
 
-def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng=None,
+def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
                     _vs_weights=None, _protocol_name="adaptive") -> InfectionSnapshot:
     """Token-based spreading that keeps the infection balanced around a
     moving virtual source.
@@ -389,7 +373,6 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng=Non
     _vs_weights(net, holder, candidates) -> weights replaces the uniform
     pick of the next holder.
     """
-    rng = _rng_for(params, rng)
     T = params.horizon
     alpha = params.keep_probability(net)
     cap = _default_cap(net, params)
@@ -483,13 +466,12 @@ def _g_hop_neighborhood_size(net, v, blocked, g: int) -> int:
     return count
 
 
-def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng=None) -> InfectionSnapshot:
+def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng) -> InfectionSnapshot:
     """Always-pass adaptive diffusion with the next token holder picked
     proportionally to the size of its g-hop neighborhood away from the
     current holder (for g=1, proportionally to degree-1)."""
     g = params.g
-    p2 = ProtocolParams(kind="paad", alpha_policy=ALWAYS_PASS, g=g,
-                        fanout_cap=params.fanout_cap, horizon=params.horizon, seed=params.seed)
+    p2 = replace(params, alpha_policy=ALWAYS_PASS)
 
     def weights(net_, vs, candidates):
         return [_g_hop_neighborhood_size(net_, w, vs, g) for w in candidates]
@@ -518,13 +500,12 @@ def _region_adjacency(net, snap, extra_hops: int) -> dict:
 # fully-distributed tree protocol
 
 
-def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rng=None) -> InfectionSnapshot:
+def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rng) -> InfectionSnapshot:
     """Distributed always-pass variant.  Each message carries (parent,
     direction, level); an up node extends the spine by one and sends level-1
     down messages to the rest; down nodes relay with decremented level and
     stop at level 0.  The true source keeps level 0 and the up flag, and ends
     at a leaf of the infected subtree."""
-    rng = _rng_for(params, rng)
     T = params.horizon
     cap = _default_cap(net, params)
 
@@ -594,11 +575,10 @@ def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rn
 # plain diffusion and flooding
 
 
-def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng=None) -> InfectionSnapshot:
+def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng) -> InfectionSnapshot:
     """Discrete-time SI dynamics: each infected-uninfected edge fires
     independently with probability q per step; simultaneous infectors
     tie-break uniformly for parenthood."""
-    rng = _rng_for(params, rng)
     q, T = params.q, params.horizon
     st = _State(net)
     st.infect(source, 0, None)
@@ -625,9 +605,9 @@ def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng=No
     return _adaptive_snapshot("diffusion", st, T, source, [source], False, [(0, source, 0)], [])
 
 
-def spread_deterministic(net: ContactNetwork, source, T: int, rng=None) -> InfectionSnapshot:
+def spread_deterministic(net: ContactNetwork, source, params: ProtocolParams, rng) -> InfectionSnapshot:
     """Flooding: the snapshot is the radius-T ball around the source."""
-    rng = np.random.default_rng(0) if rng is None else rng
+    T = params.horizon
     st = _State(net)
     st.infect(source, 0, None)
     frontier = [source]
@@ -652,7 +632,7 @@ def _step(xy: tuple, direction: str) -> tuple:
     return xy[0] + dx, xy[1] + dy
 
 
-def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng=None) -> InfectionSnapshot:
+def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng) -> InfectionSnapshot:
     """Adaptive diffusion on the lattice with directional bookkeeping.
 
     The token carries the displacement (hH, hV) from the source; moves that
@@ -663,7 +643,6 @@ def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng=None) -> Infec
         raise ValueError("grid spreading requires a grid network")
     if isinstance(source_xy, int):
         raise ValueError("pass the source as an (x, y) pair")
-    rng = _rng_for(params, rng)
     T = params.horizon
 
     time: dict = {tuple(source_xy): 0}
@@ -794,7 +773,7 @@ class LineTrace:
     spy_times: dict
 
 
-def spread_polya_line(n: int, source: int, seed=None, rng=None, horizon: int | None = None):
+def spread_polya_line(n: int, source: int, rng, horizon: int | None = None):
     """Spread on the line 0..n+1 with spies at both ends.
 
     Instead of time-varying keep probabilities, draw a direction D uniformly
@@ -807,7 +786,6 @@ def spread_polya_line(n: int, source: int, seed=None, rng=None, horizon: int | N
         raise ValueError("need at least one non-spy node on the line")
     if not 1 <= source <= n:
         raise ValueError("source must lie strictly between the spies")
-    rng = np.random.default_rng(seed) if rng is None else rng
     direction = "right" if rng.random() < 0.5 else "left"
     q = rng.random()
     step = 1 if direction == "right" else -1

@@ -20,7 +20,6 @@ from anonspread.adversary import (
     estimate_spy_irregular,
     estimate_spy_snapshot,
     irregular_ml_scores,
-    oracle_trajectory_likelihood,
 )
 from anonspread.graph import (
     degree_distribution,
@@ -48,6 +47,7 @@ from anonspread.spread import (
     spread_polya_line,
     spread_tree_protocol,
 )
+from helpers import oracle_trajectory_likelihood
 
 import os
 
@@ -250,7 +250,7 @@ def test_criterion_08_first_spy_bounds():
 
 
 def test_criterion_09_grid():
-    g = grid(0)
+    g = grid()
     rng = np.random.default_rng(909)
     lines = []
     for T, trials in ((4, 20_000), (8, 15_000), (12, 8_000)):

@@ -12,7 +12,6 @@ from anonspread.adversary import (
     estimate_spy_ml,
     estimate_spy_snapshot,
     irregular_ml_scores,
-    oracle_trajectory_likelihood,
     paad_map_scores,
 )
 from anonspread.graph import degree_distribution, from_edges, galton_watson_tree, regular_tree
@@ -27,6 +26,7 @@ from anonspread.spread import (
     spread_paad,
     spread_tree_protocol,
 )
+from helpers import oracle_trajectory_likelihood
 
 RNG = np.random.default_rng
 

@@ -158,6 +158,8 @@ class TestSpreadEstimate:
     (["experiment", "--network", "grid", "--protocol", "diffusion", "--q", "0.5", "--T", "4", "--trials", "3"],
      "grid network runs only the grid-adaptive protocol"),
     (["spread", "--network", "grid", "--d0", "4", "--T", "4"], "grid network runs only the grid-adaptive protocol"),
+    (["sweep", "--trials", "2", "bogus", "1,2"], "unknown option 'bogus'"),
+    (["sweep", "--trials", "2", "horizon", "2,4"], "unknown option 'horizon'"),  # the key is T
 ])
 def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
@@ -231,3 +233,86 @@ class TestExperiment:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert "0.9039" in out.stdout
+
+
+def _summary_rows(out):
+    return list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))[1:]
+
+
+@pytest.mark.parametrize("common, parameter, values", [
+    (["--T", "4", "--adversary", "snapshot"], "protocol", "adaptive,paad"),
+    (["--network", "galton-watson", "--degree_table", "2:0.3,3:0.4,5:0.3", "--protocol", "paad",
+      "--adversary", "paad-map", "--T", "6"], "g", "1,2"),
+    (["--network", "explicit", "--edge_list", "EDGES", "--d0", "inf", "--adversary", "irregular-ml", "--T", "6"],
+     "fanout_cap", "2,3"),
+    (["--T", "6", "--adversary", "snapshot"], "alpha_policy", "exact,always-pass"),
+    (["--network", "galton-watson", "--d0", "inf", "--adversary", "map-leaf", "--T", "6"],
+     "degree_table", "3:0.5,4:0.5;3:1.0"),
+], ids=["protocol", "g", "fanout_cap", "alpha_policy", "degree_table"])
+def test_sweep_row_equals_experiment_with_that_flag(common, parameter, values, tmp_path):
+    from anonspread.graph import prune_min_degree, synthetic_heavy_tail
+
+    if "EDGES" in common:
+        g = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+        edges = tmp_path / "g.edges"
+        edges.write_text("".join(f"{u} {w}\n" for u, nbrs in g.adj.items() for w in nbrs if u < w))
+        common = [str(edges) if a == "EDGES" else a for a in common]
+    common = [*common, "--trials", "150", "--seed", "5"]
+    code, out = run_cli(["sweep", *common, parameter, values])
+    assert code == 0
+    rows = _summary_rows(out)
+    texts = values.split(";" if parameter == "degree_table" else ",")
+    assert [row[0] for row in rows] == [f"{parameter}={text}" for text in texts]
+    assert len({tuple(row[1:]) for row in rows}) == len(rows)  # each value changes the run
+    for text, row in zip(texts, rows):
+        code, out = run_cli(["experiment", *common, f"--{parameter}", text])
+        assert code == 0
+        assert row[1:] == _summary_rows(out)[0][1:]
+
+
+def test_config_keys_land_on_their_fields(tmp_path):
+    from dataclasses import fields
+
+    from anonspread.cli import CONFIG_KEYS, config_from_options
+    from anonspread.harness import OPTIONS, ExperimentConfig
+    from anonspread.spread import ProtocolParams
+
+    # key: (text in a config file, the field it lands on, the value there)
+    cases = {
+        "network": ("explicit", "network", "explicit"),
+        "d": ("4", "d", 4),
+        "degree_table": ("3:0.5,4:0.5", "degree_table", {3: 0.5, 4: 0.5}),
+        "edge_list": ("g.edges", "edge_list", "g.edges"),
+        "protocol": ("diffusion", "protocol.kind", "diffusion"),
+        "alpha_policy": ("always-pass", "protocol.alpha_policy", "always-pass"),
+        "d0": ("5", "protocol.d0", 5),
+        "q": ("0.5", "protocol.q", 0.5),
+        "g": ("2", "protocol.g", 2),
+        "fanout_cap": ("2", "protocol.fanout_cap", 2),
+        "T": ("6", "protocol.horizon", 6),
+        "adversary": ("first-spy", "adversary", "first-spy"),
+        "p": ("0", "p", 0.0),
+        "trials": ("7", "trials", 7),
+        "seed": ("9", "seed", 9),
+        "output": (str(tmp_path / "o.csv"), "output", str(tmp_path / "o.csv")),
+        "trial_output": (str(tmp_path / "t.csv"), "trial_output", str(tmp_path / "t.csv")),
+        "workers": ("2", "workers", 2),
+        "line_n": ("11", "line_n", 11),
+        "estimator_d0": ("4", "estimator_d0", 4),
+        "observe_T": ("8", "observe_T", 8),
+        "label": ("x", "label", "x"),
+    }
+    assert CONFIG_KEYS == {*cases, "compare"}
+    # no two fields share an option name (a second seed would)
+    assert len(OPTIONS) == len(fields(ExperimentConfig)) - 1 + len(fields(ProtocolParams))
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key} = {text}\n" for key, (text, _, _) in cases.items()) + "compare = pd_uniform\n")
+    cfg = config_from_options(parse_config_file(str(path)))
+    for key, (_, where, value) in cases.items():
+        got = cfg
+        for name in where.split("."):
+            got = getattr(got, name)
+        assert (got, type(got)) == (value, type(value)), key
+    for flag in ("--graph", "--wilson", "--horizon", "--kind"):
+        with pytest.raises(SystemExit):
+            main(["experiment", flag, "1"])

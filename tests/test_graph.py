@@ -116,16 +116,16 @@ class TestGaltonWatson:
 
 class TestGrid:
     def test_neighbors_of_origin(self):
-        net = grid(0)
+        net = grid()
         got = {grid_decode(v) for v in net.neighbors(grid_encode(0, 0))}
         assert got == {(0, 1), (0, -1), (1, 0), (-1, 0)}
 
     def test_hop_distance_is_l1(self):
-        net = grid(0)
+        net = grid()
         assert hop_distance(net, grid_encode(0, 0), grid_encode(2, 3)) == 5
 
     def test_radius2_ball(self):
-        assert len(ball(grid(0), grid_encode(0, 0), 2)) == 13
+        assert len(ball(grid(), grid_encode(0, 0), 2)) == 13
 
     def test_encode_roundtrip(self):
         rng = np.random.default_rng(0)

@@ -12,12 +12,11 @@ from anonspread.harness import (
     run_experiment,
     run_trial,
     spy_tree_detection_mc,
-    summary_csv_text,
     sweep,
-    wilson_ci,
 )
 from anonspread.spread import ProtocolParams, assign_spies, observations_for, spread_adaptive, spread_tree_protocol
 from anonspread.adversary import estimate_map_leaf, estimate_spy_ml
+from helpers import summary_csv_text
 
 
 def small_cfg(**kw):
@@ -77,9 +76,23 @@ class TestRunner:
         compare_with_theory(s, "pd_uniform")
         assert s.row().flag == 1
 
+    def test_sweep_over_a_protocol_field(self):
+        def cfg(**kw):
+            return small_cfg(network="galton-watson", degree_table={2: 0.3, 3: 0.4, 5: 0.3},
+                             protocol=ProtocolParams(kind="paad", horizon=6, **kw), adversary="paad-map",
+                             trials=150)
+
+        rows = sweep(cfg(), "g", [1, 2]).rows
+        assert [r.label for r in rows] == ["g=1", "g=2"]
+        assert rows[0].mean_n_infected != rows[1].mean_n_infected  # g reaches the spread
+        for g, row in zip([1, 2], rows):
+            expected = run_experiment(cfg(g=g)).row()
+            assert (row.detections, row.mean_hops, row.mean_n_infected) == (
+                expected.detections, expected.mean_hops, expected.mean_n_infected)
+
     def test_trial_records_and_wilson(self, tmp_path):
         trials = tmp_path / "trials.csv"
-        s = run_experiment(small_cfg(trials=50, trial_output=str(trials), wilson=True))
+        s = run_experiment(small_cfg(trials=50, trial_output=str(trials)))
         lines = trials.read_text().strip().splitlines()
         assert lines[0] == "# anonspread-trials v1"
         assert len(lines) == 52
@@ -345,10 +358,6 @@ class TestHopDistance:
 class TestConfidenceIntervals:
     def test_normal_half_width(self):
         assert normal_ci_half(50, 100) == pytest.approx(1.96 * 0.05)
-
-    def test_wilson_contains_phat_center_shrinkage(self):
-        lo, hi = wilson_ci(1, 10)
-        assert 0 < lo < 0.1 < hi < 1
 
     def test_coverage_self_test(self):
         # nominal 95% normal interval covers the truth 93-97% of the time

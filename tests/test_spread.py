@@ -77,10 +77,6 @@ class TestParams:
         assert p.alpha_policy == "always-pass"
         assert p.keep_probability(regular_tree(3))(4, 1) == 0.0
 
-    def test_fixed_table_policy(self):
-        p = ProtocolParams(alpha_policy="fixed-table", alpha_table={(2, 1): 0.25})
-        assert p.keep_probability(regular_tree(3))(2, 1) == 0.25
-
 
 class TestAdaptive:
     def test_t2_structure(self):
@@ -158,8 +154,9 @@ class TestAdaptive:
         generic.__dict__.update(tree.__dict__)
         for T in (1, 4, 7, 8):
             for seed in range(25):
-                p = ProtocolParams(horizon=T, seed=seed, d0=3)
-                a, b = spread_adaptive(tree, 0, p), spread_adaptive(generic, 0, p)
+                p = ProtocolParams(horizon=T, d0=3)
+                a = spread_adaptive(tree, 0, p, np.random.default_rng(seed))
+                b = spread_adaptive(generic, 0, p, np.random.default_rng(seed))
                 for field in ("time", "parent", "net_degree", "open_degree"):
                     assert list(getattr(a, field).items()) == list(getattr(b, field).items())
                 assert (a.centers, a.vs_events, a.h_history) == (b.centers, b.vs_events, b.h_history)
@@ -388,12 +385,15 @@ class TestCapDraw:
 
 class TestDeterministicAndDiffusion:
     def test_flood_sizes(self):
-        assert spread_deterministic(regular_tree(3), 0, 2).n_infected == deterministic_n(3, 2) == 10
-        snap = spread_deterministic(grid(0), 0, 3)  # encoded origin is int 0
+        assert spread_deterministic(regular_tree(3), 0, ProtocolParams(horizon=2),
+                                    np.random.default_rng(0)).n_infected == deterministic_n(3, 2) == 10
+        snap = spread_deterministic(grid(), 0, ProtocolParams(horizon=3),
+                                    np.random.default_rng(0))  # encoded origin is int 0
         assert snap.n_infected == grid_ball_size(3) == 25
 
     def test_flood_t0(self):
-        assert spread_deterministic(regular_tree(3), 0, 0).n_infected == 1
+        assert spread_deterministic(regular_tree(3), 0, ProtocolParams(horizon=0),
+                                    np.random.default_rng(0)).n_infected == 1
 
     def test_diffusion_one_step_mean(self):
         # E[N_1] = 1 + d q
@@ -476,7 +476,7 @@ class TestTreeProtocol:
 
 class TestGridProtocol:
     def test_even_time_is_ball(self):
-        g = grid(0)
+        g = grid()
         rng = np.random.default_rng(13)
         for T in (2, 4, 8):
             s = spread_grid(g, (0, 0), ProtocolParams(kind="grid-adaptive", horizon=T), rng=rng)
@@ -489,12 +489,12 @@ class TestGridProtocol:
             assert s.n_infected == (T * T + 2 * T + 2) // 2
 
     def test_t0(self):
-        s = spread_grid(grid(0), (0, 0), ProtocolParams(kind="grid-adaptive", horizon=0),
+        s = spread_grid(grid(), (0, 0), ProtocolParams(kind="grid-adaptive", horizon=0),
                         rng=np.random.default_rng(0))
         assert s.n_infected == 1
 
     def test_displacement_never_shrinks(self):
-        g = grid(0)
+        g = grid()
         rng = np.random.default_rng(14)
         for _ in range(50):
             s = spread_grid(g, (0, 0), ProtocolParams(kind="grid-adaptive", horizon=10), rng=rng)
@@ -572,9 +572,9 @@ class TestPolyaLine:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            spread_polya_line(0, 1)
+            spread_polya_line(0, 1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            spread_polya_line(5, 6)
+            spread_polya_line(5, 6, np.random.default_rng(0))
 
 
 class TestSpiesAndTrace:
