@@ -23,7 +23,7 @@ for n_line in (101, 401, 1601):
     for _ in range(trials):
         src = int(rng.integers(1, n_line + 1))
         snap, trace = spread_polya_line(n_line, src, rng=rng)
-        est = estimate_line_ml(trace, rng=rng)
+        est = estimate_line_ml(trace)
         det += int(est.v_hat == src)
         hops += abs(est.v_hat - src)
     rates[n_line] = det / trials
@@ -36,5 +36,5 @@ print("\n=== one trace, annotated ===")
 snap, trace = spread_polya_line(25, 9, rng=np.random.default_rng(12))
 print(f"source 9, direction {trace.direction}, latent pass probability {trace.q:.3f}")
 print(f"first report: spy {trace.first_spy} at t={trace.t_first}")
-est = estimate_line_ml(trace, rng=rng)
+est = estimate_line_ml(trace)
 print(f"closed-form estimate: {est.v_hat}")

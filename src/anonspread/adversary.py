@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-import numpy as np
-
+from . import graph
 from .graph import ContactNetwork
 from .spread import InfectionSnapshot, LineTrace, _g_hop_neighborhood_size, _pick, alpha_regular
 
@@ -45,19 +44,16 @@ def _argmax_pick(scores: dict, rng, reverse=False):
     return _pick(rng, ties), ties
 
 
-def _rng(rng):
-    return np.random.default_rng() if rng is None else rng
-
-
 # ---------------------------------------------------------------------------
 # snapshot-tree helpers
 
 
-def _children_from_center(snap: InfectionSnapshot, root=None):
-    """Orient the infection tree away from `root`; returns (children map,
-    up-parent map, depth map) over infected nodes."""
+def _children_from_center(snap: InfectionSnapshot):
+    """Orient the infection tree away from the virtual source; returns
+    (children map, up-parent map, depth map) over infected nodes."""
     adj = snap.subtree_adjacency()
-    root = snap.virtual_source if root is None else root
+    root = snap.virtual_source
+    # not bfs(): one pass fills all three maps, cheaper on every snapshot trial
     children = {v: [] for v in adj}
     up = {root: None}
     depth = {root: 0}
@@ -89,12 +85,11 @@ def _path_up(up, v):
 # snapshot estimators
 
 
-def estimate_snapshot_regular(snap: InfectionSnapshot, rng=None) -> Estimate:
+def estimate_snapshot_regular(snap: InfectionSnapshot, rng) -> Estimate:
     """Exact-schedule spreads on regular trees make every non-center node
     equally likely, so the estimator is uniform over the snapshot minus the
     token holder(s); mid-transition snapshots exclude both symmetric
     centers."""
-    rng = _rng(rng)
     if snap.n_infected == 0:
         raise ValueError("empty snapshot")
     nodes = list(snap.time)
@@ -153,7 +148,7 @@ def irregular_ml_scores(snap: InfectionSnapshot, d0: int):
     return score, likelihood
 
 
-def estimate_irregular_ml(snap: InfectionSnapshot, d0: int, rng=None, cyclic: bool = False) -> Estimate:
+def estimate_irregular_ml(snap: InfectionSnapshot, d0: int, rng, cyclic: bool = False) -> Estimate:
     """ML source estimate under a degree-d0 schedule run on an irregular
     tree, via one O(N) message-passing sweep from the center.
 
@@ -171,7 +166,6 @@ def estimate_irregular_ml(snap: InfectionSnapshot, d0: int, rng=None, cyclic: bo
     the schedule keeps the token, later symmetric waves can add children
     after a hand-off, so c_w is then an approximation.
     """
-    rng = _rng(rng)
     if cyclic:
         score = likelihood = candidates = _token_path_scores(snap)
     else:
@@ -202,7 +196,7 @@ def _token_path_scores(snap: InfectionSnapshot) -> dict:
     return score
 
 
-def estimate_map_leaf(snap: InfectionSnapshot, rng=None, finite: bool = False) -> Estimate:
+def estimate_map_leaf(snap: InfectionSnapshot, rng, finite: bool = False) -> Estimate:
     """MAP rule for always-pass spreads: pick the boundary leaf minimizing
     the product of (degree-1) over its path to the center.  Also reports the
     extremal product Lambda and the conditional detection probability
@@ -214,7 +208,6 @@ def estimate_map_leaf(snap: InfectionSnapshot, rng=None, finite: bool = False) -
     had to keep the token; the source is then not at a leaf, and the
     estimate is inconclusive, with the reason in `info`.
     """
-    rng = _rng(rng)
     T = snap.T
     if T == 0:
         only = next(iter(snap.time))
@@ -285,8 +278,7 @@ def paad_map_scores(snap: InfectionSnapshot, g: int, cyclic: bool = False) -> di
     return scores
 
 
-def estimate_paad_map(snap: InfectionSnapshot, g: int, rng=None, cyclic: bool = False) -> Estimate:
-    rng = _rng(rng)
+def estimate_paad_map(snap: InfectionSnapshot, g: int, rng, cyclic: bool = False) -> Estimate:
     scores = paad_map_scores(snap, g, cyclic)
     v_hat, ties = _argmax_pick(scores, rng)
     total = sum(scores.values())
@@ -298,43 +290,6 @@ def estimate_paad_map(snap: InfectionSnapshot, g: int, rng=None, cyclic: bool = 
 # spy estimators
 
 MAX_PIVOT_LEAVES = 2_000_000  # algorithm_pivot_candidates refuses a larger feasible region
-
-
-def _net_path(net: ContactNetwork, a, b):
-    """Path a..b; parent-walk on lazy trees, BFS on finite graphs."""
-    if hasattr(net, "parent"):
-        pa, pb = [a], [b]
-        seen_a = {a: 0}
-        v = a
-        while net.parent(v) is not None:
-            v = net.parent(v)
-            pa.append(v)
-            seen_a[v] = len(pa) - 1
-        v = b
-        while v not in seen_a:
-            v = net.parent(v)
-            if v is None:
-                raise ValueError("nodes not connected")
-            pb.append(v)
-        lca = pb[-1]
-        return pa[: seen_a[lca] + 1] + pb[-2::-1]
-    # finite graph: BFS
-    prev = {a: None}
-    frontier = [a]
-    while frontier and b not in prev:
-        nxt = []
-        for v in frontier:
-            for w in net.neighbors(v):
-                if w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    if b not in prev:
-        raise ValueError("nodes not connected")
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return path[::-1]
 
 
 @dataclass
@@ -374,7 +329,7 @@ def algorithm_pivot_candidates(net: ContactNetwork, observations):
     for o in observations:
         if o.node == s0.node:
             continue
-        path = _net_path(net, o.node, s0.node)
+        path = graph.path(net, o.node, s0.node)
         dist = len(path) - 1
         # only spies in the feasible region (behind s0's parent, within its
         # level) carry information about the source
@@ -402,7 +357,7 @@ def algorithm_pivot_candidates(net: ContactNetwork, observations):
         level = m
         blocked = {p.eliminated for p in lowest if p.pivot == l_min}
         # the source sits away from the anchor: exclude the anchor-side branch
-        path_up_anchor = _net_path(net, l_min, s0.node)
+        path_up_anchor = graph.path(net, l_min, s0.node)
         if len(path_up_anchor) > 1:
             blocked.add(path_up_anchor[1])
     else:
@@ -412,27 +367,19 @@ def algorithm_pivot_candidates(net: ContactNetwork, observations):
 
     # leaves of the feasible region: exactly `level` hops from the pivot,
     # avoiding eliminated branches (BFS with dedup, so cycles do not
-    # multiply paths; exact on trees)
-    visited = {l_min} | set(blocked)
-    frontier = [w for w in net.neighbors(l_min) if w not in blocked]
-    visited.update(frontier)
-    for step in range(level - 1):
-        nxt = []
-        for v in frontier:
-            for w in net.neighbors(v):
-                if w not in visited:
-                    visited.add(w)
-                    nxt.append(w)
-        if len(nxt) > MAX_PIVOT_LEAVES:
+    # multiply paths; exact on trees); none if the region ends sooner
+    leaves = []
+    for depth, (ring, _) in enumerate(graph.bfs(net.neighbors, [l_min], blocked, level)):
+        if len(ring) > MAX_PIVOT_LEAVES:
             raise RuntimeError("feasible region too large to enumerate")
-        frontier = nxt
-    return frontier, l_min, level, s0, pivots
+        if depth == level:
+            leaves = ring
+    return leaves, l_min, level, s0, pivots
 
 
-def estimate_spy_ml(net: ContactNetwork, observations, rng=None) -> Estimate:
+def estimate_spy_ml(net: ContactNetwork, observations, rng) -> Estimate:
     """Pivot-based ML estimator for the tree protocol on regular trees:
     uniform over the feasible leaves that survive pivot elimination."""
-    rng = _rng(rng)
     out = algorithm_pivot_candidates(net, observations)
     if out is None or not out[0]:
         return Estimate(None, [], None, 0, "spy-ml", inconclusive=True)
@@ -442,9 +389,8 @@ def estimate_spy_ml(net: ContactNetwork, observations, rng=None) -> Estimate:
                           "pivots": pivots})
 
 
-def estimate_first_spy(observations, rng=None) -> Estimate:
+def estimate_first_spy(observations, rng) -> Estimate:
     """Parent of the earliest-infected spy; the fundamental lower bound."""
-    rng = _rng(rng)
     if not observations:
         return Estimate(None, [], None, 0, "first-spy", inconclusive=True)
     t0 = min(o.time for o in observations)
@@ -453,14 +399,13 @@ def estimate_first_spy(observations, rng=None) -> Estimate:
                     info={"spy": first.node, "time": t0})
 
 
-def estimate_spy_irregular(net: ContactNetwork, observations, rng=None,
+def estimate_spy_irregular(net: ContactNetwork, observations, rng,
                            open_degree: dict | None = None) -> Estimate:
     """Pivot candidates re-weighted for irregular degrees: candidate u gets
     1/deg(u) * prod of 1/(deg(v)-1) over the interior of its path to the
     lowest pivot.  With `open_degree` (uninfected-neighbor counts at
     infection time) the weights use those instead, which corrects for
     cycles."""
-    rng = _rng(rng)
     out = algorithm_pivot_candidates(net, observations)
     if out is None or not out[0]:
         return Estimate(None, [], None, 0, "spy-irregular", inconclusive=True)
@@ -473,9 +418,8 @@ def estimate_spy_irregular(net: ContactNetwork, observations, rng=None,
 
     weights = {}
     for u in candidates:
-        path = _net_path(net, u, l_min)
         w = 1.0 / max(eff_degree(u), 1)
-        for v in path[1:-1]:
+        for v in graph.path(net, u, l_min)[1:-1]:
             w /= max(eff_degree(v) - 1, 1)
         weights[u] = w
     v_hat, ties = _argmax_pick(weights, rng)
@@ -487,11 +431,10 @@ def estimate_spy_irregular(net: ContactNetwork, observations, rng=None,
 # line estimator
 
 
-def estimate_line_ml(trace: LineTrace, rng=None) -> Estimate:
+def estimate_line_ml(trace: LineTrace) -> Estimate:
     """Closed-form ML estimate on the line from the earlier spy's receipt
     time plus the revealed latent coin and direction (mode of a shifted
     binomial)."""
-    rng = _rng(rng)
     if trace.first_spy is None or trace.t_first is None:
         return Estimate(None, [], None, 0, "line-ml", inconclusive=True)
     n, q, t1 = trace.n, trace.q, trace.t_first
@@ -524,13 +467,12 @@ def estimate_line_ml(trace: LineTrace, rng=None) -> Estimate:
 # combined spy + snapshot estimator (regular trees, even T)
 
 
-def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng=None) -> Estimate:
+def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng) -> Estimate:
     """Joint ML over boundary leaves on a regular tree: a leaf survives if a
     spine running from it through the observed center can explain every
     spy's direction bit, parent pointer, and receipt time.  Snapshot size
     reveals T, which anchors spy timestamps to the start of the spread.
     Uniform over survivors."""
-    rng = _rng(rng)
     if snap.T % 2:
         raise ValueError("combined estimation expects an even snapshot time")
     children, up, depth = _children_from_center(snap)
@@ -604,12 +546,11 @@ def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng=None) -> Es
 # repeated-observation adversary
 
 
-def estimate_multiple_snapshots(snap: InfectionSnapshot, observe_T: int, rng=None) -> Estimate:
+def estimate_multiple_snapshots(snap: InfectionSnapshot, observe_T: int, rng) -> Estimate:
     """Worst-case adversary that watches every step after observe_T: it
     learns the token's distance from the source and the branch the token
     wandered into, and guesses uniformly among the remaining nodes at that
     distance."""
-    rng = _rng(rng)
     if observe_T % 2:
         raise ValueError("observe_T must be even")
     events = [e for e in snap.vs_events if e[0] <= observe_T]
@@ -619,18 +560,12 @@ def estimate_multiple_snapshots(snap: InfectionSnapshot, observe_T: int, rng=Non
         return Estimate(None, [], None, 0, "multi-snapshot", inconclusive=True)
     next_vs = later[0][1]
 
-    infected = snap.infected_at(observe_T)
-    adj = snap.subtree_adjacency()
-    frontier = [(vs, None)]
-    for _ in range(h):
-        nxt = []
-        for v, frm in frontier:
-            for w in adj[v]:
-                if w == frm or w not in infected or (v == vs and w == next_vs):
-                    continue
-                nxt.append((w, v))
-        frontier = nxt
-    candidates = [v for v, _ in frontier]
+    # the ring h hops from vs in the infection tree as it stood at observe_T,
+    # off the branch the token moved into next
+    blocked = {v for v, tv in snap.time.items() if tv > observe_T}
+    blocked.add(next_vs)
+    rings = [ring for ring, _ in graph.bfs(snap.subtree_adjacency().__getitem__, [vs], blocked, h)]
+    candidates = rings[h] if len(rings) > h else []
     if not candidates:
         return Estimate(None, [], None, 0, "multi-snapshot", inconclusive=True)
     v_hat = _pick(rng, candidates)

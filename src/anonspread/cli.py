@@ -19,6 +19,7 @@ import numpy as np
 from . import analysis
 from .harness import (
     ADVERSARIES,
+    CLOSED_FORMS,
     NETWORKS,
     OPTIONS,
     PROTOCOLS,
@@ -183,8 +184,10 @@ def _report(args, run) -> int:
     and print and write the summary."""
     opts = _collect_options(args)
     cfg = config_from_options(opts)
-    summary = run(cfg)
     compare = opts.get("compare")
+    if compare:
+        CLOSED_FORMS[compare]  # an unknown name raises here, before any trial runs
+    summary = run(cfg)
     if compare:
         compare_with_theory(summary, compare)
     write_summary_csv(summary, sys.stdout)

@@ -405,6 +405,60 @@ def synthetic_heavy_tail(n: int, m: int = 3, seed: int = 0) -> ExplicitGraph:
     return from_edges(edges)
 
 
+def bfs(neighbors, sources, blocked=(), depth=None):
+    """Breadth-first search from `sources`, one level at a time.
+
+    Yields (level, parent) for depth 0 (the sources), 1, 2, ... while a
+    level is non-empty: `level` lists that depth's nodes in discovery order,
+    and `parent` maps every node found so far to the node it was found from
+    (None for a source).  No node in `blocked` is entered: each is in
+    `parent` from the start, mapped to None, so that `parent` is the one
+    seen set.  `neighbors(v)` is not called for a node at `depth`, nor for
+    the nodes of a level before the caller asks for the next one.
+    """
+    level = list(dict.fromkeys(sources))
+    parent = dict.fromkeys(blocked)
+    parent.update(dict.fromkeys(level))
+    d = 0
+    while level:
+        yield level, parent
+        if d == depth:
+            return
+        nxt = []
+        for v in level:
+            for w in neighbors(v):
+                if w not in parent:
+                    parent[w] = v
+                    nxt.append(w)
+        level = nxt
+        d += 1
+
+
+def path(net: ContactNetwork, a, b) -> list:
+    """A shortest path a..b, as its list of nodes.  On lazy trees it walks
+    the parent pointers up to the common ancestor; on finite graphs it
+    searches from a until b's level is reached, and nodes in different
+    components raise ValueError."""
+    if hasattr(net, "parent"):
+        up = [a]  # a .. the root
+        while (v := net.parent(up[-1])) is not None:
+            up.append(v)
+        index = {v: i for i, v in enumerate(up)}
+        down = [b]  # b .. the lowest common ancestor
+        while down[-1] not in index:
+            down.append(net.parent(down[-1]))
+        return up[: index[down[-1]] + 1] + down[-2::-1]
+    for _, parent in bfs(net.neighbors, [a]):
+        if b in parent:
+            break
+    else:
+        raise ValueError(f"{a} and {b} are not connected")
+    out = [b]
+    while parent[out[-1]] is not None:
+        out.append(parent[out[-1]])
+    return out[::-1]
+
+
 def hop_distance(net: ContactNetwork, a, b) -> int:
     """Hop distance between a and b on a finite graph or on the grid.
 
@@ -414,8 +468,8 @@ def hop_distance(net: ContactNetwork, a, b) -> int:
     distance instead of one ball of the whole.  A node not in the graph
     raises KeyError; nodes in different components raise ValueError.  On the
     grid it is the L1 distance of the decoded coordinates.  Other infinite
-    networks are never searched; paths on lazy trees follow parent pointers
-    (adversary._net_path).
+    networks are never searched; on lazy trees len(path(net, a, b)) - 1
+    walks the parent pointers instead.
     """
     if isinstance(net, Grid):
         (ax, ay), (bx, by) = grid_decode(a), grid_decode(b)
@@ -426,6 +480,7 @@ def hop_distance(net: ContactNetwork, a, b) -> int:
         net.degree(v)  # an unknown node raises KeyError before any search
     if a == b:
         return 0
+    # not bfs(): two searches that meet halfway; every finite-graph trial scores its hop here
     seen = ({a}, {b})
     frontier = [[a], [b]]
     dist = 0  # levels grown on both sides together

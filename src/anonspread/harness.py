@@ -26,6 +26,7 @@ from .graph import (
     grid,
     hop_distance,
     load_edge_list,
+    path,
     regular_tree,
 )
 from .spread import (
@@ -188,11 +189,12 @@ def _explicit(cfg: ExperimentConfig, rng, shared):
 def _shared_graph(cfg: ExperimentConfig):
     if cfg.network != "explicit":
         return None
-    if cfg.graph is not None:
-        return cfg.graph
-    if cfg.edge_list is None:
+    if cfg.graph is None and cfg.edge_list is None:
         raise ValueError("explicit network needs edge_list or graph")
-    return load_edge_list(cfg.edge_list)
+    net = cfg.graph if cfg.graph is not None else load_edge_list(cfg.edge_list)
+    if not net.n_nodes:
+        raise ValueError("explicit network has no nodes")
+    return net
 
 
 def _spies(cfg: ExperimentConfig, snap, rng) -> list:
@@ -256,7 +258,7 @@ def _hop(net, snap_protocol, a, b):
     if snap_protocol == "polya-line":
         return abs(a - b)
     if not net.is_finite:  # lazy trees: walk the parent pointers
-        return len(adv._net_path(net, a, b)) - 1
+        return len(path(net, a, b)) - 1
     try:
         return hop_distance(net, a, b)
     except ValueError:  # a and b lie in different components
@@ -270,7 +272,7 @@ def run_trial(cfg: ExperimentConfig, index: int, shared=None) -> TrialRecord:
     if cfg.adversary == "line-ml":
         net, source = None, int(rng.integers(1, cfg.line_n + 1))
         snap, trace = spread_polya_line(cfg.line_n, source, rng=rng)
-        est = adv.estimate_line_ml(trace, rng=rng)
+        est = adv.estimate_line_ml(trace)
     else:
         net, source = NETWORKS[cfg.network](cfg, rng, shared)
         snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng)
@@ -413,32 +415,21 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
 # theory comparison
 
 
-def predicted_value(quantity: str, row: SummaryRow, cfg: ExperimentConfig):
-    """Resolve a named closed form for a summary row; returns (value, mode)
-    where mode is 'match' for equalities and 'upper-bound' for bounds."""
-    d = cfg.d
-    T = row.T
-    if quantity == "pd_uniform":
-        n = analysis.n_regular(d, T)
-        return 1.0 / (n - 1), "match"
-    if quantity == "pd_always_pass":
-        n = analysis.n_regular(d, T)
-        return analysis.pd_always_pass(d, n), "match"
-    if quantity == "pd_snapshot_bound":
-        return analysis.pd_snapshot_bound(d, T), "upper-bound"
-    if quantity == "pd_spy_adaptive":
-        return analysis.pd_spy_adaptive(d, row.p), "match"
-    if quantity == "pd_spy_snapshot":
-        return analysis.pd_spy_snapshot(d, row.p, T), "match"
-    if quantity == "pd_multiple_snapshots":
-        return analysis.pd_multiple_snapshots(d, cfg.observe_T or T), "match"
-    if quantity == "grid_pd_bound":
-        return analysis.grid_predictions(T).pd_upper_bound, "upper-bound"
-    if quantity == "line_bound":
-        return analysis.line_bound(cfg.line_n), "upper-bound"
-    if quantity == "first_spy_floor":
-        return row.p, "lower-bound"
-    raise ValueError(f"unknown quantity {quantity!r}")
+# quantity -> (summary row, cfg) -> (value, mode), where mode is 'match' for
+# equalities and 'upper-bound' or 'lower-bound' for bounds
+CLOSED_FORMS = Registry("quantity", {
+    "pd_uniform": lambda row, cfg: (1.0 / (analysis.n_regular(cfg.d, row.T) - 1), "match"),
+    "pd_always_pass": lambda row, cfg: (analysis.pd_always_pass(cfg.d, analysis.n_regular(cfg.d, row.T)),
+                                        "match"),
+    "pd_snapshot_bound": lambda row, cfg: (analysis.pd_snapshot_bound(cfg.d, row.T), "upper-bound"),
+    "pd_spy_adaptive": lambda row, cfg: (analysis.pd_spy_adaptive(cfg.d, row.p), "match"),
+    "pd_spy_snapshot": lambda row, cfg: (analysis.pd_spy_snapshot(cfg.d, row.p, row.T), "match"),
+    "pd_multiple_snapshots": lambda row, cfg: (analysis.pd_multiple_snapshots(cfg.d, cfg.observe_T or row.T),
+                                               "match"),
+    "grid_pd_bound": lambda row, cfg: (analysis.grid_predictions(row.T).pd_upper_bound, "upper-bound"),
+    "line_bound": lambda row, cfg: (analysis.line_bound(cfg.line_n), "upper-bound"),
+    "first_spy_floor": lambda row, cfg: (row.p, "lower-bound"),
+})
 
 
 def compare_with_theory(summary: ExperimentSummary, quantity: str, z: float = 3.0) -> ExperimentSummary:
@@ -447,7 +438,7 @@ def compare_with_theory(summary: ExperimentSummary, quantity: str, z: float = 3.
     z sigma."""
     cfg = summary.config
     for row in summary.rows:
-        value, mode = predicted_value(quantity, row, cfg)
+        value, mode = CLOSED_FORMS[quantity](row, cfg)
         row.predicted = value
         row.pred_mode = mode
         sigma = math.sqrt(max(value * (1 - value), 1e-12) / row.trials)

@@ -25,6 +25,7 @@ from .graph import (
     Grid,
     GRID_DIRECTIONS,
     OPPOSITE_DIRECTION,
+    bfs,
     grid_encode,
     node_uniform,
 )
@@ -96,6 +97,8 @@ class ProtocolParams:
         if self.d0 is not None and math.isinf(self.d0):
             self.alpha_policy = ALWAYS_PASS
             self.d0 = None
+        if self.alpha_policy not in (EXACT, ALWAYS_PASS):
+            raise ValueError(f"unknown alpha_policy {self.alpha_policy!r} (use {EXACT} or {ALWAYS_PASS})")
         if self.alpha_policy == EXACT and self.d0 is not None and self.d0 < 2:
             raise ValueError("d0 must be >= 2 (or inf for always-pass)")
         if self.kind == "diffusion":
@@ -162,9 +165,6 @@ class InfectionSnapshot:
     @property
     def h_T(self) -> int:
         return self.vs_events[-1][2]
-
-    def infected_at(self, t: int) -> set:
-        return {v for v, tv in self.time.items() if tv <= t}
 
     def subtree_adjacency(self) -> dict:
         """Undirected adjacency of the infection tree (parent links)."""
@@ -451,19 +451,7 @@ def _adaptive_snapshot(name, st, T, source, centers, mid_pass, vs_events, h_hist
 def _g_hop_neighborhood_size(net, v, blocked, g: int) -> int:
     """Number of nodes within g hops of v, not counting v, never crossing
     `blocked`."""
-    seen = {v, blocked} if blocked is not None else {v}
-    frontier = [v]
-    count = 0
-    for _ in range(g):
-        nxt = []
-        for u in frontier:
-            for w in net.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    count += 1
-        frontier = nxt
-    return count
+    return sum(len(level) for level, _ in bfs(net.neighbors, [v], (blocked,), g)) - 1
 
 
 def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng) -> InfectionSnapshot:
@@ -483,16 +471,8 @@ def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng) -> Inf
 
 def _region_adjacency(net, snap, extra_hops: int) -> dict:
     """Adjacency over the infected set plus `extra_hops` rings beyond it."""
-    region = set(snap.time)
-    frontier = set(snap.time)
-    for _ in range(extra_hops):
-        nxt = set()
-        for v in frontier:
-            for w in net.neighbors(v):
-                if w not in region:
-                    region.add(w)
-                    nxt.add(w)
-        frontier = nxt
+    for _, region in bfs(net.neighbors, snap.time, depth=extra_hops):
+        pass
     return {v: list(net.neighbors(v)) for v in region}
 
 
@@ -563,8 +543,11 @@ def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rn
         lo = max(hi - 1, 0)
         centers = [spine[hi], spine[lo]]
     else:
-        centers = [spine[min(T // 2, len(spine) - 1)]]
-    vs_events = [(t, node, t) for t, node in enumerate(spine)]
+        hi = min(T // 2, len(spine) - 1)
+        centers = [spine[hi]]
+    # the token trace is the center's walk up the spine, timed as adaptive
+    # diffusion's token: spine[1] at step 1, then spine[k] at epoch 2k
+    vs_events = [(k if k < 2 else 2 * k, spine[k], k) for k in range(hi + 1)]
     snap = _adaptive_snapshot("tree-protocol", st, T, source, centers, mid, vs_events, [])
     snap.direction = direction
     snap.level = level

@@ -295,7 +295,7 @@ def test_criterion_10_line():
         for _ in range(trials):
             src = int(rng.integers(1, n_line + 1))
             snap, tr = spread_polya_line(n_line, src, rng=rng)
-            est = estimate_line_ml(tr, rng=rng)
+            est = estimate_line_ml(tr)
             det += int(not est.inconclusive and est.v_hat == src)
         rates[n_line] = det / trials
         bound = analysis.line_bound(n_line)

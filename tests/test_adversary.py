@@ -121,7 +121,7 @@ class TestIrregularML:
         net = regular_tree(3)
         s = spread_adaptive(net, 0, ProtocolParams(horizon=5), rng=RNG(5))
         with pytest.raises(ValueError):
-            estimate_irregular_ml(s, 3)
+            estimate_irregular_ml(s, 3, rng=RNG(0))
 
     def test_cyclic_variant_scores_leaves_with_open_degrees(self):
         from anonspread.graph import prune_min_degree, synthetic_heavy_tail
@@ -193,6 +193,32 @@ class TestIrregularML:
         assert oracle_trajectory_likelihood(s, leaf, 3) == pytest.approx(expect)
 
 
+class TestTreeProtocolSnapshots:
+    """The tree protocol's token trace follows its center, so the source
+    sits h_T hops from it in the infection tree, as the estimators assume."""
+
+    def test_cyclic_irregular_ml_holds_the_source(self):
+        from anonspread.graph import prune_min_degree, synthetic_heavy_tail
+
+        g = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+        rng = RNG(30)
+        for T in (2, 4, 6, 8):
+            for _ in range(25):
+                source = g.nodes()[int(rng.integers(g.n_nodes))]
+                s = spread_tree_protocol(g, source, ProtocolParams(kind="tree-protocol", horizon=T), rng=rng)
+                est = estimate_irregular_ml(s, 3, rng=rng, cyclic=True)
+                assert source in est.candidates
+
+    def test_map_leaf_holds_the_source_on_regular_trees(self):
+        rng = RNG(31)
+        for T in (2, 4, 6):
+            for _ in range(25):
+                s = spread_tree_protocol(regular_tree(4), 0, ProtocolParams(kind="tree-protocol", horizon=T),
+                                         rng=rng)
+                assert s.h_T == T // 2
+                assert 0 in estimate_map_leaf(s, rng=rng).candidates
+
+
 class TestMapLeaf:
     def test_regular_tree_all_leaves_tie(self):
         net = regular_tree(3)
@@ -239,7 +265,7 @@ class TestMapLeaf:
             if s.h_T < s.T // 2:
                 break
         with pytest.raises(ValueError):
-            estimate_map_leaf(s)
+            estimate_map_leaf(s, rng=RNG(0))
 
     def test_forced_keep_on_finite_graph_is_inconclusive(self):
         # the first trial of seed 0 whose always-pass spread met a holder with
@@ -366,7 +392,7 @@ class TestPaadMap:
     def test_requires_frontier(self):
         snap = eight_node_snapshot()
         with pytest.raises(ValueError):
-            estimate_paad_map(snap, 1)
+            estimate_paad_map(snap, 1, rng=RNG(0))
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_cyclic_score_is_the_spreads_pick_probability(self, g, monkeypatch):
@@ -444,6 +470,12 @@ class TestSpyML:
         # grandchildren hanging under node 9
         assert sorted(est.candidates) == [0, 3, 6, 7, 12, 13, 14, 15]
 
+    def test_region_that_ends_before_the_level_gives_no_candidates(self):
+        # behind spine spy 2 the graph holds only 2 more hops, not 5
+        net = from_edges([(0, 1), (1, 2), (2, 3)])
+        est = estimate_spy_ml(net, [SpyObservation(2, 5, 1, "up", 5)], rng=RNG(0))
+        assert est.inconclusive and est.candidates == []
+
     def test_pivot_consistency(self):
         # on live spreads every pivot satisfies the distance/time split
         net = regular_tree(3)
@@ -498,19 +530,19 @@ class TestSpyIrregular:
 class TestLineML:
     def test_substitution_examples(self):
         tr = LineTrace(n=101, q=0.5, direction="right", first_spy=0, t_first=3, spy_times={})
-        assert estimate_line_ml(tr, rng=RNG(0)).v_hat == 1
+        assert estimate_line_ml(tr).v_hat == 1
         tr = LineTrace(n=101, q=0.3, direction="left", first_spy=0, t_first=5, spy_times={})
-        assert estimate_line_ml(tr, rng=RNG(0)).v_hat == 4  # (5+3)/2 + floor(.3*2)
+        assert estimate_line_ml(tr).v_hat == 4  # (5+3)/2 + floor(.3*2)
 
     def test_even_away_impossible(self):
         tr = LineTrace(n=11, q=0.5, direction="right", first_spy=0, t_first=4, spy_times={})
         with pytest.raises(ValueError):
-            estimate_line_ml(tr, rng=RNG(0))
+            estimate_line_ml(tr)
 
     def test_mirrored_spy(self):
         # first report from the right end mirrors the left-end formulas
         tr = LineTrace(n=11, q=0.5, direction="left", first_spy=12, t_first=3, spy_times={})
-        assert estimate_line_ml(tr, rng=RNG(0)).v_hat == 11  # mirror of candidate 1
+        assert estimate_line_ml(tr).v_hat == 11  # mirror of candidate 1
 
     def test_matches_enumerated_argmax(self):
         from anonspread.spread import spread_polya_line
@@ -520,7 +552,7 @@ class TestLineML:
             n = int(rng.integers(1, 9))
             src = int(rng.integers(1, n + 1))
             snap, tr = spread_polya_line(n, src, rng=rng)
-            est = estimate_line_ml(tr, rng=rng)
+            est = estimate_line_ml(tr)
             like = {v: _line_outcome_prob(n, tr.q, tr.direction, v, tr.t_first, tr.first_spy)
                     for v in range(1, n + 1)}
             best = max(like.values())
@@ -634,7 +666,7 @@ class TestAdmissibility:
                 continue
             s0 = next(o for o in observations_for(s, spies)
                       if o.node == est.info["s0"])
-            from anonspread.adversary import _net_path
+            from anonspread.graph import path as _net_path
             path = _net_path(net, est.v_hat, s0.node)
             assert len(path) - 1 <= s0.level
             assert path[-2] == s0.parent

@@ -160,6 +160,7 @@ class TestSpreadEstimate:
     (["spread", "--network", "grid", "--d0", "4", "--T", "4"], "grid network runs only the grid-adaptive protocol"),
     (["sweep", "--trials", "2", "bogus", "1,2"], "unknown option 'bogus'"),
     (["sweep", "--trials", "2", "horizon", "2,4"], "unknown option 'horizon'"),  # the key is T
+    (["experiment", "--alpha_policy", "bogus", "--T", "4"], "unknown alpha_policy 'bogus'"),
 ])
 def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
@@ -167,6 +168,40 @@ def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     code, _ = run_cli([str(trace) if a == "TRACE" else a for a in args])  # raises if one escapes
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["experiment"], ["sweep", "T", "4,6"]])
+@pytest.mark.parametrize("args, message", [
+    (["--compare", "pd_unifrom"], "unknown quantity 'pd_unifrom'"),
+    (["--network", "explicit", "--edge_list", "EMPTY"], "explicit network has no nodes"),
+], ids=["compare", "empty-graph"])
+def test_bad_input_fails_before_the_first_trial(command, args, message, tmp_path, capsys, monkeypatch):
+    from anonspread import harness
+
+    def no_trial(*a, **k):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    empty = tmp_path / "empty.edges"
+    empty.write_text("# comments only\n")
+    flags = [str(empty) if a == "EMPTY" else a for a in args]
+    code, _ = run_cli([command[0], *flags, "--trials", "2", *command[1:]])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_tree_protocol_snapshots_score_with_irregular_ml(tmp_path):
+    # the token trace ends at the center, so h_T is its depth, not T
+    from anonspread.graph import prune_min_degree, synthetic_heavy_tail
+
+    g = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+    edges = tmp_path / "g.edges"
+    edges.write_text("".join(f"{u} {w}\n" for u, nbrs in g.adj.items() for w in nbrs if u < w))
+    code, out = run_cli(["experiment", "--network", "explicit", "--edge_list", str(edges),
+                         "--protocol", "tree-protocol", "--adversary", "irregular-ml", "--T", "6",
+                         "--trials", "20", "--seed", "4"])
+    assert code == 0
+    assert _summary_rows(out)[0][12] == "0"  # no inconclusive trial
 
 
 class TestExperiment:

@@ -1,10 +1,12 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from anonspread.graph import (
     DegreeDistribution,
+    bfs,
     degree_distribution,
     from_edges,
     galton_watson_tree,
@@ -13,6 +15,7 @@ from anonspread.graph import (
     grid_encode,
     hop_distance,
     load_edge_list,
+    path,
     prune_min_degree,
     regular_tree,
     synthetic_heavy_tail,
@@ -194,3 +197,80 @@ def test_explicit_graph_symmetry():
     for u in g.nodes():
         for w in g.neighbors(u):
             assert u in g.neighbors(w)
+
+
+# a 4-cycle 0-1-3-2-0 with a tail 3-4
+SQUARE = {0: [1, 2], 1: [0, 3], 2: [0, 3], 3: [1, 2, 4], 4: [3]}
+
+
+class TestBfs:
+    def test_levels_and_parents(self):
+        levels = []
+        for level, parent in bfs(SQUARE.__getitem__, [0]):
+            levels.append(list(level))
+        assert levels == [[0], [1, 2], [3], [4]]
+        assert parent == {0: None, 1: 0, 2: 0, 3: 1, 4: 3}  # 3 is found from 1, the first to reach it
+
+    def test_several_sources_form_level_zero(self):
+        levels = []
+        for level, parent in bfs(SQUARE.__getitem__, [3, 0, 3]):
+            levels.append(list(level))
+        assert levels == [[3, 0], [1, 2, 4]]
+        assert parent == {3: None, 0: None, 1: 3, 2: 3, 4: 3}
+
+    def test_blocked_nodes_are_never_yielded(self):
+        def levels(blocked):
+            return [list(level) for level, _ in bfs(SQUARE.__getitem__, [0], blocked)]
+
+        assert levels({1}) == [[0], [2], [3], [4]]
+        assert levels({3}) == [[0], [1, 2]]  # 4 lies behind 3
+        assert levels({1, 2}) == [[0]]
+        *_, (_, parent) = bfs(SQUARE.__getitem__, [0], {3})
+        assert parent == {3: None, 0: None, 1: 0, 2: 0}  # seen from the start, never entered
+
+    def test_no_query_at_depth_or_ahead_of_the_caller(self):
+        asked = []
+
+        def neighbors(v):
+            asked.append(v)
+            return SQUARE[v]
+
+        search = bfs(neighbors, [0], depth=2)
+        assert next(search)[0] == [0] and asked == []
+        assert next(search)[0] == [1, 2] and asked == [0]
+        assert [level for level, _ in search] == [[3]]
+        assert asked == [0, 1, 2]  # never 3, the node at depth 2
+
+    def test_depth_zero_is_the_sources(self):
+        assert [list(level) for level, _ in bfs(SQUARE.__getitem__, [4], depth=0)] == [[4]]
+
+
+class TestPath:
+    def test_bench_graph_paths_are_shortest(self):
+        g = prune_min_degree(synthetic_heavy_tail(1500, 5, seed=5), 3)
+        nodes = g.nodes()
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            a, b = (nodes[int(i)] for i in rng.integers(len(nodes), size=2))
+            p = path(g, a, b)
+            assert p[0] == a and p[-1] == b
+            assert len(p) == hop_distance(g, a, b) + 1
+            assert all(w in g.neighbors(v) for v, w in zip(p, p[1:]))
+
+    def test_disconnected_nodes_raise(self):
+        g = from_edges([(0, 1), (2, 3)])
+        assert path(g, 0, 1) == [0, 1]
+        with pytest.raises(ValueError, match="not connected"):
+            path(g, 0, 3)
+
+    @pytest.mark.parametrize("net", [regular_tree(3), galton_watson_tree({3: 0.5, 4: 0.5}, seed=2)],
+                             ids=["regular", "galton-watson"])
+    def test_parent_walk_is_the_searched_path(self, net):
+        # on lazy trees path walks the parent pointers; a search over the
+        # same neighbors (no parent attribute) must find the same unique path
+        nodes = sorted(ball(net, 0, 4))
+        searched = SimpleNamespace(neighbors=net.neighbors)
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            a, b = (nodes[int(i)] for i in rng.integers(len(nodes), size=2))
+            assert path(net, a, b) == path(searched, a, b)
