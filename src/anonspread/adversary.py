@@ -85,11 +85,18 @@ def _path_up(up, v):
 # snapshot estimators
 
 
+def _only_centers(kind: str) -> Estimate:
+    """The inconclusive estimate of a snapshot that holds no node but its
+    centers, which a spread that infected no one leaves."""
+    return Estimate(None, [], None, 0, kind, inconclusive=True,
+                    info={"reason": "no infected node outside the centers"})
+
+
 def estimate_snapshot_regular(snap: InfectionSnapshot, rng) -> Estimate:
     """Exact-schedule spreads on regular trees make every non-center node
     equally likely, so the estimator is uniform over the snapshot minus the
     token holder(s); mid-transition snapshots exclude both symmetric
-    centers."""
+    centers.  A snapshot of its centers alone (at T > 0) is inconclusive."""
     if snap.n_infected == 0:
         raise ValueError("empty snapshot")
     nodes = list(snap.time)
@@ -101,6 +108,8 @@ def estimate_snapshot_regular(snap: InfectionSnapshot, rng) -> Estimate:
     else:
         excluded = set(snap.centers)
     candidates = [v for v in nodes if v not in excluded]
+    if not candidates:
+        return _only_centers("snapshot-uniform")
     return Estimate(_pick(rng, candidates), candidates, None, len(candidates), "snapshot-uniform")
 
 
@@ -165,12 +174,16 @@ def estimate_irregular_ml(snap: InfectionSnapshot, d0: int, rng, cyclic: bool = 
     schedule, being the same for every path of length h_T, drops out.  When
     the schedule keeps the token, later symmetric waves can add children
     after a hand-off, so c_w is then an approximation.
+
+    On trees, a snapshot that holds only its center is inconclusive.
     """
     if cyclic:
         score = likelihood = candidates = _token_path_scores(snap)
     else:
         score, likelihood = irregular_ml_scores(snap, d0)
         candidates = {v: s for v, s in score.items() if v != snap.virtual_source}
+        if not candidates:
+            return _only_centers("irregular-ml")
     v_hat, ties = _argmax_pick(candidates, rng)
     return Estimate(v_hat, sorted(candidates, key=repr), score, len(ties), "irregular-ml",
                     info={"likelihood": likelihood, "d0": d0})

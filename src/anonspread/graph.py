@@ -38,6 +38,23 @@ def node_uniform(seed: int, node: int, salt: int = 0) -> float:
     return (h >> 11) / float(1 << 53)
 
 
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """_splitmix64 of each entry of a uint64 array; its arithmetic wraps
+    at 64 bits as the masks of the scalar version do."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def node_uniforms(seed: int, nodes, salt: int = 0) -> np.ndarray:
+    """node_uniform(seed, v, salt) for every v in `nodes`, as one float array,
+    hashed all at once."""
+    ids = np.array([v & 0xFFFFFFFFFFFFFFFF for v in nodes], dtype=np.uint64)
+    key = np.uint64(_splitmix64(seed & 0xFFFFFFFFFFFFFFFF) ^ _splitmix64(salt))
+    return (_splitmix64_array(_splitmix64_array(ids) ^ key) >> np.uint64(11)) / float(1 << 53)
+
+
 # ---------------------------------------------------------------------------
 # degree distributions
 
@@ -139,8 +156,10 @@ OPPOSITE_DIRECTION = {"N": "S", "S": "N", "E": "W", "W": "E"}
 
 
 class ContactNetwork:
-    """Neighbor/degree oracle. Immutable after construction; reads are safe
-    to share across threads (lazy kinds compute, they do not cache)."""
+    """Neighbor/degree oracle.  Lazy trees compute their neighbors and keep
+    a Memo that spreads fill as they run, so each thread needs its own lazy
+    tree; the other kinds are immutable after construction and reads of
+    them are safe to share across threads."""
 
     kind = "abstract"
     is_finite = False
@@ -154,6 +173,15 @@ class ContactNetwork:
 
     def nodes(self):
         raise ValueError(f"{self.kind} network is infinite; cannot enumerate nodes")
+
+
+class Memo(dict):
+    """Results computed from one lazy tree alone, kept on it for the next
+    spread (spread.spread_adaptive keeps each infected ball under the token
+    walk that fixes it).  `nodes` counts the nodes its entries hold, so that
+    the spread can cap it."""
+
+    nodes = 0
 
 
 class RegularTree(ContactNetwork):
@@ -171,6 +199,7 @@ class RegularTree(ContactNetwork):
         if d < 2:
             raise ValueError("regular tree needs degree >= 2")
         self.d = d
+        self.memo = Memo()
 
     def degree(self, v) -> int:
         return self.d
@@ -215,6 +244,7 @@ class GaltonWatsonTree(ContactNetwork):
         self.dist = dist
         self.seed = seed
         self._arity = dist.max_degree  # fixed encoding base, degrees vary below it
+        self.memo = Memo()
 
     def degree(self, v) -> int:
         return self.dist.sample_from_uniform(node_uniform(self.seed, v, salt=0xD15C))

@@ -182,11 +182,16 @@ def _grid(cfg: ExperimentConfig, rng, shared):
 
 
 def _explicit(cfg: ExperimentConfig, rng, shared):
-    net = shared if shared is not None else _shared_graph(cfg)
+    net = shared if shared is not None else _shared_network(cfg)
     return net, _pick(rng, net.nodes())
 
 
-def _shared_graph(cfg: ExperimentConfig):
+def _shared_network(cfg: ExperimentConfig):
+    """The network that every trial of cfg runs on, built once per
+    experiment: the explicit graph, or the regular tree, so that the balls
+    its memo keeps serve every trial.  None for networks drawn per trial."""
+    if cfg.network == "regular-tree":
+        return regular_tree(cfg.d)
     if cfg.network != "explicit":
         return None
     if cfg.graph is None and cfg.edge_list is None:
@@ -210,9 +215,9 @@ def _needs_line_trace(cfg, net, snap, rng):
 # Entries look their callees up in this module's globals (and in `adv`) when
 # called, so a wrapper put over one of those names sees every call.
 
-# (cfg, rng, shared explicit graph or None) -> (network, source)
+# (cfg, rng, the _shared_network or None) -> (network, source)
 NETWORKS = Registry("network kind", {
-    "regular-tree": lambda cfg, rng, shared: (regular_tree(cfg.d), 0),
+    "regular-tree": lambda cfg, rng, shared: (regular_tree(cfg.d) if shared is None else shared, 0),
     "galton-watson": _galton_watson,
     "grid": _grid,
     "explicit": _explicit,
@@ -283,7 +288,7 @@ def run_trial(cfg: ExperimentConfig, index: int, shared=None) -> TrialRecord:
                        snap.n_infected, int(est.inconclusive))
 
 
-_worker_graph = None  # set in each pool worker, at start-up, to its experiments' shared graph
+_worker_graph = None  # set in each pool worker, at start-up, to its experiments' shared network
 
 
 def _install_graph(graph):
@@ -292,9 +297,10 @@ def _install_graph(graph):
 
 
 def _start_pool(workers: int, graph):
-    """A fork pool whose workers each hold `graph` (None for networks built
-    per trial): they inherit it, with the imported modules, from this
-    process, so nothing is re-imported or pickled at start-up."""
+    """A fork pool whose workers each hold `graph`, the shared network (None
+    for networks built per trial): they inherit it, with the imported
+    modules, from this process, so nothing is re-imported or pickled at
+    start-up."""
     return get_context("fork").Pool(workers, initializer=_install_graph, initargs=(graph,))
 
 
@@ -352,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Run cfg.trials seeded trials and aggregate them into one summary row.
     With workers > 1 the trials run on a pool started for this call and
     closed on return."""
-    shared = _shared_graph(cfg)
+    shared = _shared_network(cfg)
     if cfg.workers > 1:
         with _start_pool(cfg.workers, shared) as pool:
             records = _pool_records(pool, [cfg])[0]
@@ -372,8 +378,8 @@ def write_trial_csv(records, fh) -> None:
                          r.n_infected, r.inconclusive])
 
 
-# sweeping one of these changes the pool or the graph, so each value gets its own
-_PER_VALUE_SETUP = ("workers", "edge_list", "graph", "network")
+# sweeping one of these changes the pool or the shared network, so each value gets its own
+_PER_VALUE_SETUP = ("workers", "edge_list", "graph", "network", "d")
 
 
 def _value_path(path, label: str):
@@ -388,9 +394,9 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
     """Run cfg once per value of the option `parameter` (see with_options)
     and stack the rows.
 
-    The shared graph is loaded once and, with workers > 1, one pool runs
+    The shared network is built once and, with workers > 1, one pool runs
     every value's trials from a single submission, unless the parameter
-    changes the pool or the graph (_PER_VALUE_SETUP); then each value is a
+    changes the pool or the network (_PER_VALUE_SETUP); then each value is a
     run_experiment of its own.  Each value writes its per-trial records to
     its own file (_value_path).
     """
@@ -402,12 +408,13 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
         label = f"{cfg.label or parameter}={text}"
         subs.append(replace(sub, label=label, trial_output=_value_path(sub.trial_output, label)))
     if parameter not in _PER_VALUE_SETUP:
-        shared = _shared_graph(cfg)
-        subs = [replace(sub, graph=shared) for sub in subs]
+        shared = _shared_network(cfg)
         if cfg.workers > 1:
             with _start_pool(cfg.workers, shared) as pool:
                 records = _pool_records(pool, subs)
             return ExperimentSummary([_summarize(sub, recs).row() for sub, recs in zip(subs, records)], cfg)
+        if cfg.network == "explicit":  # loaded once; each value's run_experiment builds its own lazy tree
+            subs = [replace(sub, graph=shared) for sub in subs]
     return ExperimentSummary([run_experiment(sub).row() for sub in subs], cfg)
 
 

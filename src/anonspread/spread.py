@@ -17,6 +17,7 @@ import csv
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +26,10 @@ from .graph import (
     Grid,
     GRID_DIRECTIONS,
     OPPOSITE_DIRECTION,
+    RegularTree,
     bfs,
     grid_encode,
-    node_uniform,
+    node_uniforms,
 )
 
 # ---------------------------------------------------------------------------
@@ -78,9 +80,9 @@ class ProtocolParams:
     graphs and to no cap on infinite networks.
 
     A snapshot's open_degree (uninfected neighbors at infection time) is
-    deg - 1 on infinite networks, set as each node is infected; on finite
-    graphs it is an OpenDegrees, computed from the infection order when
-    first read.
+    deg - 1 on infinite networks (deg at the source), derived with net_degree
+    when the snapshot is built; on finite graphs it is an OpenDegrees,
+    computed from the infection order when first read.
     """
 
     kind: str = "adaptive"
@@ -232,52 +234,54 @@ class OpenDegrees(Mapping):
 
 
 class _State:
+    """A spread's infection times and parents, in infection order (the
+    source first).  The degree maps are derived from them once, when the
+    snapshot is built."""
+
     def __init__(self, net):
         self.net = net
         self.time: dict = {}
         self.parent: dict = {}
-        self.net_degree: dict = {}
-        # on trees the infector is the only infected neighbor at infection
-        # time, so the uninfected-neighbor count is deg - 1; finite graphs
-        # count it from the infection order when a reader asks
-        self.eager_open = not net.is_finite
-        self.open_degree = {} if self.eager_open else OpenDegrees(net, self.time)
         self.scanned: dict = {}  # node -> its neighbors, once a lazy-tree wave has infected them all
 
     def infect(self, v, t, parent):
         self.time[v] = t
         self.parent[v] = parent
-        deg = self.net.degree(v)
-        self.net_degree[v] = deg
-        if self.eager_open:
-            self.open_degree[v] = deg if parent is None else deg - 1
+
+    @cached_property
+    def net_degree(self) -> dict:
+        if isinstance(self.net, RegularTree):
+            return dict.fromkeys(self.time, self.net.d)
+        return {v: self.net.degree(v) for v in self.time}
+
+    @cached_property
+    def open_degree(self) -> Mapping:
+        # on trees the infector is the only infected neighbor at infection
+        # time, so the uninfected-neighbor count is deg - 1; finite graphs
+        # count it from the infection order when a reader asks
+        if self.net.is_finite:
+            return OpenDegrees(self.net, self.time)
+        if isinstance(self.net, RegularTree):
+            open_degree = dict.fromkeys(self.time, self.net.d - 1)
+        else:
+            open_degree = {v: deg - 1 for v, deg in self.net_degree.items()}
+        source = next(iter(self.time))
+        open_degree[source] = self.net_degree[source]
+        return open_degree
 
 
 def _pick(rng: np.random.Generator, items):
     return items[int(rng.integers(len(items)))]
 
 
-def _sample(rng: np.random.Generator, items, k: int) -> list:
-    """A uniform ordered k-subset of `items`, drawn with one permutation
-    (the same law as rng.choice(len(items), k, replace=False), at about a
-    third of its cost for the few items a fan-out cap sees)."""
-    return [items[i] for i in rng.permutation(len(items))[:k].tolist()]
-
-
-def _wave(st: _State, origin, blocked, t: int, cap, rng) -> None:
-    """One infection wave: relay through the infected region starting at
-    `origin` (skipping `blocked`), infecting the uninfected boundary.  Each
-    node infects at most `cap` new nodes per wave.
-
-    The relay follows infection-tree links only (a node's parent and
-    children), so a wave that starts past `blocked` stays on that side of
-    the infection tree even where graph edges close a cycle.  On trees every
-    infected neighbor is a tree link, and lazy trees without a fan-out cap
-    take _lazy_tree_wave, the same rule without the per-relay check."""
-    if cap is None and st.net.is_tree:
-        _lazy_tree_wave(st, origin, blocked, t)
-    else:
-        _tree_link_wave(st, origin, blocked, t, cap, rng)
+def _sample(rng: np.random.Generator, items: list, k: int) -> list:
+    """A uniform ordered k-subset of `items`, which it shuffles in place.
+    The picks and the draws are those of the first k entries of
+    rng.permutation(len(items)), whose law is that of rng.choice(len(items),
+    k, replace=False), at a fraction of either's cost for the few items a
+    fan-out cap sees."""
+    rng.shuffle(items)
+    return items[:k]
 
 
 def _lazy_tree_wave(st: _State, origin, blocked, t: int) -> None:
@@ -288,8 +292,8 @@ def _lazy_tree_wave(st: _State, origin, blocked, t: int) -> None:
     infects its targets in.  A scanned node has no uninfected neighbor
     left, so later waves relay through its kept neighbor list without
     querying the network."""
-    time, parent, net_degree, open_degree = st.time, st.parent, st.net_degree, st.open_degree
-    neighbors, degree, scanned = st.net.neighbors, st.net.degree, st.scanned
+    time, parent = st.time, st.parent
+    neighbors, scanned = st.net.neighbors, st.scanned
     stack = [(origin, blocked)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -307,19 +311,22 @@ def _lazy_tree_wave(st: _State, origin, blocked, t: int) -> None:
             if w in time:
                 push((w, v))
             else:
-                deg = degree(w)
                 time[w] = t
                 parent[w] = v
-                net_degree[w] = deg
-                open_degree[w] = deg - 1
 
 
 def _tree_link_wave(st: _State, origin, blocked, t: int, cap, rng) -> None:
-    """_wave's relay: infected neighbors that are not infection-tree links do
-    not relay.  The relay walks the infection tree away from `origin`, so it
-    reaches each infected node once and needs no visited set; only the
-    targets claimed in this wave, the ones the cap passed over too, are kept
-    so that no later relay claims them again."""
+    """One infection wave: relay through the infected region starting at
+    `origin` (skipping `blocked`), infecting the uninfected boundary.  Each
+    node infects at most `cap` new nodes per wave.
+
+    The relay follows infection-tree links only (a node's parent and
+    children), so a wave that starts past `blocked` stays on that side of
+    the infection tree even where graph edges close a cycle.  It walks the
+    infection tree away from `origin`, so it reaches each infected node once
+    and needs no visited set; only the targets claimed in this wave, the
+    ones the cap passed over too, are kept so that no later relay claims
+    them again."""
     time, parent = st.time, st.parent
     neighbors = st.net.neighbors
     claimed = set()
@@ -353,6 +360,9 @@ def _default_cap(net: ContactNetwork, params: ProtocolParams):
 # adaptive diffusion (trees and explicit graphs)
 
 
+BALL_MEMO_NODES = 1 << 16  # a lazy tree's memo takes no more balls once they hold this many nodes in all
+
+
 def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
                     _vs_weights=None, _protocol_name="adaptive") -> InfectionSnapshot:
     """Token-based spreading that keeps the infection balanced around a
@@ -365,10 +375,18 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
     the source, is uniform over all its neighbors.  On trees the children
     are exactly the infected non-backtracking neighbors.  On finite graphs
     the fan-out cap applies and waves relay along infection-tree links only
-    (see _wave), so even with cycles the token walks away from the source
-    and always-pass leaves the source a leaf at depth h_T.  A holder with no
-    children (every neighbor already infected by others) must keep the
-    token.
+    (see _tree_link_wave), so even with cycles the token walks away from the
+    source and always-pass leaves the source a leaf at depth h_T.  A holder
+    with no children (every neighbor already infected by others) must keep
+    the token.
+
+    On a lazy tree without a fan-out cap the waves draw nothing, and a
+    holder's children are its neighbors other than the previous holder, so
+    the walk is drawn first, with the same draws in the same order, and its
+    waves are kept as a plan.  The ball they leave depends on the source,
+    the first holder and the plan alone: it is copied from the tree's memo
+    when an earlier spread left it, and otherwise the plan runs and the
+    ball goes into the memo (see _lazy_tree_ball).
 
     _vs_weights(net, holder, candidates) -> weights replaces the uniform
     pick of the next holder.
@@ -390,13 +408,21 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
         probs = np.asarray(_vs_weights(net, holder, candidates), dtype=float)
         return candidates[int(rng.choice(len(candidates), p=probs / probs.sum()))]
 
+    plan = [] if cap is None and net.is_tree else None  # (origin, blocked, t) of each wave
+
+    def wave(origin, blocked, t):
+        if plan is None:
+            _tree_link_wave(st, origin, blocked, t, cap, rng)
+        else:
+            plan.append((origin, blocked, t))
+
     first = pick_holder(source, list(net.neighbors(source)))
     st.infect(first, 1, source)
     vs, prev = first, source
     h = 1
     vs_events.append((1, first, 1))
     if T >= 2:
-        _wave(st, vs, prev, 2, cap, rng)
+        wave(vs, prev, 2)
         h_history.append((2, h))
 
     mid_pass = False
@@ -405,15 +431,18 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
         # the token moves to a tree child of its holder: under a fan-out cap
         # some neighbors may still be uninfected, and on a cyclic graph an
         # infected neighbor may hang off another branch of the tree
-        children = [w for w in net.neighbors(vs) if w in st.time and st.parent[w] == vs]
+        if plan is None:
+            children = [w for w in net.neighbors(vs) if w in st.time and st.parent[w] == vs]
+        else:
+            children = [w for w in net.neighbors(vs) if w != prev]
         if rng.random() < alpha(te, h) or not children:
-            _wave(st, vs, None, te + 1, cap, rng)
+            wave(vs, None, te + 1)
             mid_pass = False
         else:
             new_vs = pick_holder(vs, children)
-            _wave(st, new_vs, vs, te + 1, cap, rng)
+            wave(new_vs, vs, te + 1)
             if te + 2 <= T:
-                _wave(st, new_vs, vs, te + 2, cap, rng)
+                wave(new_vs, vs, te + 2)
                 mid_pass = False
             else:
                 mid_pass = True
@@ -424,8 +453,30 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
         if te <= T:
             h_history.append((te, h))
 
+    if plan is not None:
+        _lazy_tree_ball(st, source, first, tuple(plan))
     centers = [vs, prev] if mid_pass else [vs]
     return _adaptive_snapshot(_protocol_name, st, T, source, centers, mid_pass, vs_events, h_history)
+
+
+def _lazy_tree_ball(st: _State, source, first, plan: tuple) -> None:
+    """Fill st, which holds the source and the first holder, with the ball
+    that `plan`'s waves leave on its lazy tree: a copy of the one in the
+    tree's memo, or else the waves run and a copy of their ball is kept
+    there if it fits, with the balls already there, in BALL_MEMO_NODES
+    nodes.  Every spread gets dicts of its own, so changing a snapshot
+    changes no other."""
+    memo = st.net.memo
+    key = (source, first, plan)
+    ball = memo.get(key)
+    if ball is not None:
+        st.time, st.parent = dict(ball[0]), dict(ball[1])
+        return
+    for origin, blocked, t in plan:
+        _lazy_tree_wave(st, origin, blocked, t)
+    if memo.nodes + len(st.time) <= BALL_MEMO_NODES:
+        memo[key] = dict(st.time), dict(st.parent)
+        memo.nodes += len(st.time)
 
 
 def _adaptive_snapshot(name, st, T, source, centers, mid_pass, vs_events, h_history) -> InfectionSnapshot:
@@ -866,15 +917,12 @@ def spread_polya_line(n: int, source: int, rng, horizon: int | None = None):
 
 def assign_spies(snapshot: InfectionSnapshot, p: float, seed: int) -> list:
     """Mark each infected node except the source as a spy i.i.d. with
-    probability p, keyed by (seed, node) so the assignment is reproducible."""
-    spies = []
-    for v in snapshot.time:
-        if v == snapshot.source:
-            continue
-        key = v if isinstance(v, int) else grid_encode(*v)
-        if node_uniform(seed, key, salt=0x57E5) < p:
-            spies.append(v)
-    return spies
+    probability p, keyed by (seed, node) so the assignment is reproducible:
+    v is a spy when node_uniform(seed, v, salt=0x57E5) < p, with grid nodes
+    keyed by their grid_encode."""
+    nodes = [v for v in snapshot.time if v != snapshot.source]
+    keys = [v if isinstance(v, int) else grid_encode(*v) for v in nodes]
+    return [v for v, u in zip(nodes, node_uniforms(seed, keys, salt=0x57E5).tolist()) if u < p]
 
 
 def observations_for(snapshot: InfectionSnapshot, spies) -> list:

@@ -204,6 +204,20 @@ def test_tree_protocol_snapshots_score_with_irregular_ml(tmp_path):
     assert _summary_rows(out)[0][12] == "0"  # no inconclusive trial
 
 
+@pytest.mark.parametrize("adversary", [["snapshot"], ["irregular-ml", "--d0", "3"]], ids=["snapshot", "irregular-ml"])
+def test_snapshot_of_its_center_alone_is_inconclusive(adversary, tmp_path):
+    # a diffusion spread with q = 0.3 can infect no one by T
+    trials = tmp_path / "trials.csv"
+    code, out = run_cli(["experiment", "--network", "galton-watson", "--degree_table", "3:0.5,4:0.5",
+                         "--protocol", "diffusion", "--q", "0.3", "--adversary", *adversary, "--T", "4",
+                         "--trials", "25", "--seed", "7", "--trial_output", str(trials)])
+    assert code == 0
+    records = list(csv.DictReader(line for line in trials.read_text().splitlines() if not line.startswith("#")))
+    alone = [r["trial"] for r in records if r["n_infected"] == "1"]
+    assert alone and alone == [r["trial"] for r in records if r["inconclusive"] == "1"]
+    assert _summary_rows(out)[0][12] == str(len(alone))
+
+
 class TestExperiment:
     def test_config_file_and_gate(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

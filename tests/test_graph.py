@@ -15,6 +15,8 @@ from anonspread.graph import (
     grid_encode,
     hop_distance,
     load_edge_list,
+    node_uniform,
+    node_uniforms,
     path,
     prune_min_degree,
     regular_tree,
@@ -34,6 +36,18 @@ def ball(net, center, radius):
                     nxt.append(w)
         frontier = nxt
     return seen
+
+
+def test_node_uniforms_match_node_uniform():
+    # ids past 64 bits are masked as node_uniform masks them, with no overflow warning
+    keys = [0, 1, 2**63, 2**64 - 1, 2**64 + 5, 3**45, *range(2, 500, 7),
+            *np.random.default_rng(0).integers(0, 2**62, 200).tolist()]
+    for seed, salt in ((0, 0), (12345, 0x57E5), (2**70 + 3, 0xD15C)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = node_uniforms(seed, keys, salt).tolist()
+        assert got == [node_uniform(seed, k, salt) for k in keys]
+    assert node_uniforms(1, []).tolist() == []
 
 
 class TestRegularTree:

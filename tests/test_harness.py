@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,31 @@ class TestRunner:
         assert _hop(g, "adaptive", 0, 6) is None  # different components
         with pytest.raises(KeyError):
             _hop(g, "adaptive", 99, 0)  # not a node of the graph
+
+
+class TestSharedTree:
+    """An experiment on a regular tree builds the tree once, and its trials
+    share the balls that the tree's memo keeps."""
+
+    def test_an_experiment_builds_one_tree(self, monkeypatch):
+        from anonspread import harness
+
+        cfg = small_cfg(trials=50)
+        records = [run_trial(cfg, i) for i in range(cfg.trials)]  # each builds its own tree
+        built = []
+        real = harness.regular_tree
+        monkeypatch.setattr(harness, "regular_tree", lambda d: built.append(d) or real(d))
+        row = run_experiment(cfg).row()
+        assert built == [3]
+        assert row.detections == sum(r.detected for r in records)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_over_d_runs_each_value_on_its_own_tree(self, workers):
+        # rows of the commit before trees were shared between trials
+        cfg = small_cfg(protocol=ProtocolParams(horizon=6), trials=300, seed=4, workers=workers)
+        rows = sweep(cfg, "d", [3, 4]).rows
+        assert [(r.label, r.detections, r.mean_hops, r.mean_n_infected) for r in rows] == [
+            ("d=3", 8, 3.98, 22.0), ("d=4", 4, 4.72, 53.0)]
 
 
 def _write_edge_list(path, g):

@@ -383,6 +383,101 @@ class TestCapDraw:
                 assert chi2_contingency(table)[1] > 0.001, (name, table)
 
 
+def _permutation_sample(rng, items, k):
+    """The fan-out cap draw that the shuffle in spread._sample replaced: the
+    first k entries of one permutation."""
+    return [items[i] for i in rng.permutation(len(items))[:k].tolist()]
+
+
+class TestShuffleDraw:
+    def test_same_picks_and_draws_as_permutation(self):
+        for n in [*range(2, 71), 255, 256, 257, 4097, 70_000]:
+            for seed in range(4):
+                for prior in (None, "int32", "uint32"):
+                    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                    for rng in (a, b):
+                        if prior:  # 32-bit draws before the cap draw
+                            rng.integers(2**31 - 1, size=3, dtype=prior)
+                    items = list(range(100, 100 + n))
+                    k = max(1, n // 3)
+                    assert spread_module._sample(b, list(items), k) == _permutation_sample(a, items, k)
+                    assert a.random() == b.random()
+
+
+def _snapshot_items(s, rng):
+    """What a spread leaves, in order, and the next draw of its stream."""
+    region = None if s.region_adj is None else sorted(s.region_adj.items())
+    return ([list(getattr(s, f).items()) for f in ("time", "parent", "net_degree", "open_degree")]
+            + [s.centers, s.mid_pass, s.vs_events, s.h_history, region, rng.random()])
+
+
+class TestBallMemo:
+    """Uncapped lazy-tree spreads draw the token walk first and copy the ball
+    it leaves from the tree's memo when an earlier spread left it."""
+
+    NETWORKS = {
+        "d2": lambda: regular_tree(2),
+        "d3": lambda: regular_tree(3),
+        "d4": lambda: regular_tree(4),
+        "gw": lambda: galton_watson_tree({2: 0.3, 3: 0.4, 5: 0.3}, seed=6),
+    }
+    SPREADS = {
+        "exact": lambda net, src, T, rng: spread_adaptive(
+            net, src, ProtocolParams(horizon=T, d0=None if hasattr(net, "d") else 3), rng),
+        "always-pass": lambda net, src, T, rng: spread_adaptive(
+            net, src, ProtocolParams(alpha_policy="always-pass", horizon=T), rng),
+        "paad-g1": lambda net, src, T, rng: spread_paad(net, src, ProtocolParams(kind="paad", g=1, horizon=T), rng),
+        "paad-g2": lambda net, src, T, rng: spread_paad(net, src, ProtocolParams(kind="paad", g=2, horizon=T), rng),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SPREADS))
+    @pytest.mark.parametrize("network", sorted(NETWORKS))
+    def test_miss_hit_and_fresh_network_agree(self, network, kind):
+        make, spread = self.NETWORKS[network], self.SPREADS[kind]
+        shared = make()
+        for T in range(11):
+            for source in (0, 5):
+                for seed in range(3):
+                    runs = []
+                    for net in (shared, shared, make()):  # a miss or a hit, a hit, a miss
+                        balls = len(shared.memo)
+                        rng = np.random.default_rng(100 * T + seed)
+                        runs.append(_snapshot_items(spread(net, source, T, rng), rng))
+                    assert len(shared.memo) == balls  # the second run on the shared tree was a hit
+                    assert runs[0] == runs[1] == runs[2], (T, source, seed)
+
+    def test_changing_a_snapshot_changes_no_later_one(self):
+        params = ProtocolParams(horizon=6)
+        rng = np.random.default_rng(1)
+        expected = _snapshot_items(spread_adaptive(regular_tree(3), 0, params, rng), rng)
+        net = regular_tree(3)
+        for _ in range(3):  # a miss, then hits
+            rng = np.random.default_rng(1)
+            s = spread_adaptive(net, 0, params, rng)
+            assert _snapshot_items(s, rng) == expected
+            s.time[next(iter(s.time))] = -1
+            s.time[10**9] = 7
+            s.parent.clear()
+        assert len(net.memo) == 1
+
+    def test_memo_stops_growing_at_its_node_cap(self, monkeypatch):
+        monkeypatch.setattr(spread_module, "BALL_MEMO_NODES", 60)
+        net = regular_tree(3)
+        params = ProtocolParams(horizon=6)
+        sizes, walks = [], set()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            s = spread_adaptive(net, 0, params, rng)
+            walks.add(tuple(s.vs_events))
+            sizes.append(net.memo.nodes)
+            ref_rng = np.random.default_rng(seed)
+            assert _snapshot_items(s, rng) == _snapshot_items(spread_adaptive(regular_tree(3), 0, params, ref_rng),
+                                                              ref_rng)
+        assert sizes == sorted(sizes) and 0 < sizes[-1] <= 60
+        assert net.memo.nodes == sum(len(time) for time, _ in net.memo.values())
+        assert len(net.memo) < len(walks)  # the cap turned balls away
+
+
 class TestDeterministicAndDiffusion:
     def test_flood_sizes(self):
         assert spread_deterministic(regular_tree(3), 0, ProtocolParams(horizon=2),
@@ -584,6 +679,23 @@ class TestSpiesAndTrace:
         s = spread_adaptive(net, 0, ProtocolParams(horizon=8), rng=rng)
         for seed in range(50):
             assert 0 not in assign_spies(s, 0.5, seed)
+
+    def test_matches_the_scalar_rule(self):
+        # assign_spies hashes every node at once; node_uniform per node is the reference
+        from anonspread.graph import grid_encode, node_uniform
+
+        g = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+        snaps = [
+            spread_adaptive(regular_tree(4), 5, ProtocolParams(horizon=10), np.random.default_rng(3)),
+            spread_grid(grid(), (0, 0), ProtocolParams(kind="grid-adaptive", horizon=8), np.random.default_rng(4)),
+            spread_adaptive(g, g.nodes()[7], ProtocolParams(alpha_policy="always-pass", horizon=8),
+                            np.random.default_rng(5)),
+        ]
+        for s in snaps:
+            for p, seed in ((0.1, 0), (0.5, 2**62 - 1), (0.9, 12345)):
+                expected = [v for v in s.time if v != s.source
+                            and node_uniform(seed, v if isinstance(v, int) else grid_encode(*v), salt=0x57E5) < p]
+                assert assign_spies(s, p, seed) == expected
 
     def test_spy_assignment_deterministic(self):
         net = regular_tree(3)
