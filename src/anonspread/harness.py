@@ -75,6 +75,10 @@ class ExperimentConfig:
             raise ValueError("trial count must be >= 1")
         if not 0.0 <= self.p < 1.0:
             raise ValueError("spy probability must lie in [0, 1)")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.line_n < 1:
+            raise ValueError(f"line_n must be >= 1, got {self.line_n}")
 
 
 class Registry(dict):
@@ -223,14 +227,15 @@ NETWORKS = Registry("network kind", {
     "explicit": _explicit,
 })
 
-# (network, source, ProtocolParams, rng) -> InfectionSnapshot
+# (network, source, ProtocolParams, rng[, early]) -> InfectionSnapshot, where
+# early is the spread's _early: (horizons, hand_over), see spread_adaptive
 PROTOCOLS = Registry("protocol kind", {
-    "adaptive": lambda net, source, proto, rng: spread_adaptive(net, source, proto, rng),
-    "paad": lambda net, source, proto, rng: spread_paad(net, source, proto, rng),
-    "tree-protocol": lambda net, source, proto, rng: spread_tree_protocol(net, source, proto, rng),
-    "grid-adaptive": lambda net, source, proto, rng: spread_grid(net, source, proto, rng),
-    "diffusion": lambda net, source, proto, rng: spread_diffusion(net, source, proto, rng),
-    "deterministic": lambda net, source, proto, rng: spread_deterministic(net, source, proto, rng),
+    "adaptive": lambda *args: spread_adaptive(*args),
+    "paad": lambda *args: spread_paad(*args),
+    "tree-protocol": lambda *args: spread_tree_protocol(*args),
+    "grid-adaptive": lambda *args: spread_grid(*args),
+    "diffusion": lambda *args: spread_diffusion(*args),
+    "deterministic": lambda *args: spread_deterministic(*args),
 })
 
 # (cfg, network, snapshot, rng) -> Estimate; the spy kinds draw the spies first
@@ -270,22 +275,58 @@ def _hop(net, snap_protocol, a, b):
         return None
 
 
-def run_trial(cfg: ExperimentConfig, index: int, shared=None) -> TrialRecord:
-    """Build network -> spread -> estimate -> score, on the trial's own RNG
-    stream.  line-ml runs its own line, spread and estimator."""
-    rng = _trial_rng(cfg.seed, index)
-    if cfg.adversary == "line-ml":
-        net, source = None, int(rng.integers(1, cfg.line_n + 1))
-        snap, trace = spread_polya_line(cfg.line_n, source, rng=rng)
-        est = adv.estimate_line_ml(trace)
-    else:
-        net, source = NETWORKS[cfg.network](cfg, rng, shared)
-        snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng)
-        est = ADVERSARIES[cfg.adversary](cfg, net, snap, rng)
+def _score(index: int, net, source, snap, est) -> TrialRecord:
     detected = int(not est.inconclusive and est.v_hat == source)
     hop = None if est.inconclusive else _hop(net, snap.protocol, est.v_hat, source)
     return TrialRecord(index, est.kind, est.v_hat, est.tie_count, detected, hop,
                        snap.n_infected, int(est.inconclusive))
+
+
+def _early_estimator(early, net, rng, scored):
+    """run_trial's hand-over: estimate the snapshot at each early horizon
+    with that horizon's config, add (records, snapshot, estimate) to scored,
+    and put the stream's state back, so that the spread draws on as a run to
+    that horizon would have left it."""
+    def estimate(snap):
+        cfg, records = early[snap.T]
+        state = rng.bit_generator.state
+        scored.append((records, snap, ADVERSARIES[cfg.adversary](cfg, net, snap, rng)))
+        rng.bit_generator.state = state
+
+    return estimate
+
+
+def run_trial(cfg: ExperimentConfig, index: int, shared=None, early=None) -> TrialRecord:
+    """Build network -> spread -> estimate -> score, on the trial's own RNG
+    stream.  line-ml runs its own line, spread and estimator.
+
+    early = {horizon: (config, records)} names configs equal to cfg but for
+    a smaller horizon (and their label and trial_output).  Their trial
+    `index` runs on the way: one stream, one network and source draw and one
+    spread to cfg's horizon, which hands over its snapshot at each early
+    horizon for that config's estimate (_early_estimator).  Each early
+    config's record, the one its own run would give, is appended to its
+    records; line-ml, which ignores the horizon, gives every config its
+    one record.  The hop distances are taken after the spread."""
+    rng = _trial_rng(cfg.seed, index)
+    scored = ()  # (records, snapshot, estimate) of each early config
+    if cfg.adversary == "line-ml":
+        net, source = None, int(rng.integers(1, cfg.line_n + 1))
+        snap, trace = spread_polya_line(cfg.line_n, source, rng=rng)
+        est = adv.estimate_line_ml(trace)
+        if early is not None:
+            scored = [(records, snap, est) for _, records in early.values()]
+    else:
+        net, source = NETWORKS[cfg.network](cfg, rng, shared)
+        hand_over = None
+        if early is not None:
+            scored = []
+            hand_over = early, _early_estimator(early, net, rng, scored)
+        snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng, hand_over)
+        est = ADVERSARIES[cfg.adversary](cfg, net, snap, rng)
+    for records, early_snap, early_est in scored:
+        records.append(_score(index, net, source, early_snap, early_est))
+    return _score(index, net, source, snap, est)
 
 
 _worker_graph = None  # set in each pool worker, at start-up, to its experiments' shared network
@@ -304,25 +345,46 @@ def _start_pool(workers: int, graph):
     return get_context("fork").Pool(workers, initializer=_install_graph, initargs=(graph,))
 
 
+def _group_records(group: list, indices, shared) -> list:
+    """The records of trials `indices` of each config in group, a list of
+    configs equal but for their horizon, label and trial_output: run_trial
+    runs each trial to the largest horizon and scores the others on the
+    way."""
+    last = max(group, key=lambda cfg: cfg.protocol.horizon)
+    early = {cfg.protocol.horizon: (cfg, []) for cfg in group if cfg.protocol.horizon < last.protocol.horizon}
+    records = {last.protocol.horizon: [run_trial(last, i, shared, early or None) for i in indices]}
+    records.update((T, recs) for T, (_, recs) in early.items())
+    return [records[cfg.protocol.horizon] for cfg in group]
+
+
 def _worker_batch(args):
-    cfg, indices = args
-    return [run_trial(cfg, i, _worker_graph) for i in indices]
+    group, indices = args
+    return _group_records(group, indices, _worker_graph)
 
 
-def _batches(cfg: ExperimentConfig) -> list:
-    """cfg's trials in about workers * 4 (cfg, indices) batches for the pool."""
-    cfg = replace(cfg, graph=None)  # the workers hold it; batches do not carry it
-    indices = range(cfg.trials)
-    chunk = max(1, cfg.trials // (cfg.workers * 4))
-    return [(cfg, indices[i:i + chunk]) for i in range(0, cfg.trials, chunk)]
+def _batches(group: list, workers: int) -> list:
+    """A group's trials in about workers * 4 (group, indices) batches per
+    config for the pool, as many as its configs would take one by one."""
+    group = [replace(cfg, graph=None) for cfg in group]  # the workers hold it; batches do not carry it
+    indices = range(group[0].trials)
+    chunk = max(1, len(indices) // (workers * 4 * len(group)))
+    return [(group, indices[i:i + chunk]) for i in range(0, len(indices), chunk)]
 
 
-def _pool_records(pool, cfgs) -> list:
-    """Each config's trial records, from one submission of every config's
-    batches to the pool, so it drains once rather than once per config."""
-    per_cfg = [_batches(cfg) for cfg in cfgs]
-    outs = iter(pool.map(_worker_batch, [b for batches in per_cfg for b in batches], chunksize=1))
-    return [[r for _ in batches for r in next(outs)] for batches in per_cfg]
+def _records(cfg: ExperimentConfig, groups: list) -> list:
+    """The trial records of each config of each group, in order, on cfg's
+    shared network.  With workers > 1 they run on a pool started for this
+    call, from one submission of every group's batches, so that it drains
+    once."""
+    shared = _shared_network(cfg)
+    if cfg.workers == 1:
+        return [records for group in groups for records in _group_records(group, range(group[0].trials), shared)]
+    per_group = [_batches(group, cfg.workers) for group in groups]
+    with _start_pool(cfg.workers, shared) as pool:
+        outs = iter(pool.map(_worker_batch, [b for batches in per_group for b in batches], chunksize=1))
+        per_batch = [[next(outs) for _ in batches] for batches in per_group]
+    return [[r for out in outs_of_group for r in out[j]]
+            for group, outs_of_group in zip(groups, per_batch) for j in range(len(group))]
 
 
 def _summarize(cfg: ExperimentConfig, records: list) -> ExperimentSummary:
@@ -358,13 +420,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Run cfg.trials seeded trials and aggregate them into one summary row.
     With workers > 1 the trials run on a pool started for this call and
     closed on return."""
-    shared = _shared_network(cfg)
-    if cfg.workers > 1:
-        with _start_pool(cfg.workers, shared) as pool:
-            records = _pool_records(pool, [cfg])[0]
-    else:
-        records = [run_trial(cfg, i, shared) for i in range(cfg.trials)]
-    return _summarize(cfg, records)
+    return _summarize(cfg, _records(cfg, [[cfg]])[0])
 
 
 def write_trial_csv(records, fh) -> None:
@@ -397,8 +453,10 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
     The shared network is built once and, with workers > 1, one pool runs
     every value's trials from a single submission, unless the parameter
     changes the pool or the network (_PER_VALUE_SETUP); then each value is a
-    run_experiment of its own.  Each value writes its per-trial records to
-    its own file (_value_path).
+    run_experiment of its own.  A sweep over T runs each trial once, to the
+    largest T, and scores every T on the way (run_trial).  Each value
+    writes its per-trial records to its own file (_value_path), once every
+    value's trials have run.
     """
     subs = []
     for v in values:
@@ -407,15 +465,10 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
         text = ",".join(f"{k}:{p}" for k, p in v.items()) if isinstance(v, dict) else v
         label = f"{cfg.label or parameter}={text}"
         subs.append(replace(sub, label=label, trial_output=_value_path(sub.trial_output, label)))
-    if parameter not in _PER_VALUE_SETUP:
-        shared = _shared_network(cfg)
-        if cfg.workers > 1:
-            with _start_pool(cfg.workers, shared) as pool:
-                records = _pool_records(pool, subs)
-            return ExperimentSummary([_summarize(sub, recs).row() for sub, recs in zip(subs, records)], cfg)
-        if cfg.network == "explicit":  # loaded once; each value's run_experiment builds its own lazy tree
-            subs = [replace(sub, graph=shared) for sub in subs]
-    return ExperimentSummary([run_experiment(sub).row() for sub in subs], cfg)
+    if parameter in _PER_VALUE_SETUP:
+        return ExperimentSummary([run_experiment(sub).row() for sub in subs], cfg)
+    records = _records(cfg, [subs] if parameter == "T" else [[sub] for sub in subs])
+    return ExperimentSummary([_summarize(sub, recs).row() for sub, recs in zip(subs, records)], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +585,13 @@ def spy_tree_detection_mc(d: int, p: float, trials: int, seed: int = 0):
 MAX_EXTRA_EPOCHS = 200  # how far past T multi_snapshot_trial follows the token
 
 
-def multi_snapshot_trial(d: int, T: int, rng):
-    """One trial of the every-step-snapshot adversary: run the exact-schedule
-    protocol to even T, then follow only the token (the infection past T is
-    irrelevant to the estimator) until it moves once, and hand both to the
-    estimator."""
+def multi_snapshot_trial(net, T: int, rng):
+    """One trial of the every-step-snapshot adversary on `net`, a regular
+    tree: run the exact-schedule protocol to even T, then follow only the
+    token (the infection past T is irrelevant to the estimator) until it
+    moves once, and hand both to the estimator."""
     from .spread import alpha_regular
 
-    net = regular_tree(d)
     proto = ProtocolParams(kind="adaptive", horizon=T)
     snap = spread_adaptive(net, 0, proto, rng=rng)
     vs = snap.virtual_source
@@ -547,7 +599,7 @@ def multi_snapshot_trial(d: int, T: int, rng):
     h = snap.h_T
     te = T
     for _ in range(MAX_EXTRA_EPOCHS):
-        if rng.random() >= alpha_regular(d, te, h):
+        if rng.random() >= alpha_regular(net.d, te, h):
             eligible = [w for w in net.neighbors(vs) if w != prev]
             nxt = eligible[int(rng.integers(len(eligible)))]
             snap.vs_events.append((te + 2, nxt, h + 1))
@@ -559,11 +611,15 @@ def multi_snapshot_trial(d: int, T: int, rng):
 
 
 def multi_snapshot_detection_mc(d: int, T: int, trials: int, seed: int = 0):
+    """Detections, trials and inconclusive estimates of `trials`
+    multi_snapshot_trial runs on one d-regular tree, whose ball memo serves
+    them all."""
     rng = np.random.default_rng(seed)
+    net = regular_tree(d)
     det = 0
     inconclusive = 0
     for _ in range(trials):
-        ok, est = multi_snapshot_trial(d, T, rng)
+        ok, est = multi_snapshot_trial(net, T, rng)
         det += ok
         inconclusive += int(est.inconclusive)
     return det, trials, inconclusive

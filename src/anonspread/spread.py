@@ -96,6 +96,8 @@ class ProtocolParams:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        if self.fanout_cap is not None and self.fanout_cap < 1:
+            raise ValueError(f"fanout_cap must be >= 1, got {self.fanout_cap}")
         if self.d0 is not None and math.isinf(self.d0):
             self.alpha_policy = ALWAYS_PASS
             self.d0 = None
@@ -248,6 +250,12 @@ class _State:
         self.time[v] = t
         self.parent[v] = parent
 
+    def copy(self) -> _State:
+        """A state with dicts of its own, for a snapshot handed over early."""
+        st = _State(self.net)
+        st.time, st.parent = dict(self.time), dict(self.parent)
+        return st
+
     @cached_property
     def net_degree(self) -> dict:
         if isinstance(self.net, RegularTree):
@@ -364,7 +372,7 @@ BALL_MEMO_NODES = 1 << 16  # a lazy tree's memo takes no more balls once they ho
 
 
 def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
-                    _vs_weights=None, _protocol_name="adaptive") -> InfectionSnapshot:
+                    _early=None, _vs_weights=None, _protocol_name="adaptive") -> InfectionSnapshot:
     """Token-based spreading that keeps the infection balanced around a
     moving virtual source.
 
@@ -390,6 +398,12 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
 
     _vs_weights(net, holder, candidates) -> weights replaces the uniform
     pick of the next holder.
+
+    _early = (horizons, hand_over): for each horizon t in `horizons`, all
+    below params.horizon, hand_over(snapshot at t) is called as the spread
+    passes t, before it draws on.  The snapshot equals that of a spread to
+    horizon t on the same draws, and owns its dicts and lists.  At an odd t
+    after a pass it is taken between the pass's two waves.
     """
     T = params.horizon
     alpha = params.keep_probability(net)
@@ -399,6 +413,14 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
     st.infect(source, 0, None)
     vs_events = [(0, source, 0)]
     h_history = []
+    plan = [] if cap is None and net.is_tree else None  # (origin, blocked, t) of each wave
+    horizons, hand_over = (), None
+    if _early is not None:
+        horizons = _early[0]
+        hand_over = _adaptive_hand_over(_early[1], _protocol_name, st, source, plan, vs_events, h_history)
+
+    if 0 in horizons:
+        hand_over(0, [source], False)
     if T == 0:
         return _adaptive_snapshot(_protocol_name, st, T, source, [source], False, vs_events, h_history)
 
@@ -407,8 +429,6 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
             return _pick(rng, candidates)
         probs = np.asarray(_vs_weights(net, holder, candidates), dtype=float)
         return candidates[int(rng.choice(len(candidates), p=probs / probs.sum()))]
-
-    plan = [] if cap is None and net.is_tree else None  # (origin, blocked, t) of each wave
 
     def wave(origin, blocked, t):
         if plan is None:
@@ -421,9 +441,13 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
     vs, prev = first, source
     h = 1
     vs_events.append((1, first, 1))
+    if 1 in horizons:
+        hand_over(1, [first], False)
     if T >= 2:
         wave(vs, prev, 2)
         h_history.append((2, h))
+        if 2 in horizons:
+            hand_over(2, [vs], False)
 
     mid_pass = False
     te = 2
@@ -438,25 +462,43 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
         if rng.random() < alpha(te, h) or not children:
             wave(vs, None, te + 1)
             mid_pass = False
+            if te + 1 in horizons:
+                hand_over(te + 1, [vs], False)
         else:
             new_vs = pick_holder(vs, children)
             wave(new_vs, vs, te + 1)
-            if te + 2 <= T:
-                wave(new_vs, vs, te + 2)
-                mid_pass = False
-            else:
-                mid_pass = True
             prev, vs = vs, new_vs
             h += 1
-            vs_events.append((te + 2, new_vs, h))
+            vs_events.append((te + 2, vs, h))
+            if te + 1 in horizons:
+                hand_over(te + 1, [vs, prev], True)
+            mid_pass = te + 2 > T
+            if not mid_pass:
+                wave(vs, prev, te + 2)
         te += 2
         if te <= T:
             h_history.append((te, h))
+            if te in horizons:
+                hand_over(te, [vs], False)
 
     if plan is not None:
         _lazy_tree_ball(st, source, first, tuple(plan))
     centers = [vs, prev] if mid_pass else [vs]
     return _adaptive_snapshot(_protocol_name, st, T, source, centers, mid_pass, vs_events, h_history)
+
+
+def _adaptive_hand_over(hand_over, name, st, source, plan, vs_events, h_history):
+    """spread_adaptive's hand-over: a call (t, centers, mid_pass) hands over
+    the snapshot at t, with dicts and lists of its own.  On an uncapped lazy
+    tree its ball is the one the waves planned so far leave, from the memo."""
+    def at(t, centers, mid_pass):
+        early = st.copy()
+        if plan:  # vs_events[1] holds the first holder
+            _lazy_tree_ball(early, source, vs_events[1][1], tuple(plan))
+        hand_over(_adaptive_snapshot(name, early, t, source, centers, mid_pass,
+                                     list(vs_events), list(h_history)))
+
+    return at
 
 
 def _lazy_tree_ball(st: _State, source, first, plan: tuple) -> None:
@@ -505,19 +547,26 @@ def _g_hop_neighborhood_size(net, v, blocked, g: int) -> int:
     return sum(len(level) for level, _ in bfs(net.neighbors, [v], (blocked,), g)) - 1
 
 
-def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng) -> InfectionSnapshot:
+def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng, _early=None) -> InfectionSnapshot:
     """Always-pass adaptive diffusion with the next token holder picked
     proportionally to the size of its g-hop neighborhood away from the
-    current holder (for g=1, proportionally to degree-1)."""
+    current holder (for g=1, proportionally to degree-1).  _early is
+    spread_adaptive's; each snapshot handed over has its own region_adj."""
     g = params.g
     p2 = replace(params, alpha_policy=ALWAYS_PASS)
 
     def weights(net_, vs, candidates):
         return [_g_hop_neighborhood_size(net_, w, vs, g) for w in candidates]
 
-    snap = spread_adaptive(net, source, p2, rng=rng, _vs_weights=weights, _protocol_name="paad")
-    snap.region_adj = _region_adjacency(net, snap, g + 1)
-    return snap
+    def with_region(snap):
+        snap.region_adj = _region_adjacency(net, snap, g + 1)
+        return snap
+
+    if _early is not None:
+        horizons, hand_over = _early
+        _early = horizons, lambda snap: hand_over(with_region(snap))
+    return with_region(spread_adaptive(net, source, p2, rng=rng, _vs_weights=weights,
+                                       _protocol_name="paad", _early=_early))
 
 
 def _region_adjacency(net, snap, extra_hops: int) -> dict:
@@ -531,14 +580,16 @@ def _region_adjacency(net, snap, extra_hops: int) -> dict:
 # fully-distributed tree protocol
 
 
-def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rng) -> InfectionSnapshot:
+def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rng,
+                         _early=None) -> InfectionSnapshot:
     """Distributed always-pass variant.  Each message carries (parent,
     direction, level); an up node extends the spine by one and sends level-1
     down messages to the rest; down nodes relay with decremented level and
     stop at level 0.  The true source keeps level 0 and the up flag, and ends
-    at a leaf of the infected subtree."""
+    at a leaf of the infected subtree.  _early is spread_adaptive's."""
     T = params.horizon
     cap = _default_cap(net, params)
+    horizons, hand_over = _early or ((), None)
 
     st = _State(net)
     direction: dict = {}
@@ -547,6 +598,12 @@ def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rn
     direction[source] = "up"
     level[source] = 0
     spine = [source]
+
+    def early_snapshot(t):
+        return _tree_protocol_snapshot(st.copy(), t, source, spine, dict(direction), dict(level))
+
+    if 0 in horizons:
+        hand_over(early_snapshot(0))
     if T >= 1:
         w = _pick(rng, list(net.neighbors(source)))
         st.infect(w, 1, source)
@@ -555,6 +612,8 @@ def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rn
         spine.append(w)
         active = [w]
         picked_up = set()
+        if 1 in horizons:
+            hand_over(early_snapshot(1))
         for t in range(2, T + 1):
             actors = [v for v in active if level[v] > 0]
             rng.shuffle(actors)
@@ -585,7 +644,12 @@ def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rn
                 if any(u not in st.time for u in net.neighbors(v)):
                     still_active.append(v)
             active = still_active + new_nodes
+            if t in horizons:
+                hand_over(early_snapshot(t))
+    return _tree_protocol_snapshot(st, T, source, spine, direction, level)
 
+
+def _tree_protocol_snapshot(st, T, source, spine, direction, level) -> InfectionSnapshot:
     # the infection is balanced around the level-T/2 spine node at even T;
     # at odd T it is mid-transition across the spine edge (T-1)/2 -- (T+1)/2
     mid = T % 2 == 1 and T > 1
@@ -609,13 +673,21 @@ def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rn
 # plain diffusion and flooding
 
 
-def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng) -> InfectionSnapshot:
+def _ball_snapshot(name, st, T, source) -> InfectionSnapshot:
+    return _adaptive_snapshot(name, st, T, source, [source], False, [(0, source, 0)], [])
+
+
+def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng,
+                     _early=None) -> InfectionSnapshot:
     """Discrete-time SI dynamics: each infected-uninfected edge fires
     independently with probability q per step; simultaneous infectors
-    tie-break uniformly for parenthood."""
+    tie-break uniformly for parenthood.  _early is spread_adaptive's."""
     q, T = params.q, params.horizon
+    horizons, hand_over = _early or ((), None)
     st = _State(net)
     st.infect(source, 0, None)
+    if 0 in horizons:
+        hand_over(_ball_snapshot("diffusion", st.copy(), 0, source))
     open_edges = {source: [w for w in net.neighbors(source) if w not in st.time]}
     for t in range(1, T + 1):
         hits: dict = {}
@@ -636,14 +708,21 @@ def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng) -
                 open_edges[u] = remaining
             else:
                 del open_edges[u]
-    return _adaptive_snapshot("diffusion", st, T, source, [source], False, [(0, source, 0)], [])
+        if t in horizons:
+            hand_over(_ball_snapshot("diffusion", st.copy(), t, source))
+    return _ball_snapshot("diffusion", st, T, source)
 
 
-def spread_deterministic(net: ContactNetwork, source, params: ProtocolParams, rng) -> InfectionSnapshot:
-    """Flooding: the snapshot is the radius-T ball around the source."""
+def spread_deterministic(net: ContactNetwork, source, params: ProtocolParams, rng,
+                         _early=None) -> InfectionSnapshot:
+    """Flooding: the snapshot is the radius-T ball around the source.
+    _early is spread_adaptive's."""
     T = params.horizon
+    horizons, hand_over = _early or ((), None)
     st = _State(net)
     st.infect(source, 0, None)
+    if 0 in horizons:
+        hand_over(_ball_snapshot("deterministic", st.copy(), 0, source))
     frontier = [source]
     for t in range(1, T + 1):
         hits: dict = {}
@@ -654,7 +733,9 @@ def spread_deterministic(net: ContactNetwork, source, params: ProtocolParams, rn
         for w, infectors in hits.items():
             st.infect(w, t, _pick(rng, infectors))
         frontier = list(hits)
-    return _adaptive_snapshot("deterministic", st, T, source, [source], False, [(0, source, 0)], [])
+        if t in horizons:
+            hand_over(_ball_snapshot("deterministic", st.copy(), t, source))
+    return _ball_snapshot("deterministic", st, T, source)
 
 
 # ---------------------------------------------------------------------------
@@ -666,12 +747,13 @@ def _step(xy: tuple, direction: str) -> tuple:
     return xy[0] + dx, xy[1] + dy
 
 
-def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng) -> InfectionSnapshot:
+def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng, _early=None) -> InfectionSnapshot:
     """Adaptive diffusion on the lattice with directional bookkeeping.
 
     The token carries the displacement (hH, hV) from the source; moves that
     would shrink |hH|+|hV| are forbidden, and branch messages carry up to two
-    forbidden directions so each wave grows the ball by one ring.
+    forbidden directions so each wave grows the ball by one ring.  _early is
+    spread_adaptive's.
     """
     if not isinstance(net, Grid):
         raise ValueError("grid spreading requires a grid network")
@@ -715,6 +797,13 @@ def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng) -> InfectionS
 
     vs_events = [(0, source, 0)]
     h_history = []
+    horizons, hand_over = (), None
+    if _early is not None:
+        horizons = _early[0]
+        hand_over = _grid_hand_over(_early[1], time, parent, source, vs_events, h_history)
+
+    if 0 in horizons:
+        hand_over(0, [source], False, (0, 0))
     if T == 0:
         return _grid_snapshot(time, parent, T, source, [source], False, vs_events, h_history, (0, 0))
 
@@ -725,9 +814,13 @@ def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng) -> InfectionS
     hH, hV = dx, dy
     vs, prev_dir = first, dir0
     vs_events.append((1, first, 1))
+    if 1 in horizons:
+        hand_over(1, [first], False, (hH, hV))
     if T >= 2:
         wave(vs, [d for d in GRID_DIRECTIONS if d != OPPOSITE_DIRECTION[dir0]], None, 2)
         h_history.append((2, abs(hH) + abs(hV)))
+        if 2 in horizons:
+            hand_over(2, [vs], False, (hH, hV))
 
     mid_pass = False
     prev_vs = source
@@ -737,6 +830,8 @@ def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng) -> InfectionS
         if rng.random() < alpha_grid(te, h):
             wave(vs, list(GRID_DIRECTIONS), None, te + 1)
             mid_pass = False
+            if te + 1 in horizons:
+                hand_over(te + 1, [vs], False, (hH, hV))
         else:
             banned = set()
             if hH < 0:
@@ -754,19 +849,31 @@ def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng) -> InfectionS
             hV += dy
             back = OPPOSITE_DIRECTION[move]  # direction of the old holder seen from the new one
             wave(new_vs, [d for d in GRID_DIRECTIONS if d != back], back, te + 1)
-            if te + 2 <= T:
-                wave(new_vs, [d for d in GRID_DIRECTIONS if d != back], back, te + 2)
-                mid_pass = False
-            else:
-                mid_pass = True
             prev_vs, vs = vs, new_vs
-            vs_events.append((te + 2, new_vs, abs(hH) + abs(hV)))
+            vs_events.append((te + 2, vs, abs(hH) + abs(hV)))
+            if te + 1 in horizons:
+                hand_over(te + 1, [vs, prev_vs], True, (hH, hV))
+            mid_pass = te + 2 > T
+            if not mid_pass:
+                wave(vs, [d for d in GRID_DIRECTIONS if d != back], back, te + 2)
         te += 2
         if te <= T:
             h_history.append((te, abs(hH) + abs(hV)))
+            if te in horizons:
+                hand_over(te, [vs], False, (hH, hV))
 
     centers = [vs, prev_vs] if mid_pass else [vs]
     return _grid_snapshot(time, parent, T, source, centers, mid_pass, vs_events, h_history, (hH, hV))
+
+
+def _grid_hand_over(hand_over, time, parent, source, vs_events, h_history):
+    """spread_grid's hand-over: a call (t, centers, mid_pass, disp) hands
+    over the snapshot at t, with dicts and lists of its own."""
+    def at(t, centers, mid_pass, disp):
+        hand_over(_grid_snapshot(dict(time), dict(parent), t, source, centers, mid_pass,
+                                 list(vs_events), list(h_history), disp))
+
+    return at
 
 
 def _grid_snapshot(time, parent, T, source, centers, mid_pass, vs_events, h_history, disp):

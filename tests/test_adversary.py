@@ -404,13 +404,13 @@ class TestPaadMap:
 
         real_spread, picks = spread.spread_adaptive, []
 
-        def recording(net, source, params, rng=None, _vs_weights=None, _protocol_name="adaptive"):
+        def recording(net, source, params, rng=None, _vs_weights=None, _protocol_name="adaptive", **kw):
             def weights(net_, holder, candidates):
                 w = _vs_weights(net_, holder, candidates)
                 picks.append((list(candidates), list(w)))
                 return w
             return real_spread(net, source, params, rng=rng, _vs_weights=weights,
-                               _protocol_name=_protocol_name)
+                               _protocol_name=_protocol_name, **kw)
 
         monkeypatch.setattr(spread, "spread_adaptive", recording)
         net = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
@@ -677,8 +677,9 @@ class TestMultipleSnapshots:
         from anonspread.harness import multi_snapshot_trial
 
         rng = RNG(21)
+        net = regular_tree(3)
         for _ in range(100):
-            det, est = multi_snapshot_trial(3, 6, rng)
+            det, est = multi_snapshot_trial(net, 6, rng)
             if est.inconclusive:
                 continue
             h = est.info["h"]

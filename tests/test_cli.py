@@ -174,7 +174,12 @@ def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
 @pytest.mark.parametrize("args, message", [
     (["--compare", "pd_unifrom"], "unknown quantity 'pd_unifrom'"),
     (["--network", "explicit", "--edge_list", "EMPTY"], "explicit network has no nodes"),
-], ids=["compare", "empty-graph"])
+    (["--fanout_cap", "-1"], "fanout_cap must be >= 1, got -1"),
+    (["--fanout_cap", "0"], "fanout_cap must be >= 1, got 0"),
+    (["--workers", "0"], "workers must be >= 1, got 0"),
+    (["--workers", "-2"], "workers must be >= 1, got -2"),
+    (["--adversary", "line-ml", "--line_n", "0"], "line_n must be >= 1, got 0"),
+], ids=["compare", "empty-graph", "cap-negative", "cap-zero", "workers-zero", "workers-negative", "line-n-zero"])
 def test_bad_input_fails_before_the_first_trial(command, args, message, tmp_path, capsys, monkeypatch):
     from anonspread import harness
 

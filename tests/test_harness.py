@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from anonspread.analysis import n_regular, pd_spy_adaptive
 from anonspread.graph import degree_distribution, galton_watson_tree, regular_tree
 from anonspread.harness import (
+    ADVERSARIES,
     ExperimentConfig,
+    ExperimentSummary,
     compare_with_theory,
     gw_map_detection_mc,
     multi_snapshot_detection_mc,
@@ -13,6 +17,7 @@ from anonspread.harness import (
     run_trial,
     spy_tree_detection_mc,
     sweep,
+    with_options,
 )
 from anonspread.spread import ProtocolParams, assign_spies, observations_for, spread_adaptive, spread_tree_protocol
 from anonspread.adversary import estimate_map_leaf, estimate_spy_ml
@@ -231,6 +236,15 @@ class TestPooledSweep:
         assert serial == pooled
         assert serial.count("\n") == 4  # header lines and one row per value
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_over_trials_runs_each_values_count(self, workers, tmp_path):
+        out = tmp_path / "trials.csv"
+        s = sweep(small_cfg(trials=100, workers=workers, trial_output=str(out)), "trials", [3, 5])
+        assert [row.trials for row in s.rows] == [3, 5]
+        for row in s.rows:
+            lines = (tmp_path / f"trials.{row.label}.csv").read_text().splitlines()
+            assert len(lines) == 2 + row.trials  # two header lines and one line per trial
+
     def test_sweep_starts_one_pool(self, tmp_path, monkeypatch):
         from anonspread import harness
 
@@ -320,6 +334,121 @@ class TestPooledSweep:
             assert len(lines) == 2 + row.trials
             n_infected = {int(line.split(",")[6]) for line in lines[2:]}
             assert n_infected == {n_regular(3, row.T)}
+
+
+SWEEP_NETWORKS = {
+    "regular-tree": dict(network="regular-tree", d=3),
+    "galton-watson": dict(network="galton-watson", degree_table={2: 0.3, 3: 0.4, 5: 0.3}),
+    "explicit": dict(network="explicit"),
+    "grid": dict(network="grid"),
+}
+SWEEP_PROTOCOLS = {
+    "adaptive": dict(kind="adaptive", d0=3),
+    "always-pass": dict(kind="adaptive", d0=float("inf")),
+    "capped": dict(kind="adaptive", d0=3, fanout_cap=2),
+    "paad": dict(kind="paad", g=1),
+    "tree-protocol": dict(kind="tree-protocol"),
+    "grid-adaptive": dict(kind="grid-adaptive"),
+    "diffusion": dict(kind="diffusion", q=0.4),
+    "deterministic": dict(kind="deterministic"),
+}
+
+
+class TestHorizonSweep:
+    """A sweep over T runs each trial's spread once, to the largest T, and
+    scores every T on the way; its rows and per-trial files are those of one
+    run per value."""
+
+    T_LISTS = ([5, 2, 4, 3], [0, 1, 6])
+
+    @staticmethod
+    def cfg(network, protocol, adversary, edges, **kw):
+        net = dict(SWEEP_NETWORKS[network])
+        if network == "explicit":
+            net["edge_list"] = edges
+        return ExperimentConfig(**{**net, **dict(protocol=ProtocolParams(**SWEEP_PROTOCOLS[protocol]),
+                                                 adversary=adversary, p=0.2, trials=9, seed=3, estimator_d0=3,
+                                                 line_n=9), **kw})
+
+    @staticmethod
+    def swept(cfg, Ts, out):
+        """The sweep's summary text and per-trial files."""
+        s = sweep(replace(cfg, trial_output=str(out / "swept.csv")), "T", Ts)
+        return summary_csv_text(s), [(out / f"swept.{r.label}.csv").read_text() for r in s.rows]
+
+    @staticmethod
+    def per_value(cfg, Ts, out):
+        """What sweep printed and wrote before it grouped the values: one
+        run_experiment per value, or the set of errors they raise."""
+        rows, files, errors = [], [], set()
+        for T in Ts:
+            sub = replace(with_options(cfg, {"T": T}), label=f"T={T}",
+                          trial_output=str(out / f"each.T={T}.csv"))
+            try:
+                rows.append(run_experiment(sub).row())
+            except ValueError as e:
+                errors.add(str(e))
+                continue
+            files.append((out / f"each.T={T}.csv").read_text())
+        return (summary_csv_text(ExperimentSummary(rows, cfg)), files), errors
+
+    @pytest.mark.parametrize("protocol", sorted(SWEEP_PROTOCOLS))
+    @pytest.mark.parametrize("network", sorted(SWEEP_NETWORKS))
+    def test_grouped_records_equal_per_value_records(self, network, protocol, tmp_path):
+        edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail(300, 3))
+        compared = 0
+        for adversary in ADVERSARIES:
+            for Ts in self.T_LISTS:
+                cfg = self.cfg(network, protocol, adversary, edges)
+                expected, errors = self.per_value(cfg, Ts, tmp_path)
+                if errors:  # the sweep stops at the first trial that raises
+                    with pytest.raises(ValueError) as raised:
+                        sweep(cfg, "T", Ts)
+                    assert str(raised.value) in errors, (adversary, Ts)
+                else:
+                    assert self.swept(cfg, Ts, tmp_path) == expected, (adversary, Ts)
+                    compared += 1
+        assert compared >= 2  # line-ml runs anywhere; most pairs run more
+
+    @pytest.mark.parametrize("network, protocol", [
+        (n, p) for n in sorted(SWEEP_NETWORKS) for p in sorted(SWEEP_PROTOCOLS)
+        if (n == "grid") == (p == "grid-adaptive")])
+    def test_pooled_grouped_records_equal_per_value_records(self, network, protocol, tmp_path):
+        # spy-irregular draws the spies from the trial's stream between the
+        # spread's draws, and accepts odd T
+        edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail(300, 3))
+        cfg = self.cfg(network, protocol, "spy-irregular", edges, workers=2, trials=23)
+        for Ts in ([5, 2, 4, 3], [4, 4]):
+            expected, errors = self.per_value(replace(cfg, workers=1), Ts, tmp_path)
+            assert not errors
+            assert self.swept(cfg, Ts, tmp_path) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeated_value_prints_equal_rows(self, workers):
+        rows = sweep(small_cfg(trials=30, workers=workers), "T", [4, 4]).rows
+        assert len(rows) == 2
+        assert rows[0] == rows[1]
+
+    def test_one_spread_per_trial(self, monkeypatch):
+        from anonspread import harness
+
+        calls = []
+        real = harness.PROTOCOLS["adaptive"]
+        monkeypatch.setitem(harness.PROTOCOLS, "adaptive", lambda *a, **k: calls.append(a[2].horizon) or real(*a, **k))
+        sweep(small_cfg(trials=25), "T", [2, 6, 4])
+        assert calls == [6] * 25
+        calls.clear()
+        sweep(small_cfg(trials=25), "p", [0.0, 0.1])  # any other option: one run per value
+        assert calls == [4] * 50
+
+    def test_one_tree_for_the_sweep(self, monkeypatch):
+        from anonspread import harness
+
+        built = []
+        real = harness.regular_tree
+        monkeypatch.setattr(harness, "regular_tree", lambda d: built.append(d) or real(d))
+        sweep(small_cfg(trials=10), "T", [2, 4, 6])
+        assert built == [3]
 
 
 def _load_spans():
@@ -485,6 +614,15 @@ class TestFastPaths:
             )
             results[d0] = run_experiment(cfg).row().p_hat
         assert results[2] > 2 * results[4]
+
+    def test_multi_snapshot_sampler_builds_one_tree(self, monkeypatch):
+        from anonspread import harness
+
+        built = []
+        real = harness.regular_tree
+        monkeypatch.setattr(harness, "regular_tree", lambda d: built.append(d) or real(d))
+        multi_snapshot_detection_mc(3, 6, 200, seed=10)
+        assert built == [3]
 
     def test_multi_snapshot_sampler(self):
         det, n, inc = multi_snapshot_detection_mc(3, 4, 8000, seed=10)

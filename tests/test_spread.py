@@ -69,6 +69,9 @@ class TestParams:
             ProtocolParams(kind="paad", g=0)
         with pytest.raises(ValueError):
             ProtocolParams(horizon=-1)
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="fanout_cap must be >= 1"):
+                ProtocolParams(fanout_cap=cap)
 
     def test_infinite_d0_means_always_pass(self):
         import math
@@ -476,6 +479,66 @@ class TestBallMemo:
         assert sizes == sorted(sizes) and 0 < sizes[-1] <= 60
         assert net.memo.nodes == sum(len(time) for time, _ in net.memo.values())
         assert len(net.memo) < len(walks)  # the cap turned balls away
+
+
+def _snapshot_fields(s):
+    """Everything a snapshot holds, in order, as plain values."""
+    return ([list(getattr(s, f).items()) for f in ("time", "parent", "net_degree", "open_degree")]
+            + [s.protocol, s.T, s.source, s.centers, s.mid_pass, s.vs_events, s.h_history,
+               list(s.direction.items()), list(s.level.items()), s.grid_displacement,
+               None if s.region_adj is None else sorted(s.region_adj.items())])
+
+
+class TestEarlySnapshots:
+    """A spread hands over its snapshot at each early horizon as it passes
+    it: the snapshot and the stream's state there equal those of a spread
+    to that horizon, and the spread going on changes neither."""
+
+    GRAPH = prune_min_degree(synthetic_heavy_tail(200, 3, seed=2), 3)
+    CASES = {  # name -> (network, source, protocol fields)
+        "tree-exact": (lambda: regular_tree(3), 0, dict(kind="adaptive")),
+        "tree-always-pass": (lambda: regular_tree(4), 0, dict(kind="adaptive", d0=float("inf"))),
+        "tree-capped": (lambda: regular_tree(4), 0, dict(kind="adaptive", fanout_cap=2)),
+        "gw-exact": (lambda: galton_watson_tree({2: 0.3, 3: 0.4, 5: 0.3}, seed=6), 0,
+                     dict(kind="adaptive", d0=3)),
+        "graph-exact": (lambda: TestEarlySnapshots.GRAPH, 7, dict(kind="adaptive", d0=3)),
+        "graph-always-pass": (lambda: TestEarlySnapshots.GRAPH, 7, dict(kind="adaptive", d0=float("inf"))),
+        "tree-paad": (lambda: regular_tree(3), 0, dict(kind="paad", g=2)),
+        "graph-paad": (lambda: TestEarlySnapshots.GRAPH, 7, dict(kind="paad", g=1)),
+        "tree-tree-protocol": (lambda: regular_tree(3), 0, dict(kind="tree-protocol")),
+        "graph-tree-protocol": (lambda: TestEarlySnapshots.GRAPH, 7, dict(kind="tree-protocol")),
+        "grid": (grid, (0, 0), dict(kind="grid-adaptive")),
+        "tree-diffusion": (lambda: regular_tree(3), 0, dict(kind="diffusion", q=0.5)),
+        "graph-diffusion": (lambda: TestEarlySnapshots.GRAPH, 7, dict(kind="diffusion", q=0.3)),
+        "tree-deterministic": (lambda: regular_tree(3), 0, dict(kind="deterministic")),
+        "graph-deterministic": (lambda: TestEarlySnapshots.GRAPH, 7, dict(kind="deterministic")),
+    }
+    T = 9
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_early_snapshots_equal_single_horizon_spreads(self, case):
+        from anonspread.harness import PROTOCOLS
+
+        make, source, fields = self.CASES[case]
+        spread = PROTOCOLS[fields["kind"]]
+        net = make()
+        for seed in range(15):
+            handed = []
+
+            def keep(snap):
+                handed.append((snap, _snapshot_fields(snap), rng.bit_generator.state))
+
+            rng = np.random.default_rng(seed)
+            final = spread(net, source, ProtocolParams(horizon=self.T, **fields), rng,
+                           (set(range(self.T)), keep))
+            assert [snap.T for snap, _, _ in handed] == list(range(self.T))
+            handed.append((final, _snapshot_fields(final), rng.bit_generator.state))
+            for snap, fields_then, state_then in handed:
+                assert _snapshot_fields(snap) == fields_then, (seed, snap.T)  # the spread went on without it
+                ref_rng = np.random.default_rng(seed)
+                ref = spread(make(), source, ProtocolParams(horizon=snap.T, **fields), ref_rng)
+                assert fields_then == _snapshot_fields(ref), (seed, snap.T)
+                assert state_then == ref_rng.bit_generator.state, (seed, snap.T)
 
 
 class TestDeterministicAndDiffusion:
