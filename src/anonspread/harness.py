@@ -2,9 +2,10 @@
 
 Wires (network, protocol, adversary) triples into seeded trials, aggregates
 detection probability with confidence intervals, and joins the empirical
-rows against the closed forms in `analysis`.  Per-trial RNG streams are
-derived from (seed, trial index), so results are identical no matter how
-trials are distributed over workers.
+rows against the closed forms in `analysis`.  Trial i runs on the stream
+default_rng(SeedSequence(seed, spawn_key=(i,))), so results are identical
+no matter how trials are distributed over workers; its seeding is hashed a
+block of trial indices at a time (_trial_rng).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from multiprocessing import get_context
 
 import numpy as np
@@ -73,6 +75,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.p < 1.0:
             raise ValueError("spy probability must lie in [0, 1)")
         if self.workers < 1:
@@ -169,8 +173,89 @@ def normal_ci_half(k: int, n: int, z: float = 1.96) -> float:
 # per-trial machinery
 
 
+STREAM_BLOCK = 1024  # trial streams hashed per pass; a power of two, so no block crosses index 2**32
+
+
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
+    """A new generator for trial `index`: its PCG64 state is that of
+    default_rng(SeedSequence(entropy=seed, spawn_key=(index,))).  For a seed
+    >= 0 and an index below 2**32 the state words come from the block of
+    STREAM_BLOCK indices that holds `index` (_stream_block, which keeps the
+    last block), so a run's trials share one hashing pass."""
+    if 0 <= index < 1 << 32 and type(seed) is int and seed >= 0:
+        block = _stream_block(seed, index // STREAM_BLOCK)
+        return np.random.Generator(np.random.PCG64(_StreamSeed(block[index % STREAM_BLOCK])))
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+class _StreamSeed:
+    """Stands in for a SeedSequence whose generate_state(4, uint64), all
+    that PCG64 asks of it, is `words`."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a trial stream's seed holds only PCG64's four uint64 words")
+        return self.words
+
+
+class _Hash:
+    """SeedSequence's hashmix, over numpy uint32 arrays: the hash constant's
+    sequence does not depend on the data, so one pass hashes every index of
+    a block."""
+
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = self.const * self.mult & 0xFFFFFFFF
+        value = value * self.const
+        return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = x * 0xCA01F9DD - y * 0x4973F715
+    return r ^ (r >> 16)
+
+
+@lru_cache(maxsize=1)
+def _stream_block(seed: int, block: int):
+    """The PCG64 state words, as a (STREAM_BLOCK, 4) uint64 array, of the
+    streams SeedSequence(entropy=seed, spawn_key=(i,)) for the indices i of
+    `block`: numpy's entropy pool mixing and generate_state(4, uint64), with
+    the index words as one column."""
+    from numpy.random.bit_generator import ISeedSequence  # here: numpy.random loads at the first trial
+
+    ISeedSequence.register(_StreamSeed)
+    words = []  # the seed's 32-bit words, least significant first, padded to the pool size
+    while seed or len(words) < 4:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+    start = block * STREAM_BLOCK
+    entropy = np.empty((len(words) + 1, STREAM_BLOCK), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(start, start + STREAM_BLOCK, dtype=np.uint32)
+    hashmix = _Hash(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _Hash(0x8B51F9DD, 0x58F38DED)
+    state = np.empty((STREAM_BLOCK, 8), dtype=np.uint32)
+    for k in range(8):
+        state[:, k] = hashmix(pool[k % 4])
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    state.flags.writeable = False  # every stream of the block reads this one cached array
+    return state
 
 
 def _galton_watson(cfg: ExperimentConfig, rng, shared):
@@ -530,21 +615,6 @@ def write_summary_csv(summary: ExperimentSummary, fh) -> None:
 
 def default_output_dir() -> str:
     return os.environ.get("ANONSPREAD_OUTPUT_DIR", ".")
-
-
-def write_gnuplot_script(csv_path: str, script_path: str, x: str = "T") -> None:
-    """Companion gnuplot script for a summary CSV (detection vs T or p,
-    log-scaled y)."""
-    col = {"T": 6, "p": 5}[x]
-    with open(script_path, "wt", encoding="utf-8") as fh:
-        fh.write(
-            "set datafile separator ','\n"
-            "set logscale y\n"
-            f"set xlabel '{x}'\n"
-            "set ylabel 'detection probability'\n"
-            f"plot '{csv_path}' every ::1 using {col}:9 with linespoints title 'empirical', \\\n"
-            f"     '{csv_path}' every ::1 using {col}:14 with lines title 'predicted'\n"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import csv
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -80,9 +79,9 @@ class ProtocolParams:
     graphs and to no cap on infinite networks.
 
     A snapshot's open_degree (uninfected neighbors at infection time) is
-    deg - 1 on infinite networks (deg at the source), derived with net_degree
-    when the snapshot is built; on finite graphs it is an OpenDegrees,
-    computed from the infection order when first read.
+    deg - 1 on infinite networks (deg at the source); on finite graphs it is
+    an OpenDegrees, counted from the infection order.  Either is built when
+    first read, as net_degree is.
     """
 
     kind: str = "adaptive"
@@ -136,15 +135,21 @@ class SpyObservation:
 
 @dataclass
 class InfectionSnapshot:
-    """The infected subgraph at time T plus the full spread trace."""
+    """The infected subgraph at time T plus the full spread trace.
+
+    A spread passes None for net_degree and open_degree and its _State as
+    `degrees`: each map is then built from the state when first read
+    (__getattr__) and kept as a plain attribute, so a snapshot whose
+    readers ask for no degree builds neither map.  Equality and repr read
+    the maps as they read any field."""
 
     protocol: str
     T: int
     source: object
     time: dict
     parent: dict
-    net_degree: dict
-    open_degree: Mapping  # uninfected neighbors at infection time (OpenDegrees on finite graphs)
+    net_degree: dict | None
+    open_degree: Mapping | None  # uninfected neighbors at infection time (OpenDegrees on finite graphs)
     centers: list
     mid_pass: bool = False
     vs_events: list = field(default_factory=list)  # (t, node, h) token handoffs
@@ -153,6 +158,18 @@ class InfectionSnapshot:
     level: dict = field(default_factory=dict)
     grid_displacement: tuple | None = None
     region_adj: dict | None = None  # adjacency over G_T and its observed frontier
+    degrees: object = field(default=None, repr=False, compare=False)  # builds the degree maps
+
+    def __post_init__(self):
+        if self.degrees is not None:
+            del self.net_degree, self.open_degree
+
+    def __getattr__(self, name):
+        # reached only for a degree map not built yet, or an unknown name
+        if name not in ("net_degree", "open_degree"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.__dict__[name] = getattr(self.degrees, name)
+        return value
 
     @property
     def nodes(self):
@@ -234,11 +251,14 @@ class OpenDegrees(Mapping):
     def __len__(self):
         return len(self.time)
 
+    def __repr__(self):
+        return repr(dict(self))
+
 
 class _State:
     """A spread's infection times and parents, in infection order (the
-    source first).  The degree maps are derived from them once, when the
-    snapshot is built."""
+    source first).  A snapshot builds its degree maps from them, each when
+    first read."""
 
     def __init__(self, net):
         self.net = net
@@ -256,13 +276,13 @@ class _State:
         st.time, st.parent = dict(self.time), dict(self.parent)
         return st
 
-    @cached_property
+    @property
     def net_degree(self) -> dict:
         if isinstance(self.net, RegularTree):
             return dict.fromkeys(self.time, self.net.d)
         return {v: self.net.degree(v) for v in self.time}
 
-    @cached_property
+    @property
     def open_degree(self) -> Mapping:
         # on trees the infector is the only infected neighbor at infection
         # time, so the uninfected-neighbor count is deg - 1; finite graphs
@@ -274,7 +294,7 @@ class _State:
         else:
             open_degree = {v: deg - 1 for v, deg in self.net_degree.items()}
         source = next(iter(self.time))
-        open_degree[source] = self.net_degree[source]
+        open_degree[source] = self.net.degree(source)
         return open_degree
 
 
@@ -528,12 +548,13 @@ def _adaptive_snapshot(name, st, T, source, centers, mid_pass, vs_events, h_hist
         source=source,
         time=st.time,
         parent=st.parent,
-        net_degree=st.net_degree,
-        open_degree=st.open_degree,
+        net_degree=None,
+        open_degree=None,
         centers=centers,
         mid_pass=mid_pass,
         vs_events=vs_events,
         h_history=h_history,
+        degrees=st,
     )
 
 

@@ -179,7 +179,9 @@ def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     (["--workers", "0"], "workers must be >= 1, got 0"),
     (["--workers", "-2"], "workers must be >= 1, got -2"),
     (["--adversary", "line-ml", "--line_n", "0"], "line_n must be >= 1, got 0"),
-], ids=["compare", "empty-graph", "cap-negative", "cap-zero", "workers-zero", "workers-negative", "line-n-zero"])
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["compare", "empty-graph", "cap-negative", "cap-zero", "workers-zero", "workers-negative", "line-n-zero",
+        "seed-negative"])
 def test_bad_input_fails_before_the_first_trial(command, args, message, tmp_path, capsys, monkeypatch):
     from anonspread import harness
 

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,10 @@ from anonspread.analysis import n_regular, pd_spy_adaptive
 from anonspread.graph import degree_distribution, galton_watson_tree, regular_tree
 from anonspread.harness import (
     ADVERSARIES,
+    STREAM_BLOCK,
     ExperimentConfig,
     ExperimentSummary,
+    _trial_rng,
     compare_with_theory,
     gw_map_detection_mc,
     multi_snapshot_detection_mc,
@@ -61,6 +64,8 @@ class TestRunner:
             small_cfg(trials=0)
         with pytest.raises(ValueError):
             small_cfg(p=1.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            small_cfg(seed=-1)
 
     def test_sweep_labels_rows(self):
         s = sweep(small_cfg(trials=50), "T", [2, 4])
@@ -104,24 +109,12 @@ class TestRunner:
         assert "detected" in lines[1]
         assert s.row().ci_half > 0
 
-    def test_gnuplot_script(self, tmp_path):
-        from anonspread.harness import write_gnuplot_script, write_summary_csv
-
-        out = tmp_path / "sweep.csv"
-        s = sweep(small_cfg(trials=50), "T", [2, 4])
-        with open(out, "w") as fh:
-            write_summary_csv(s, fh)
-        gp = tmp_path / "sweep.gp"
-        write_gnuplot_script(str(out), str(gp))
-        assert "logscale" in gp.read_text()
-
     def test_paad_map_scores_with_the_protocols_g(self):
         # paad-map weighs hand-offs by the spread's own g; replay each trial
         # on its RNG stream and score it with g=2 by hand
         import copy
 
         from anonspread.adversary import estimate_paad_map
-        from anonspread.harness import _trial_rng
         from anonspread.spread import spread_paad
 
         table = {2: 0.3, 3: 0.4, 5: 0.3}
@@ -482,6 +475,29 @@ class TestTraceHooks:
         assert sum(n.startswith("spread.") for n in names) == 20
         assert sum(n.startswith("adversary.") for n in names) == 20
         assert names.count("harness.run_trial") == 20
+
+
+class TestTrialStreams:
+    """_trial_rng hashes its streams a block of indices at a time; each is
+    the SeedSequence stream of (seed, index)."""
+
+    B = STREAM_BLOCK
+    SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**64 + 17, 10**30] + [random.Random(5).getrandbits(62) for _ in range(20)]
+    INDICES = [0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 5000, 2**31 + 5, 2**32 - 1, 2**32]
+
+    def test_states_equal_seed_sequence_streams(self):
+        cases = [(seed, i) for seed in self.SEEDS for i in self.INDICES]
+        random.Random(7).shuffle(cases)  # so that most calls hash a block of their own
+        for seed, i in cases:
+            ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            assert _trial_rng(seed, i).bit_generator.state == ref.bit_generator.state, (seed, i)
+
+    def test_each_call_returns_a_generator_of_its_own(self):
+        a, b = _trial_rng(9, 3), _trial_rng(9, 3)
+        assert a is not b and a.bit_generator is not b.bit_generator
+        first = a.random(4).tolist()
+        assert b.random(4).tolist() == first  # a's draws did not move b
+        assert _trial_rng(9, 3).random(4).tolist() == first
 
 
 class TestHopDistance:
