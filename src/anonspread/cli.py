@@ -126,7 +126,8 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
     """Rebuild a snapshot from a trace CSV plus the network it ran on.
 
     T is the snapshot time; without it, the latest infection time is taken,
-    which falls one short of T when the last epoch kept the token."""
+    which falls one short of T when the last epoch kept the token.  A T
+    before the latest infection time raises ValueError."""
     import csv as _csv
 
     time, parent, direction, level = {}, {}, {}, {}
@@ -143,7 +144,10 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
             if row["is_virtual_source_at_t"]:
                 vs_marks.append((int(row["is_virtual_source_at_t"]), v))
     vs_marks.sort()
-    T = T or max(time.values())
+    latest = max(time.values())
+    if T and T < latest:
+        raise ValueError(f"T={T} lies before the trace's latest infection time {latest}")
+    T = T or latest
     source = min(time, key=time.get)
     in_window = [(t, v) for t, v in vs_marks if t <= T]
     t_vs, vs = in_window[-1]

@@ -34,6 +34,7 @@ from .graph import (
 from .spread import (
     ProtocolParams,
     _pick,
+    alpha_regular,
     assign_spies,
     observations_for,
     spread_adaptive,
@@ -313,7 +314,7 @@ NETWORKS = Registry("network kind", {
 })
 
 # (network, source, ProtocolParams, rng[, early]) -> InfectionSnapshot, where
-# early is the spread's _early: (horizons, hand_over), see spread_adaptive
+# early is the spread's _early: (horizons, hand_over), see spread._token_walk
 PROTOCOLS = Registry("protocol kind", {
     "adaptive": lambda *args: spread_adaptive(*args),
     "paad": lambda *args: spread_paad(*args),
@@ -348,7 +349,7 @@ def _hop(net, snap_protocol, a, b):
         return None
     if a == b:
         return 0
-    if snap_protocol in ("grid-adaptive",):
+    if snap_protocol == "grid-adaptive":
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
     if snap_protocol == "polya-line":
         return abs(a - b)
@@ -660,8 +661,6 @@ def multi_snapshot_trial(net, T: int, rng):
     tree: run the exact-schedule protocol to even T, then follow only the
     token (the infection past T is irrelevant to the estimator) until it
     moves once, and hand both to the estimator."""
-    from .spread import alpha_regular
-
     proto = ProtocolParams(kind="adaptive", horizon=T)
     snap = spread_adaptive(net, 0, proto, rng=rng)
     vs = snap.virtual_source

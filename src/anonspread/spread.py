@@ -8,7 +8,9 @@ node's uninfected-neighbor count when it was infected.
 Timing convention used throughout: the token holder at an even epoch te
 decides to keep or pass; the resulting infection waves occupy steps te+1
 (and te+2 for a pass).  A snapshot at odd T after a pass is therefore
-mid-transition and has two symmetric centers.
+mid-transition and has two symmetric centers.  _token_walk is the one home
+of that timing and of the mid-pass rule: adaptive diffusion, paad and the
+grid protocol all run on it.
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ class ProtocolParams:
     graphs and to no cap on infinite networks.
 
     A snapshot's open_degree (uninfected neighbors at infection time) is
-    deg - 1 on infinite networks (deg at the source); on finite graphs it is
-    an OpenDegrees, counted from the infection order.  Either is built when
-    first read, as net_degree is.
+    deg - 1 on infinite trees (deg at the source); on finite graphs it is
+    an OpenDegrees, counted from the infection order; on the grid it counts
+    the neighbors still uninfected at T.  Each is built when first read, as
+    net_degree is.
     """
 
     kind: str = "adaptive"
@@ -289,6 +292,9 @@ class _State:
         # count it from the infection order when a reader asks
         if self.net.is_finite:
             return OpenDegrees(self.net, self.time)
+        if isinstance(self.net, Grid):  # the lattice counts the neighbors still uninfected at T
+            return {(x, y): sum((x + dx, y + dy) not in self.time for dx, dy in GRID_DIRECTIONS.values())
+                    for x, y in self.time}
         if isinstance(self.net, RegularTree):
             open_degree = dict.fromkeys(self.time, self.net.d - 1)
         else:
@@ -399,14 +405,13 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
     At each even epoch the token holder keeps the token with the configured
     keep-probability (one symmetric wave) or passes it to one of its
     infection-tree children (two one-sided waves spanning two steps, which
-    grow only the new holder's side of the tree).  The first hand-off, from
-    the source, is uniform over all its neighbors.  On trees the children
-    are exactly the infected non-backtracking neighbors.  On finite graphs
-    the fan-out cap applies and waves relay along infection-tree links only
-    (see _tree_link_wave), so even with cycles the token walks away from the
-    source and always-pass leaves the source a leaf at depth h_T.  A holder
-    with no children (every neighbor already infected by others) must keep
-    the token.
+    grow only the new holder's side of the tree); _token_walk owns that
+    timing.  The first hand-off, from the source, is uniform over all its
+    neighbors.  On trees the children are exactly the infected
+    non-backtracking neighbors.  On finite graphs the fan-out cap applies
+    and waves relay along infection-tree links only (see _tree_link_wave),
+    so even with cycles the token walks away from the source and always-pass
+    leaves the source a leaf at depth h_T.
 
     On a lazy tree without a fan-out cap the waves draw nothing, and a
     holder's children are its neighbors other than the previous holder, so
@@ -417,81 +422,112 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
     ball goes into the memo (see _lazy_tree_ball).
 
     _vs_weights(net, holder, candidates) -> weights replaces the uniform
-    pick of the next holder.
-
-    _early = (horizons, hand_over): for each horizon t in `horizons`, all
-    below params.horizon, hand_over(snapshot at t) is called as the spread
-    passes t, before it draws on.  The snapshot equals that of a spread to
-    horizon t on the same draws, and owns its dicts and lists.  At an odd t
-    after a pass it is taken between the pass's two waves.
+    pick of each holder.  _early is _token_walk's `early`.
     """
-    T = params.horizon
-    alpha = params.keep_probability(net)
     cap = _default_cap(net, params)
-
     st = _State(net)
-    st.infect(source, 0, None)
-    vs_events = [(0, source, 0)]
-    h_history = []
     plan = [] if cap is None and net.is_tree else None  # (origin, blocked, t) of each wave
-    horizons, hand_over = (), None
-    if _early is not None:
-        horizons = _early[0]
-        hand_over = _adaptive_hand_over(_early[1], _protocol_name, st, source, plan, vs_events, h_history)
 
-    if 0 in horizons:
-        hand_over(0, [source], False)
-    if T == 0:
-        return _adaptive_snapshot(_protocol_name, st, T, source, [source], False, vs_events, h_history)
+    if plan is None:
+        # the token moves to a tree child of its holder: under a fan-out cap
+        # some neighbors may still be uninfected, and on a cyclic graph an
+        # infected neighbor may hang off another branch of the tree
+        def moves(vs, prev):
+            return [w for w in net.neighbors(vs) if w in st.time and st.parent[w] == vs]
 
-    def pick_holder(holder, candidates):
-        if _vs_weights is None:
-            return _pick(rng, candidates)
-        probs = np.asarray(_vs_weights(net, holder, candidates), dtype=float)
-        return candidates[int(rng.choice(len(candidates), p=probs / probs.sum()))]
-
-    def wave(origin, blocked, t):
-        if plan is None:
+        def wave(origin, blocked, t):
             _tree_link_wave(st, origin, blocked, t, cap, rng)
-        else:
+    else:
+        def moves(vs, prev):
+            return [w for w in net.neighbors(vs) if w != prev]
+
+        def wave(origin, blocked, t):
             plan.append((origin, blocked, t))
 
-    first = pick_holder(source, list(net.neighbors(source)))
+    def snapshot(state, T, centers, mid_pass, vs_events, h_history):
+        if plan:  # vs_events[1] holds the first holder
+            _lazy_tree_ball(state, source, vs_events[1][1], tuple(plan))
+        return _adaptive_snapshot(_protocol_name, state, T, source, centers, mid_pass, vs_events, h_history)
+
+    return _token_walk(st, source, params.horizon, rng, params.keep_probability(net), list(net.neighbors(source)),
+                       moves, wave, snapshot, _early, _vs_weights)
+
+
+def _pick_holder(rng, weights, net, holder, candidates):
+    """The token's next holder: uniform over candidates, or drawn by
+    weights(net, holder, candidates) when weights is given."""
+    if weights is None:
+        return _pick(rng, candidates)
+    probs = np.asarray(weights(net, holder, candidates), dtype=float)
+    return candidates[int(rng.choice(len(candidates), p=probs / probs.sum()))]
+
+
+def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, moves, wave, snapshot,
+                early=None, weights=None) -> InfectionSnapshot:
+    """The token walk of adaptive diffusion and the grid protocol, and the
+    one home of their timing.
+
+    The source hands the token to one of `first_holders` at step 1, and the
+    first holder's wave, away from the source, infects step 2.  At each even
+    epoch te the holder keeps the token with probability alpha(te, h), h
+    being the token's hops from the source, and its wave infects step te+1;
+    or it passes the token to one of moves(holder, previous holder), whose
+    wave away from the old holder infects step te+1 and again step te+2.  A
+    holder with no moves keeps the token.  A snapshot at odd T after a pass
+    is mid-transition, with the new and the old holder as its centers.
+
+    wave(origin, blocked, t) infects step t from origin, away from its
+    neighbor `blocked` (None for a holder that kept the token).
+    snapshot(state, t, centers, mid_pass, vs_events, h_history) builds the
+    snapshot at t.  weights(net, holder, candidates) -> weights replaces the
+    uniform pick of each holder.
+
+    early = (horizons, hand_over), every spread's _early: for each horizon t
+    in `horizons`, all below T, hand_over(snapshot at t) is called as the
+    spread passes t, before it draws on.  The snapshot equals that of a
+    spread to horizon t on the same draws, and owns its dicts and lists (it
+    is built from a copy of the state and of the token trace).  At an odd t
+    after a pass it is taken between the pass's two waves."""
+    st.infect(source, 0, None)
+    vs_events = [(0, source, 0)]  # (t, node, h) of each hand-off
+    h_history = []  # (even t, h)
+    horizons, hand_over = early or ((), None)
+
+    if 0 in horizons:
+        hand_over(snapshot(st.copy(), 0, [source], False, list(vs_events), list(h_history)))
+    if T == 0:
+        return snapshot(st, T, [source], False, vs_events, h_history)
+
+    first = _pick_holder(rng, weights, st.net, source, first_holders)
     st.infect(first, 1, source)
     vs, prev = first, source
     h = 1
     vs_events.append((1, first, 1))
     if 1 in horizons:
-        hand_over(1, [first], False)
+        hand_over(snapshot(st.copy(), 1, [first], False, list(vs_events), list(h_history)))
     if T >= 2:
         wave(vs, prev, 2)
         h_history.append((2, h))
         if 2 in horizons:
-            hand_over(2, [vs], False)
+            hand_over(snapshot(st.copy(), 2, [vs], False, list(vs_events), list(h_history)))
 
     mid_pass = False
     te = 2
     while te + 1 <= T:
-        # the token moves to a tree child of its holder: under a fan-out cap
-        # some neighbors may still be uninfected, and on a cyclic graph an
-        # infected neighbor may hang off another branch of the tree
-        if plan is None:
-            children = [w for w in net.neighbors(vs) if w in st.time and st.parent[w] == vs]
-        else:
-            children = [w for w in net.neighbors(vs) if w != prev]
+        children = moves(vs, prev)
         if rng.random() < alpha(te, h) or not children:
             wave(vs, None, te + 1)
             mid_pass = False
             if te + 1 in horizons:
-                hand_over(te + 1, [vs], False)
+                hand_over(snapshot(st.copy(), te + 1, [vs], False, list(vs_events), list(h_history)))
         else:
-            new_vs = pick_holder(vs, children)
+            new_vs = _pick_holder(rng, weights, st.net, vs, children)
             wave(new_vs, vs, te + 1)
             prev, vs = vs, new_vs
             h += 1
             vs_events.append((te + 2, vs, h))
             if te + 1 in horizons:
-                hand_over(te + 1, [vs, prev], True)
+                hand_over(snapshot(st.copy(), te + 1, [vs, prev], True, list(vs_events), list(h_history)))
             mid_pass = te + 2 > T
             if not mid_pass:
                 wave(vs, prev, te + 2)
@@ -499,26 +535,10 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
         if te <= T:
             h_history.append((te, h))
             if te in horizons:
-                hand_over(te, [vs], False)
+                hand_over(snapshot(st.copy(), te, [vs], False, list(vs_events), list(h_history)))
 
-    if plan is not None:
-        _lazy_tree_ball(st, source, first, tuple(plan))
     centers = [vs, prev] if mid_pass else [vs]
-    return _adaptive_snapshot(_protocol_name, st, T, source, centers, mid_pass, vs_events, h_history)
-
-
-def _adaptive_hand_over(hand_over, name, st, source, plan, vs_events, h_history):
-    """spread_adaptive's hand-over: a call (t, centers, mid_pass) hands over
-    the snapshot at t, with dicts and lists of its own.  On an uncapped lazy
-    tree its ball is the one the waves planned so far leave, from the memo."""
-    def at(t, centers, mid_pass):
-        early = st.copy()
-        if plan:  # vs_events[1] holds the first holder
-            _lazy_tree_ball(early, source, vs_events[1][1], tuple(plan))
-        hand_over(_adaptive_snapshot(name, early, t, source, centers, mid_pass,
-                                     list(vs_events), list(h_history)))
-
-    return at
+    return snapshot(st, T, centers, mid_pass, vs_events, h_history)
 
 
 def _lazy_tree_ball(st: _State, source, first, plan: tuple) -> None:
@@ -572,7 +592,7 @@ def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng, _early
     """Always-pass adaptive diffusion with the next token holder picked
     proportionally to the size of its g-hop neighborhood away from the
     current holder (for g=1, proportionally to degree-1).  _early is
-    spread_adaptive's; each snapshot handed over has its own region_adj."""
+    _token_walk's; each snapshot handed over has its own region_adj."""
     g = params.g
     p2 = replace(params, alpha_policy=ALWAYS_PASS)
 
@@ -607,7 +627,7 @@ def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rn
     direction, level); an up node extends the spine by one and sends level-1
     down messages to the rest; down nodes relay with decremented level and
     stop at level 0.  The true source keeps level 0 and the up flag, and ends
-    at a leaf of the infected subtree.  _early is spread_adaptive's."""
+    at a leaf of the infected subtree.  _early is _token_walk's."""
     T = params.horizon
     cap = _default_cap(net, params)
     horizons, hand_over = _early or ((), None)
@@ -702,7 +722,7 @@ def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng,
                      _early=None) -> InfectionSnapshot:
     """Discrete-time SI dynamics: each infected-uninfected edge fires
     independently with probability q per step; simultaneous infectors
-    tie-break uniformly for parenthood.  _early is spread_adaptive's."""
+    tie-break uniformly for parenthood.  _early is _token_walk's."""
     q, T = params.q, params.horizon
     horizons, hand_over = _early or ((), None)
     st = _State(net)
@@ -737,7 +757,7 @@ def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng,
 def spread_deterministic(net: ContactNetwork, source, params: ProtocolParams, rng,
                          _early=None) -> InfectionSnapshot:
     """Flooding: the snapshot is the radius-T ball around the source.
-    _early is spread_adaptive's."""
+    _early is _token_walk's."""
     T = params.horizon
     horizons, hand_over = _early or ((), None)
     st = _State(net)
@@ -763,158 +783,65 @@ def spread_deterministic(net: ContactNetwork, source, params: ProtocolParams, rn
 # grid protocol
 
 
-def _step(xy: tuple, direction: str) -> tuple:
-    dx, dy = GRID_DIRECTIONS[direction]
-    return xy[0] + dx, xy[1] + dy
+_DIRECTION_OF = {step: d for d, step in GRID_DIRECTIONS.items()}
 
 
 def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng, _early=None) -> InfectionSnapshot:
-    """Adaptive diffusion on the lattice with directional bookkeeping.
+    """Adaptive diffusion on the lattice with directional bookkeeping, on
+    _token_walk with alpha_grid for the keep-probability.
 
     The token carries the displacement (hH, hV) from the source; moves that
-    would shrink |hH|+|hV| are forbidden, and branch messages carry up to two
-    forbidden directions so each wave grows the ball by one ring.  _early is
-    spread_adaptive's.
+    would shrink |hH|+|hV| are forbidden, so h = |hH|+|hV|.  Branch messages
+    carry up to two forbidden directions so each wave grows the ball by one
+    ring.  _early is _token_walk's.
     """
     if not isinstance(net, Grid):
         raise ValueError("grid spreading requires a grid network")
     if isinstance(source_xy, int):
         raise ValueError("pass the source as an (x, y) pair")
-    T = params.horizon
-
-    time: dict = {tuple(source_xy): 0}
-    parent: dict = {tuple(source_xy): None}
     source = tuple(source_xy)
+    x0, y0 = source
+    st = _State(net)
 
-    def infect(xy, t, par):
-        time[xy] = t
-        parent[xy] = par
+    def moves(vs, prev):
+        x, y = vs
+        return [(x + dx, y + dy) for dx, dy in GRID_DIRECTIONS.values() if (x - x0) * dx >= 0 and (y - y0) * dy >= 0]
 
-    def wave(origin, initial_dirs, extra_forbidden, t):
-        # One message class per initial direction; the forbidden set stays
-        # fixed along relays.  Nodes infected within this wave never relay.
+    def wave(origin, blocked, t):
+        # One message class per initial direction, none toward `blocked`; a
+        # class relays neither back the way it came nor toward `blocked`.
+        # Nodes infected within this wave never relay.
+        back = None if blocked is None else _DIRECTION_OF[blocked[0] - origin[0], blocked[1] - origin[1]]
         new_in_wave = set()
-        for d0 in initial_dirs:
-            forbidden = {OPPOSITE_DIRECTION[d0]}
-            if extra_forbidden:
-                forbidden.add(extra_forbidden)
-            allowed = [step for d, step in GRID_DIRECTIONS.items() if d not in forbidden]
+        for d0, (dx, dy) in GRID_DIRECTIONS.items():
+            if d0 == back:
+                continue
+            allowed = [step for d, step in GRID_DIRECTIONS.items() if d not in (OPPOSITE_DIRECTION[d0], back)]
             visited = {origin}
-            entry = [(origin, _step(origin, d0))]
+            entry = [(origin, (origin[0] + dx, origin[1] + dy))]
             while entry:
                 sender, xy = entry.pop()
                 if xy in visited:
                     continue
                 visited.add(xy)
-                if xy in time:
+                if xy in st.time:
                     if xy in new_in_wave:
                         continue
                     x, y = xy
-                    for dx, dy in allowed:
-                        entry.append((xy, (x + dx, y + dy)))
+                    for ax, ay in allowed:
+                        entry.append((xy, (x + ax, y + ay)))
                 else:
-                    infect(xy, t, sender)
+                    st.infect(xy, t, sender)
                     new_in_wave.add(xy)
 
-    vs_events = [(0, source, 0)]
-    h_history = []
-    horizons, hand_over = (), None
-    if _early is not None:
-        horizons = _early[0]
-        hand_over = _grid_hand_over(_early[1], time, parent, source, vs_events, h_history)
+    def snapshot(state, T, centers, mid_pass, vs_events, h_history):
+        snap = _adaptive_snapshot("grid-adaptive", state, T, source, centers, mid_pass, vs_events, h_history)
+        snap.grid_displacement = (centers[0][0] - x0, centers[0][1] - y0)
+        return snap
 
-    if 0 in horizons:
-        hand_over(0, [source], False, (0, 0))
-    if T == 0:
-        return _grid_snapshot(time, parent, T, source, [source], False, vs_events, h_history, (0, 0))
-
-    dir0 = _pick(rng, list(GRID_DIRECTIONS))
-    first = _step(source, dir0)
-    infect(first, 1, source)
-    dx, dy = GRID_DIRECTIONS[dir0]
-    hH, hV = dx, dy
-    vs, prev_dir = first, dir0
-    vs_events.append((1, first, 1))
-    if 1 in horizons:
-        hand_over(1, [first], False, (hH, hV))
-    if T >= 2:
-        wave(vs, [d for d in GRID_DIRECTIONS if d != OPPOSITE_DIRECTION[dir0]], None, 2)
-        h_history.append((2, abs(hH) + abs(hV)))
-        if 2 in horizons:
-            hand_over(2, [vs], False, (hH, hV))
-
-    mid_pass = False
-    prev_vs = source
-    te = 2
-    while te + 1 <= T:
-        h = abs(hH) + abs(hV)
-        if rng.random() < alpha_grid(te, h):
-            wave(vs, list(GRID_DIRECTIONS), None, te + 1)
-            mid_pass = False
-            if te + 1 in horizons:
-                hand_over(te + 1, [vs], False, (hH, hV))
-        else:
-            banned = set()
-            if hH < 0:
-                banned.add("E")
-            elif hH > 0:
-                banned.add("W")
-            if hV < 0:
-                banned.add("N")
-            elif hV > 0:
-                banned.add("S")
-            move = _pick(rng, [d for d in GRID_DIRECTIONS if d not in banned])
-            new_vs = _step(vs, move)
-            dx, dy = GRID_DIRECTIONS[move]
-            hH += dx
-            hV += dy
-            back = OPPOSITE_DIRECTION[move]  # direction of the old holder seen from the new one
-            wave(new_vs, [d for d in GRID_DIRECTIONS if d != back], back, te + 1)
-            prev_vs, vs = vs, new_vs
-            vs_events.append((te + 2, vs, abs(hH) + abs(hV)))
-            if te + 1 in horizons:
-                hand_over(te + 1, [vs, prev_vs], True, (hH, hV))
-            mid_pass = te + 2 > T
-            if not mid_pass:
-                wave(vs, [d for d in GRID_DIRECTIONS if d != back], back, te + 2)
-        te += 2
-        if te <= T:
-            h_history.append((te, abs(hH) + abs(hV)))
-            if te in horizons:
-                hand_over(te, [vs], False, (hH, hV))
-
-    centers = [vs, prev_vs] if mid_pass else [vs]
-    return _grid_snapshot(time, parent, T, source, centers, mid_pass, vs_events, h_history, (hH, hV))
-
-
-def _grid_hand_over(hand_over, time, parent, source, vs_events, h_history):
-    """spread_grid's hand-over: a call (t, centers, mid_pass, disp) hands
-    over the snapshot at t, with dicts and lists of its own."""
-    def at(t, centers, mid_pass, disp):
-        hand_over(_grid_snapshot(dict(time), dict(parent), t, source, centers, mid_pass,
-                                 list(vs_events), list(h_history), disp))
-
-    return at
-
-
-def _grid_snapshot(time, parent, T, source, centers, mid_pass, vs_events, h_history, disp):
-    degree = {v: 4 for v in time}
-    open_deg = {v: sum(1 for dx, dy in GRID_DIRECTIONS.values() if (v[0] + dx, v[1] + dy) not in time)
-                for v in time}
-    return InfectionSnapshot(
-        protocol="grid-adaptive",
-        T=T,
-        source=source,
-        time=time,
-        parent=parent,
-        net_degree=degree,
-        open_degree=open_deg,
-        centers=centers,
-        mid_pass=mid_pass,
-        vs_events=vs_events,
-        h_history=h_history,
-        grid_displacement=disp,
-    )
+    # at the source every direction is a move, so its moves are the first holders
+    return _token_walk(st, source, params.horizon, rng, alpha_grid, moves(source, None), moves, wave, snapshot,
+                       _early)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,16 @@ class TestSpreadEstimate:
         assert code == 0
         assert "v_hat," in out and "candidates,21" in out
 
+    def test_T_before_the_traces_last_infection_exits_1(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        assert run_cli(["spread", "--d", "3", "--T", "8", "--seed", "4", "--output", str(trace)])[0] == 0
+        code, out = run_cli(["estimate", "--T", "8", str(trace)])
+        assert code == 0 and "candidates,45" in out
+        capsys.readouterr()
+        code, out = run_cli(["estimate", "--T", "4", str(trace)])
+        assert code == 1 and out == ""
+        assert "error: T=4 lies before the trace's latest infection time 8" in capsys.readouterr().err
+
     def test_map_leaf_on_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
         run_cli(["spread", "--network", "regular-tree", "--d", "3",

@@ -1,0 +1,114 @@
+"""Fixed-seed outputs pinned as SHA-256 digests.
+
+Each cell runs a few run_trial records at every T from 0 to 9 on one
+network and protocol, and hashes their write_trial_csv text; each sweep
+hashes the summary CSV and the per-T trial CSVs of one sweep over T.  The
+digests were taken from the code before the adaptive and grid spreads
+shared one token walk, so a change that moves any draw, infection order or
+estimate shows here.  To regenerate after a declared output change, print
+cell_digest(name) and sweep_digest(name, tmp_dir) for every name."""
+
+import hashlib
+import io
+import math
+
+import pytest
+
+from anonspread.graph import prune_min_degree, synthetic_heavy_tail
+from anonspread.harness import ExperimentConfig, run_trial, sweep, write_trial_csv
+from anonspread.spread import ProtocolParams
+from helpers import summary_csv_text
+
+GRAPH = prune_min_degree(synthetic_heavy_tail(200, 3, seed=2), 3)
+NETWORKS = {  # name -> ExperimentConfig fields
+    "regular-tree": dict(network="regular-tree", d=4),
+    "galton-watson": dict(network="galton-watson", degree_table={2: 0.3, 3: 0.4, 5: 0.3}),
+    "explicit": dict(network="explicit", graph=GRAPH),
+}
+PROTOCOLS = {  # name -> ProtocolParams fields
+    "exact": dict(kind="adaptive", d0=3),
+    "always-pass": dict(kind="adaptive", d0=math.inf),
+    "capped": dict(kind="adaptive", d0=3, fanout_cap=2),
+    "paad-g1": dict(kind="paad", g=1),
+    "paad-g2": dict(kind="paad", g=2),
+    "tree-protocol": dict(kind="tree-protocol"),
+}
+CELLS = {f"{net}/{proto}": (NETWORKS[net], PROTOCOLS[proto]) for net in NETWORKS for proto in PROTOCOLS}
+CELLS["grid/grid-adaptive"] = (dict(network="grid"), dict(kind="grid-adaptive"))
+SWEEPS = {proto: CELLS[f"explicit/{proto}"] for proto in PROTOCOLS}
+SWEEPS["grid-adaptive"] = CELLS["grid/grid-adaptive"]
+
+TRIALS_PER_T = 6
+
+
+def _config(cell, T, adversary="snapshot", **kw):
+    net_fields, proto_fields = cell
+    return ExperimentConfig(protocol=ProtocolParams(horizon=T, **proto_fields), adversary=adversary,
+                            seed=11, **net_fields, **kw)
+
+
+def cell_digest(name: str) -> str:
+    """The snapshot adversary reads the infected set in infection order and
+    the centers, at T = 0..9; irregular-ml, off the grid, reads the
+    infection tree too, at the even T it scores."""
+    buf = io.StringIO()
+    runs = [("snapshot", range(10))]
+    if not name.startswith("grid/"):
+        runs.append(("irregular-ml", range(2, 10, 2)))
+    for adversary, horizons in runs:
+        for T in horizons:
+            cfg = _config(CELLS[name], T, adversary, trials=TRIALS_PER_T, estimator_d0=3)
+            write_trial_csv([run_trial(cfg, i) for i in range(TRIALS_PER_T)], buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def sweep_digest(name: str, tmp_dir) -> str:
+    out = tmp_dir / f"{name}.csv"
+    summary = sweep(_config(SWEEPS[name], 8, trials=25, trial_output=str(out)), "T", [2, 5, 8])
+    text = summary_csv_text(summary)
+    for T in (2, 5, 8):
+        text += (tmp_dir / f"{name}.T={T}.csv").read_text()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+CELL_DIGESTS = {
+    "explicit/always-pass": "ffd9fd19f394bf38dd65edef6b35efdbe3bcd5f52a7617f9213953e33f028d1e",
+    "explicit/capped": "475e80af1aea004c6ffb4f4379afde0a7b29c5ed115b6b747941a6374a37ec43",
+    "explicit/exact": "c350a64612577501ed6e67f85105367cd07cf52c40b355441cce9a271c14dd1f",
+    "explicit/paad-g1": "ad3f259fcc43acf552d94cf5d675c8c211da1cedacdeea3f6bc3da01f8ce9164",
+    "explicit/paad-g2": "bc9b2bb18c14d22392c2266e9ca2742b454b0ccacdeafb87e055be32f89a3052",
+    "explicit/tree-protocol": "4c9b877315917ec04ddca5e93a4326ede48eddfa4d6ad3ce7a442b21ca49ff1c",
+    "galton-watson/always-pass": "6e502061a7d79415ab4f716242925880002bc39cd5d0aa4820ef6d3c64e1585a",
+    "galton-watson/capped": "58991848be9faede7f28c2c00a65c36d09a4f5ea15b3a4adb649e44de6c8dbd2",
+    "galton-watson/exact": "bccd8948ee8705a8db8005aa36c8b9d7b721211c75838cee62424d7f0a593d5a",
+    "galton-watson/paad-g1": "feb6ded32bb487f21fc670ce74ed529b0f4ea71644de2d871636e29379ade49f",
+    "galton-watson/paad-g2": "36710ddb062ac2e913f1391daa968bfbf9ccb52c1b97e572e92e456df0433960",
+    "galton-watson/tree-protocol": "8f7cfc69471582dcf8b982ae12f974b367c5cb35b9432ba5b7f50cd59c054544",
+    "grid/grid-adaptive": "a74513e2a787edb58c75638d8f8ab5b89bb0e2688f4b945a033df5c37a9f017b",
+    "regular-tree/always-pass": "d4c5d2f5bebe081acf36480cfa3697219560ec84ff025d11a8db2564d0473e53",
+    "regular-tree/capped": "8620be83d8b833ff444b5feb38bb2efaf89c0cc4d7847a79a579ee6a70a532d3",
+    "regular-tree/exact": "a2041c6d0973959bf25285f479cebd947e60e8e6a55cb1d9af8193b02e8502de",
+    "regular-tree/paad-g1": "c2a9cf6d2539dae265e9a0b9ba263a592f62ad9c9442cd2d67970198e861e47d",
+    "regular-tree/paad-g2": "c2a9cf6d2539dae265e9a0b9ba263a592f62ad9c9442cd2d67970198e861e47d",
+    "regular-tree/tree-protocol": "b03c0465e872da20ece6a02844b909bf8540129edf28a6dc1324eb35315ae5a9",
+}
+
+SWEEP_DIGESTS = {
+    "always-pass": "9d0bf760c82bf7161c1fd01a733442b50cbbd20eedd6c21560f9a6da9ff38b25",
+    "capped": "976b8655d6eb094b004f0c8f602b074f1912aaf69c071bbe4860d0d8c2e33cd9",
+    "exact": "fc1b4badddfab32257a5ef50a149ce60fc8220af104328f37200298b0f4a1b05",
+    "grid-adaptive": "e58841a2582dfab769b89353efd0e65bd545823bdd3119231558270967b59c84",
+    "paad-g1": "8773af117c22fb0f354f2795a62f2ee8deac03c22f9f121c6531c1a25638c5c8",
+    "paad-g2": "79de40a97726cb58bce074c22c2d18e67a007d44428380076fc6f05df30aca79",
+    "tree-protocol": "7b61b98c75392aa82a16574ae562aab406a62c6e0c2be5ca4c26628706390b02",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_trial_records_keep_their_bytes(name):
+    assert cell_digest(name) == CELL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_over_T_keeps_its_bytes(name, tmp_path):
+    assert sweep_digest(name, tmp_path) == SWEEP_DIGESTS[name]
