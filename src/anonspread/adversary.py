@@ -447,7 +447,9 @@ def estimate_spy_irregular(net: ContactNetwork, observations, rng,
 def estimate_line_ml(trace: LineTrace) -> Estimate:
     """Closed-form ML estimate on the line from the earlier spy's receipt
     time plus the revealed latent coin and direction (mode of a shifted
-    binomial)."""
+    binomial).  A missing trace (None) raises ValueError."""
+    if trace is None:
+        raise ValueError("line-ml needs a line trace: run the polya-line protocol on the line network")
     if trace.first_spy is None or trace.t_first is None:
         return Estimate(None, [], None, 0, "line-ml", inconclusive=True)
     n, q, t1 = trace.n, trace.q, trace.t_first

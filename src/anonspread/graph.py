@@ -388,31 +388,23 @@ def load_edge_list(path) -> ExplicitGraph:
     return from_edges(edges)
 
 
-def prune_min_degree(g: ExplicitGraph, k: int, iterative: bool = True) -> ExplicitGraph:
-    """Remove nodes of degree < k.
-
-    iterative=True keeps removing until no node is below k (the k-core);
-    iterative=False does a single sweep over the original degrees.
-    """
+def prune_min_degree(g: ExplicitGraph, k: int) -> ExplicitGraph:
+    """The k-core: remove nodes of degree < k until no node is below k."""
     if not isinstance(g, ExplicitGraph):
         raise ValueError("degree pruning is only defined for explicit finite graphs")
     adj = {u: set(nbrs) for u, nbrs in g.adj.items()}
-    if iterative:
-        queue = [u for u, nbrs in adj.items() if len(nbrs) < k]
-        while queue:
-            u = queue.pop()
-            if u not in adj:
+    queue = [u for u, nbrs in adj.items() if len(nbrs) < k]
+    while queue:
+        u = queue.pop()
+        if u not in adj:
+            continue
+        for w in adj.pop(u):
+            nbrs = adj.get(w)
+            if nbrs is None:
                 continue
-            for w in adj.pop(u):
-                nbrs = adj.get(w)
-                if nbrs is None:
-                    continue
-                nbrs.discard(u)
-                if len(nbrs) < k:
-                    queue.append(w)
-    else:
-        drop = {u for u, nbrs in adj.items() if len(nbrs) < k}
-        adj = {u: nbrs - drop for u, nbrs in adj.items() if u not in drop}
+            nbrs.discard(u)
+            if len(nbrs) < k:
+                queue.append(w)
     return ExplicitGraph({u: sorted(nbrs) for u, nbrs in adj.items()})
 
 

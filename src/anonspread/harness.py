@@ -23,7 +23,9 @@ from . import adversary as adv
 from . import analysis
 from .graph import (
     ExplicitGraph,
+    Grid,
     degree_distribution,
+    from_edges,
     galton_watson_tree,
     grid,
     hop_distance,
@@ -34,7 +36,6 @@ from .graph import (
 from .spread import (
     ProtocolParams,
     _pick,
-    alpha_regular,
     assign_spies,
     observations_for,
     spread_adaptive,
@@ -278,10 +279,15 @@ def _explicit(cfg: ExperimentConfig, rng, shared):
 
 def _shared_network(cfg: ExperimentConfig):
     """The network that every trial of cfg runs on, built once per
-    experiment: the explicit graph, or the regular tree, so that the balls
+    experiment: the explicit graph, the line 0..line_n+1 (kind "line", the
+    one network polya-line runs on), or the regular tree, so that the balls
     its memo keeps serve every trial.  None for networks drawn per trial."""
     if cfg.network == "regular-tree":
         return regular_tree(cfg.d)
+    if cfg.network == "line":
+        net = from_edges((v, v + 1) for v in range(cfg.line_n + 1))
+        net.kind = "line"
+        return net
     if cfg.network != "explicit":
         return None
     if cfg.graph is None and cfg.edge_list is None:
@@ -296,9 +302,17 @@ def _spies(cfg: ExperimentConfig, snap, rng) -> list:
     return observations_for(snap, assign_spies(snap, cfg.p, int(rng.integers(2**62))))
 
 
-def _needs_line_trace(cfg, net, snap, rng):
-    raise ValueError("line-ml needs a line trace: run_trial draws its own polya-line spread, "
-                     "and a snapshot does not carry one")
+def _polya_line(net, source, params: ProtocolParams, rng, early=None):
+    """spread_polya_line, with its LineTrace on the snapshot.  It runs until
+    an end spy reports, whatever the horizon, so its one snapshot, at that
+    time, is handed to each early horizon (hand_over(snapshot, horizon))."""
+    if net.kind != "line":
+        raise ValueError(f"polya-line runs only on the line network, not on {net.kind}")
+    snap, trace = spread_polya_line(net.n_nodes - 2, source, rng)
+    snap.line_trace = trace
+    for t in early[0] if early else ():
+        early[1](snap, t)
+    return snap
 
 
 # One entry per kind, keyed by the config names, for run_trial and the CLI.
@@ -311,6 +325,8 @@ NETWORKS = Registry("network kind", {
     "galton-watson": _galton_watson,
     "grid": _grid,
     "explicit": _explicit,
+    "line": lambda cfg, rng, shared: (_shared_network(cfg) if shared is None else shared,
+                                      int(rng.integers(1, cfg.line_n + 1))),  # between the end spies
 })
 
 # (network, source, ProtocolParams, rng[, early]) -> InfectionSnapshot, where
@@ -322,6 +338,7 @@ PROTOCOLS = Registry("protocol kind", {
     "grid-adaptive": lambda *args: spread_grid(*args),
     "diffusion": lambda *args: spread_diffusion(*args),
     "deterministic": lambda *args: spread_deterministic(*args),
+    "polya-line": _polya_line,
 })
 
 # (cfg, network, snapshot, rng) -> Estimate; the spy kinds draw the spies first
@@ -340,19 +357,17 @@ ADVERSARIES = Registry("adversary kind", {
         net, _spies(cfg, snap, rng), rng=rng, open_degree=snap.open_degree if net.is_finite else None),
     "spy-snapshot": lambda cfg, net, snap, rng: adv.estimate_spy_snapshot(snap, _spies(cfg, snap, rng),
                                                                           rng=rng),
-    "line-ml": _needs_line_trace,
+    "line-ml": lambda cfg, net, snap, rng: adv.estimate_line_ml(snap.line_trace),
 })
 
 
-def _hop(net, snap_protocol, a, b):
+def _hop(net, a, b):
     if a is None or b is None:
         return None
     if a == b:
         return 0
-    if snap_protocol == "grid-adaptive":
+    if isinstance(net, Grid):  # grid snapshots hold (x, y) pairs
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
-    if snap_protocol == "polya-line":
-        return abs(a - b)
     if not net.is_finite:  # lazy trees: walk the parent pointers
         return len(path(net, a, b)) - 1
     try:
@@ -363,18 +378,18 @@ def _hop(net, snap_protocol, a, b):
 
 def _score(index: int, net, source, snap, est) -> TrialRecord:
     detected = int(not est.inconclusive and est.v_hat == source)
-    hop = None if est.inconclusive else _hop(net, snap.protocol, est.v_hat, source)
+    hop = None if est.inconclusive else _hop(net, est.v_hat, source)
     return TrialRecord(index, est.kind, est.v_hat, est.tie_count, detected, hop,
                        snap.n_infected, int(est.inconclusive))
 
 
 def _early_estimator(early, net, rng, scored):
     """run_trial's hand-over: estimate the snapshot at each early horizon
-    with that horizon's config, add (records, snapshot, estimate) to scored,
-    and put the stream's state back, so that the spread draws on as a run to
-    that horizon would have left it."""
-    def estimate(snap):
-        cfg, records = early[snap.T]
+    (its T, or `horizon`) with that horizon's config, add (records,
+    snapshot, estimate) to scored, and put the stream's state back, so that
+    the spread draws on as a run to that horizon would have left it."""
+    def estimate(snap, horizon=None):
+        cfg, records = early[snap.T if horizon is None else horizon]
         state = rng.bit_generator.state
         scored.append((records, snap, ADVERSARIES[cfg.adversary](cfg, net, snap, rng)))
         rng.bit_generator.state = state
@@ -384,7 +399,7 @@ def _early_estimator(early, net, rng, scored):
 
 def run_trial(cfg: ExperimentConfig, index: int, shared=None, early=None) -> TrialRecord:
     """Build network -> spread -> estimate -> score, on the trial's own RNG
-    stream.  line-ml runs its own line, spread and estimator.
+    stream.
 
     early = {horizon: (config, records)} names configs equal to cfg but for
     a smaller horizon (and their label and trial_output).  Their trial
@@ -392,24 +407,13 @@ def run_trial(cfg: ExperimentConfig, index: int, shared=None, early=None) -> Tri
     spread to cfg's horizon, which hands over its snapshot at each early
     horizon for that config's estimate (_early_estimator).  Each early
     config's record, the one its own run would give, is appended to its
-    records; line-ml, which ignores the horizon, gives every config its
-    one record.  The hop distances are taken after the spread."""
+    records.  The hop distances are taken after the spread."""
     rng = _trial_rng(cfg.seed, index)
-    scored = ()  # (records, snapshot, estimate) of each early config
-    if cfg.adversary == "line-ml":
-        net, source = None, int(rng.integers(1, cfg.line_n + 1))
-        snap, trace = spread_polya_line(cfg.line_n, source, rng=rng)
-        est = adv.estimate_line_ml(trace)
-        if early is not None:
-            scored = [(records, snap, est) for _, records in early.values()]
-    else:
-        net, source = NETWORKS[cfg.network](cfg, rng, shared)
-        hand_over = None
-        if early is not None:
-            scored = []
-            hand_over = early, _early_estimator(early, net, rng, scored)
-        snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng, hand_over)
-        est = ADVERSARIES[cfg.adversary](cfg, net, snap, rng)
+    net, source = NETWORKS[cfg.network](cfg, rng, shared)
+    scored = []  # (records, snapshot, estimate) of each early config
+    hand_over = None if early is None else (early, _early_estimator(early, net, rng, scored))
+    snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng, hand_over)
+    est = ADVERSARIES[cfg.adversary](cfg, net, snap, rng)
     for records, early_snap, early_est in scored:
         records.append(_score(index, net, source, early_snap, early_est))
     return _score(index, net, source, snap, est)
@@ -521,7 +525,7 @@ def write_trial_csv(records, fh) -> None:
 
 
 # sweeping one of these changes the pool or the shared network, so each value gets its own
-_PER_VALUE_SETUP = ("workers", "edge_list", "graph", "network", "d")
+_PER_VALUE_SETUP = ("workers", "edge_list", "graph", "network", "d", "line_n")
 
 
 def _value_path(path, label: str):
@@ -659,19 +663,19 @@ MAX_EXTRA_EPOCHS = 200  # how far past T multi_snapshot_trial follows the token
 def multi_snapshot_trial(net, T: int, rng):
     """One trial of the every-step-snapshot adversary on `net`, a regular
     tree: run the exact-schedule protocol to even T, then follow only the
-    token (the infection past T is irrelevant to the estimator) until it
-    moves once, and hand both to the estimator."""
+    token (the infection past T is irrelevant to the estimator), with the
+    protocol's keep probability and pick, until it moves once, and hand both
+    to the estimator."""
     proto = ProtocolParams(kind="adaptive", horizon=T)
     snap = spread_adaptive(net, 0, proto, rng=rng)
+    keep = proto.keep_probability(net)
     vs = snap.virtual_source
     prev = snap.vs_events[-2][1] if len(snap.vs_events) >= 2 else None
     h = snap.h_T
     te = T
     for _ in range(MAX_EXTRA_EPOCHS):
-        if rng.random() >= alpha_regular(net.d, te, h):
-            eligible = [w for w in net.neighbors(vs) if w != prev]
-            nxt = eligible[int(rng.integers(len(eligible)))]
-            snap.vs_events.append((te + 2, nxt, h + 1))
+        if rng.random() >= keep(te, h):
+            snap.vs_events.append((te + 2, _pick(rng, [w for w in net.neighbors(vs) if w != prev]), h + 1))
             break
         te += 2
     est = adv.estimate_multiple_snapshots(snap, T, rng=rng)

@@ -161,6 +161,7 @@ class InfectionSnapshot:
     level: dict = field(default_factory=dict)
     grid_displacement: tuple | None = None
     region_adj: dict | None = None  # adjacency over G_T and its observed frontier
+    line_trace: LineTrace | None = None  # what the end spies of a polya-line spread see
     degrees: object = field(default=None, repr=False, compare=False)  # builds the degree maps
 
     def __post_init__(self):

@@ -1,5 +1,7 @@
 import csv
 import io
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -66,6 +68,16 @@ class TestSpreadEstimate:
         code, out = run_cli(["estimate", "--T", "4", str(trace)])
         assert code == 1 and out == ""
         assert "error: T=4 lies before the trace's latest infection time 8" in capsys.readouterr().err
+
+    def test_line_trace(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, _ = run_cli(["spread", "--network", "line", "--protocol", "polya-line", "--line_n", "41",
+                           "--seed", "3", "--output", str(trace)])
+        assert code == 0
+        with open(trace) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["infection_time"] == "0" and 1 <= int(rows[0]["node"]) <= 41  # the source
+        assert {"0", "42"} & {r["node"] for r in rows}  # the spread ran until an end spy reported
 
     def test_map_leaf_on_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -163,6 +175,10 @@ class TestSpreadEstimate:
     (["experiment", "--network", "galton-watson", "--trials", "2"],
      "galton-watson network needs degree_table"),
     (["estimate", "--adversary", "line-ml", "TRACE"], "line-ml needs a line trace"),
+    (["experiment", "--adversary", "line-ml", "--protocol", "adaptive", "--trials", "2"],
+     "line-ml needs a line trace"),
+    (["experiment", "--protocol", "polya-line", "--trials", "2"],
+     "polya-line runs only on the line network, not on regular-tree"),
     (["estimate", "--adversary", "paad-map", "TRACE"], "snapshot lacks frontier adjacency"),
     (["estimate", "--adversary", "bogus", "TRACE"], "unknown adversary kind 'bogus'"),
     (["experiment", "--network", "grid", "--protocol", "diffusion", "--q", "0.5", "--T", "4", "--trials", "3"],
@@ -293,10 +309,19 @@ class TestExperiment:
         assert code == 0
         assert (tmp_path / "env_out.csv").exists()
 
+    def test_line_ml_runs_on_the_line(self):
+        code, out = run_cli(["experiment", "--network", "line", "--protocol", "polya-line",
+                             "--adversary", "line-ml", "--line_n", "41", "--trials", "50", "--seed", "2"])
+        assert code == 0
+        assert _summary_rows(out)[0][1:4] == ["line", "polya-line", "line-ml"]
+
     def test_console_entry_point(self):
+        # the subprocess does not see pytest's pythonpath, so it gets the package's src/ itself
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-m", "anonspread.cli", "predict",
                               "line_bound", "--n", "101"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
         assert out.returncode == 0
         assert "0.9039" in out.stdout
 

@@ -195,11 +195,10 @@ class TestPrune:
         g = from_edges([(0, 1), (1, 2), (2, 0)])
         assert prune_min_degree(g, 2).n_nodes == 3
 
-    def test_single_pass_differs_from_iterative(self):
-        # path 0-1-2-3: single pass keeps {1,2}; iterating empties it
+    def test_path_has_an_empty_2core(self):
+        # path 0-1-2-3: removing the ends leaves 1-2 with degree 1, and so on
         g = from_edges([(0, 1), (1, 2), (2, 3)])
-        assert prune_min_degree(g, 2, iterative=False).n_nodes == 2
-        assert prune_min_degree(g, 2, iterative=True).n_nodes == 0
+        assert prune_min_degree(g, 2).n_nodes == 0
 
     def test_rejects_infinite_networks(self):
         with pytest.raises(ValueError):

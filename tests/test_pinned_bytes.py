@@ -5,17 +5,21 @@ network and protocol, and hashes their write_trial_csv text; each sweep
 hashes the summary CSV and the per-T trial CSVs of one sweep over T.  The
 digests were taken from the code before the adaptive and grid spreads
 shared one token walk, so a change that moves any draw, infection order or
-estimate shows here.  To regenerate after a declared output change, print
-cell_digest(name) and sweep_digest(name, tmp_dir) for every name."""
+estimate shows here.  The line's (line-ml on polya-line spreads) were taken
+from the code before the line joined the network and protocol registries,
+when run_trial drew its own line.  To regenerate after a declared output
+change, print cell_digest(name), sweep_digest(name, tmp_dir) and
+line_digest() for every name."""
 
 import hashlib
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
 from anonspread.graph import prune_min_degree, synthetic_heavy_tail
-from anonspread.harness import ExperimentConfig, run_trial, sweep, write_trial_csv
+from anonspread.harness import ExperimentConfig, multi_snapshot_detection_mc, run_trial, sweep, write_trial_csv
 from anonspread.spread import ProtocolParams
 from helpers import summary_csv_text
 
@@ -39,6 +43,8 @@ SWEEPS = {proto: CELLS[f"explicit/{proto}"] for proto in PROTOCOLS}
 SWEEPS["grid-adaptive"] = CELLS["grid/grid-adaptive"]
 
 TRIALS_PER_T = 6
+LINE = ExperimentConfig(network="line", protocol=ProtocolParams(kind="polya-line", horizon=6), adversary="line-ml",
+                        line_n=41, seed=11, trials=200)
 
 
 def _config(cell, T, adversary="snapshot", **kw):
@@ -62,9 +68,16 @@ def cell_digest(name: str) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-def sweep_digest(name: str, tmp_dir) -> str:
+def line_digest() -> str:
+    buf = io.StringIO()
+    write_trial_csv([run_trial(LINE, i) for i in range(LINE.trials)], buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def sweep_digest(name: str, tmp_dir, cfg=None) -> str:
     out = tmp_dir / f"{name}.csv"
-    summary = sweep(_config(SWEEPS[name], 8, trials=25, trial_output=str(out)), "T", [2, 5, 8])
+    cfg = cfg or _config(SWEEPS[name], 8, trials=25)
+    summary = sweep(replace(cfg, trial_output=str(out)), "T", [2, 5, 8])
     text = summary_csv_text(summary)
     for T in (2, 5, 8):
         text += (tmp_dir / f"{name}.T={T}.csv").read_text()
@@ -112,3 +125,18 @@ def test_trial_records_keep_their_bytes(name):
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_over_T_keeps_its_bytes(name, tmp_path):
     assert sweep_digest(name, tmp_path) == SWEEP_DIGESTS[name]
+
+
+def test_line_trial_records_keep_their_bytes():
+    assert line_digest() == "5b15271120e0c52ebf326823353a7b1f6ab12362561e0f9f6480f471faa54049"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_line_sweep_over_T_keeps_its_bytes(workers, tmp_path):
+    # line-ml ignores the horizon, so every T gets the same records, on any pool
+    digest = sweep_digest("line", tmp_path, replace(LINE, workers=workers))
+    assert digest == "42338402e5edd2f892284b07a295f0059fd7986f07a2f277af2ca2f95848fab5"
+
+
+def test_multi_snapshot_sampler_keeps_its_counts():
+    assert multi_snapshot_detection_mc(3, 6, 300, seed=5) == (68, 300, 0)
