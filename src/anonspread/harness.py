@@ -23,7 +23,6 @@ from . import adversary as adv
 from . import analysis
 from .graph import (
     ExplicitGraph,
-    Grid,
     degree_distribution,
     from_edges,
     galton_watson_tree,
@@ -272,6 +271,12 @@ def _grid(cfg: ExperimentConfig, rng, shared):
     return grid(), (0, 0)
 
 
+def _line(cfg: ExperimentConfig, rng, shared):
+    if cfg.protocol.kind == "paad":  # paad weighs a move by the nodes beyond it, and an end has none
+        raise ValueError("line network does not run paad: next to an end, a holder's one move has weight 0")
+    return shared if shared is not None else _shared_network(cfg), int(rng.integers(1, cfg.line_n + 1))
+
+
 def _explicit(cfg: ExperimentConfig, rng, shared):
     net = shared if shared is not None else _shared_network(cfg)
     return net, _pick(rng, net.nodes())
@@ -325,8 +330,7 @@ NETWORKS = Registry("network kind", {
     "galton-watson": _galton_watson,
     "grid": _grid,
     "explicit": _explicit,
-    "line": lambda cfg, rng, shared: (_shared_network(cfg) if shared is None else shared,
-                                      int(rng.integers(1, cfg.line_n + 1))),  # between the end spies
+    "line": _line,
 })
 
 # (network, source, ProtocolParams, rng[, early]) -> InfectionSnapshot, where
@@ -366,7 +370,7 @@ def _hop(net, a, b):
         return None
     if a == b:
         return 0
-    if isinstance(net, Grid):  # grid snapshots hold (x, y) pairs
+    if net.kind == "grid":  # grid snapshots hold (x, y) pairs
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
     if not net.is_finite:  # lazy trees: walk the parent pointers
         return len(path(net, a, b)) - 1
@@ -466,6 +470,9 @@ def _records(cfg: ExperimentConfig, groups: list) -> list:
     shared network.  With workers > 1 they run on a pool started for this
     call, from one submission of every group's batches, so that it drains
     once."""
+    for sub in (c for group in groups for c in group):  # polya-line snapshots hold a node off the line
+        if sub.protocol.kind == "polya-line" and sub.adversary != "line-ml":
+            raise ValueError(f"polya-line runs only with the line-ml adversary, not {sub.adversary}")
     shared = _shared_network(cfg)
     if cfg.workers == 1:
         return [records for group in groups for records in _group_records(group, range(group[0].trials), shared)]

@@ -177,8 +177,10 @@ class TestSpreadEstimate:
     (["estimate", "--adversary", "line-ml", "TRACE"], "line-ml needs a line trace"),
     (["experiment", "--adversary", "line-ml", "--protocol", "adaptive", "--trials", "2"],
      "line-ml needs a line trace"),
-    (["experiment", "--protocol", "polya-line", "--trials", "2"],
+    (["experiment", "--protocol", "polya-line", "--adversary", "line-ml", "--trials", "2"],
      "polya-line runs only on the line network, not on regular-tree"),
+    (["experiment", "--network", "line", "--protocol", "paad", "--trials", "2"],
+     "line network does not run paad: next to an end, a holder's one move has weight 0"),
     (["estimate", "--adversary", "paad-map", "TRACE"], "snapshot lacks frontier adjacency"),
     (["estimate", "--adversary", "bogus", "TRACE"], "unknown adversary kind 'bogus'"),
     (["experiment", "--network", "grid", "--protocol", "diffusion", "--q", "0.5", "--T", "4", "--trials", "3"],
@@ -206,8 +208,10 @@ def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     (["--workers", "-2"], "workers must be >= 1, got -2"),
     (["--adversary", "line-ml", "--line_n", "0"], "line_n must be >= 1, got 0"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--network", "line", "--protocol", "polya-line", "--adversary", "map-leaf"],
+     "polya-line runs only with the line-ml adversary, not map-leaf"),
 ], ids=["compare", "empty-graph", "cap-negative", "cap-zero", "workers-zero", "workers-negative", "line-n-zero",
-        "seed-negative"])
+        "seed-negative", "polya-line-adversary"])
 def test_bad_input_fails_before_the_first_trial(command, args, message, tmp_path, capsys, monkeypatch):
     from anonspread import harness
 

@@ -356,8 +356,8 @@ SWEEP_PROTOCOLS = {
     "deterministic": dict(kind="deterministic"),
     "polya-line": dict(kind="polya-line"),
 }
-# the pairs that run: the grid runs only its own protocol, polya-line runs only on the line, and
-# paad does not run on the line, where a holder next to an end has only moves of weight 0
+# the pairs that run: the grid runs only its own protocol, polya-line runs only on the line (and
+# only with line-ml), and the line does not run paad
 RUNNING_PAIRS = [(n, p) for n in sorted(SWEEP_NETWORKS) for p in sorted(SWEEP_PROTOCOLS)
                  if (n == "grid") == (p == "grid-adaptive") and (n == "line" or p != "polya-line")
                  and (n, p) != ("line", "paad")]
@@ -388,16 +388,14 @@ class TestHorizonSweep:
     @staticmethod
     def per_value(cfg, Ts, out):
         """What sweep printed and wrote before it grouped the values: one
-        run_experiment per value, or the set of errors they raise.  A
-        KeyError is a node off the network: a polya-line spread infects one
-        node past the end spy that reports, and an estimator can name it."""
+        run_experiment per value, or the set of errors they raise."""
         rows, files, errors = [], [], set()
         for T in Ts:
             sub = replace(with_options(cfg, {"T": T}), label=f"T={T}",
                           trial_output=str(out / f"each.T={T}.csv"))
             try:
                 rows.append(run_experiment(sub).row())
-            except (ValueError, KeyError) as e:
+            except ValueError as e:
                 errors.add(str(e))
                 continue
             files.append((out / f"each.T={T}.csv").read_text())
@@ -413,7 +411,7 @@ class TestHorizonSweep:
                 cfg = self.cfg(network, protocol, adversary, edges)
                 expected, errors = self.per_value(cfg, Ts, tmp_path)
                 if errors:  # the sweep stops at the first trial that raises
-                    with pytest.raises((ValueError, KeyError)) as raised:
+                    with pytest.raises(ValueError) as raised:
                         sweep(cfg, "T", Ts)
                     assert str(raised.value) in errors, (adversary, Ts)
                 else:
@@ -425,9 +423,10 @@ class TestHorizonSweep:
     @pytest.mark.parametrize("network, protocol", RUNNING_PAIRS)
     def test_pooled_grouped_records_equal_per_value_records(self, network, protocol, tmp_path):
         # spy-irregular draws the spies from the trial's stream between the
-        # spread's draws, and accepts odd T
+        # spread's draws, and accepts odd T; polya-line is scored by line-ml alone
         edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail(300, 3))
-        cfg = self.cfg(network, protocol, "spy-irregular", edges, workers=2, trials=23)
+        adversary = "line-ml" if protocol == "polya-line" else "spy-irregular"
+        cfg = self.cfg(network, protocol, adversary, edges, workers=2, trials=23)
         for Ts in ([5, 2, 4, 3], [4, 4]):
             expected, errors = self.per_value(replace(cfg, workers=1), Ts, tmp_path)
             assert not errors
