@@ -275,10 +275,6 @@ class ExponentResult:
     gap_log2: float
     case: str
 
-    @property
-    def exponent(self) -> float:
-        return self.exponent_nats
-
 
 def detection_exponent(dist, tol: float = 1e-6) -> ExponentResult:
     """Typical decay rate of the MAP detection probability on supercritical

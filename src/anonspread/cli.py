@@ -25,9 +25,11 @@ from .harness import (
     PROTOCOLS,
     ExperimentConfig,
     Registry,
+    check_applies,
     compare_with_theory,
     default_output_dir,
     run_experiment,
+    shared_network,
     sweep as run_sweep,
     with_options,
     write_summary_csv,
@@ -111,8 +113,9 @@ def _add_common(sp):
 
 def cmd_spread(args) -> int:
     cfg = config_from_options(_collect_options(args))
+    check_applies(cfg, "spread")
     rng = np.random.default_rng(cfg.seed)
-    net, source = NETWORKS[cfg.network](cfg, rng, None)
+    net, source = NETWORKS[cfg.network](cfg, rng, shared_network(cfg))
     snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng)
     if cfg.output:
         with open(cfg.output, "wt", encoding="utf-8") as fh:
@@ -174,8 +177,9 @@ def cmd_estimate(args) -> int:
     cfg = config_from_options(_collect_options(args))
     # the network gets a stream of its own, so that a galton-watson tree is
     # the one `spread` grew with the same seed
-    net, _ = NETWORKS[cfg.network](cfg, np.random.default_rng(cfg.seed), None)
+    net, _ = NETWORKS[cfg.network](cfg, np.random.default_rng(cfg.seed), shared_network(cfg))
     snap = load_trace(args.trace, net, cfg.protocol.horizon)
+    check_applies(with_options(cfg, {"T": snap.T}))  # without --T, at the trace's T
     est = ADVERSARIES[cfg.adversary](cfg, net, snap, np.random.default_rng(cfg.seed))
     print(f"estimator,{est.kind}")
     print(f"v_hat,{est.v_hat}")

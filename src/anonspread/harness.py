@@ -33,6 +33,7 @@ from .graph import (
     regular_tree,
 )
 from .spread import (
+    ALWAYS_PASS,
     ProtocolParams,
     _pick,
     assign_spies,
@@ -148,6 +149,7 @@ class SummaryRow:
     predicted: float | None = None
     pred_mode: str = ""
     flag: int = 0
+    config: ExperimentConfig | None = field(default=None, repr=False, compare=False)  # the config the row ran
 
 
 @dataclass
@@ -265,34 +267,15 @@ def _galton_watson(cfg: ExperimentConfig, rng, shared):
     return galton_watson_tree(cfg.degree_table, int(rng.integers(2**62))), 0
 
 
-def _grid(cfg: ExperimentConfig, rng, shared):
-    if cfg.protocol.kind != "grid-adaptive":
-        raise ValueError("grid network runs only the grid-adaptive protocol")
-    return grid(), (0, 0)
-
-
-def _line(cfg: ExperimentConfig, rng, shared):
-    if cfg.protocol.kind == "paad":  # paad weighs a move by the nodes beyond it, and an end has none
-        raise ValueError("line network does not run paad: next to an end, a holder's one move has weight 0")
-    return shared if shared is not None else _shared_network(cfg), int(rng.integers(1, cfg.line_n + 1))
-
-
-def _explicit(cfg: ExperimentConfig, rng, shared):
-    net = shared if shared is not None else _shared_network(cfg)
-    return net, _pick(rng, net.nodes())
-
-
-def _shared_network(cfg: ExperimentConfig):
+def shared_network(cfg: ExperimentConfig):
     """The network that every trial of cfg runs on, built once per
-    experiment: the explicit graph, the line 0..line_n+1 (kind "line", the
-    one network polya-line runs on), or the regular tree, so that the balls
-    its memo keeps serve every trial.  None for networks drawn per trial."""
+    experiment: the explicit graph, the line 0..line_n+1, or the regular
+    tree, so that the balls its memo keeps serve every trial.  None for
+    networks drawn per trial."""
     if cfg.network == "regular-tree":
         return regular_tree(cfg.d)
     if cfg.network == "line":
-        net = from_edges((v, v + 1) for v in range(cfg.line_n + 1))
-        net.kind = "line"
-        return net
+        return from_edges((v, v + 1) for v in range(cfg.line_n + 1))
     if cfg.network != "explicit":
         return None
     if cfg.graph is None and cfg.edge_list is None:
@@ -311,8 +294,6 @@ def _polya_line(net, source, params: ProtocolParams, rng, early=None):
     """spread_polya_line, with its LineTrace on the snapshot.  It runs until
     an end spy reports, whatever the horizon, so its one snapshot, at that
     time, is handed to each early horizon (hand_over(snapshot, horizon))."""
-    if net.kind != "line":
-        raise ValueError(f"polya-line runs only on the line network, not on {net.kind}")
     snap, trace = spread_polya_line(net.n_nodes - 2, source, rng)
     snap.line_trace = trace
     for t in early[0] if early else ():
@@ -324,13 +305,13 @@ def _polya_line(net, source, params: ProtocolParams, rng, early=None):
 # Entries look their callees up in this module's globals (and in `adv`) when
 # called, so a wrapper put over one of those names sees every call.
 
-# (cfg, rng, the _shared_network or None) -> (network, source)
+# (cfg, rng, the shared_network) -> (network, source)
 NETWORKS = Registry("network kind", {
-    "regular-tree": lambda cfg, rng, shared: (regular_tree(cfg.d) if shared is None else shared, 0),
+    "regular-tree": lambda cfg, rng, shared: (shared, 0),
     "galton-watson": _galton_watson,
-    "grid": _grid,
-    "explicit": _explicit,
-    "line": _line,
+    "grid": lambda cfg, rng, shared: (grid(), (0, 0)),
+    "explicit": lambda cfg, rng, shared: (shared, _pick(rng, shared.nodes())),
+    "line": lambda cfg, rng, shared: (shared, int(rng.integers(1, cfg.line_n + 1))),
 })
 
 # (network, source, ProtocolParams, rng[, early]) -> InfectionSnapshot, where
@@ -353,8 +334,7 @@ ADVERSARIES = Registry("adversary kind", {
     "map-leaf": lambda cfg, net, snap, rng: adv.estimate_map_leaf(snap, rng=rng, finite=net.is_finite),
     "paad-map": lambda cfg, net, snap, rng: adv.estimate_paad_map(snap, cfg.protocol.g, rng=rng,
                                                                   cyclic=net.is_finite),
-    "multi-snapshot": lambda cfg, net, snap, rng: adv.estimate_multiple_snapshots(
-        snap, cfg.observe_T or snap.T, rng=rng),
+    "multi-snapshot": lambda cfg, net, snap, rng: adv.estimate_multiple_snapshots(snap, cfg.observe_T, rng=rng),
     "first-spy": lambda cfg, net, snap, rng: adv.estimate_first_spy(_spies(cfg, snap, rng), rng=rng),
     "spy-ml": lambda cfg, net, snap, rng: adv.estimate_spy_ml(net, _spies(cfg, snap, rng), rng=rng),
     "spy-irregular": lambda cfg, net, snap, rng: adv.estimate_spy_irregular(
@@ -363,6 +343,40 @@ ADVERSARIES = Registry("adversary kind", {
                                                                           rng=rng),
     "line-ml": lambda cfg, net, snap, rng: adv.estimate_line_ml(snap.line_trace),
 })
+
+# What runs together (check_applies).  A protocol runs on the networks of its RUNS_ON row.  An adversary reads
+# the spreads of its READS row, each a protocol kind or always-pass (adaptive with that policy, or d0=inf), on any
+# network not in its NOT_ON row, at an even T if in EVEN_T; multi-snapshot needs an even observe_T below T.
+NOT_GRID = ("regular-tree", "galton-watson", "explicit", "line")
+RUNS_ON = Registry("protocol kind", {"adaptive": NOT_GRID, "paad": NOT_GRID, "tree-protocol": NOT_GRID,
+                                     "grid-adaptive": ("grid",), "diffusion": NOT_GRID, "deterministic": NOT_GRID,
+                                     "polya-line": ("line",)})
+TOKEN_WALKS = ("adaptive", "always-pass", "paad", "tree-protocol", "grid-adaptive")
+READS = Registry("adversary kind", {
+    "snapshot": TOKEN_WALKS, "irregular-ml": TOKEN_WALKS[:4], "map-leaf": ("always-pass", "paad", "tree-protocol"),
+    "paad-map": ("paad",), "multi-snapshot": TOKEN_WALKS, "first-spy": (*TOKEN_WALKS, "diffusion", "deterministic"),
+    "spy-ml": ("tree-protocol",), "spy-irregular": ("tree-protocol",), "spy-snapshot": TOKEN_WALKS,
+    "line-ml": ("polya-line",)})
+NOT_ON = {"spy-snapshot": ("explicit",)}
+EVEN_T = ("irregular-ml", "map-leaf", "spy-snapshot")
+
+
+def check_applies(cfg: ExperimentConfig, subject: str | None = None) -> None:
+    """Raise ValueError unless the table above runs cfg's protocol on its network and lets its adversary read
+    that spread there; a subject (the `spread` command's) checks the protocol's row alone."""
+    kind, network, adversary, T = cfg.protocol.kind, cfg.network, cfg.adversary, cfg.protocol.horizon
+    spread = ALWAYS_PASS if kind == "adaptive" and cfg.protocol.alpha_policy == ALWAYS_PASS else kind
+    NETWORKS[network]  # an unknown network raises here, as an unknown protocol or adversary does below
+    rules = [(network in RUNS_ON[kind], f"{kind} runs only on {', '.join(RUNS_ON[kind])}")]
+    if subject is None:
+        rules += [(spread in READS[adversary], f"it reads only {', '.join(READS[adversary])} spreads"),
+                  (network not in NOT_ON.get(adversary, ()), f"it reads no spread on {network}"),
+                  (adversary not in EVEN_T or T % 2 == 0, f"it needs an even T, not {T}"),
+                  (adversary != "multi-snapshot" or cfg.observe_T in range(0, T, 2),
+                   f"it needs an even observe_T below T={T}, not {cfg.observe_T}")]
+    for holds, reason in rules:
+        if not holds:
+            raise ValueError(f"{subject or adversary} does not apply to {kind} on {network}: {reason}")
 
 
 def _hop(net, a, b):
@@ -413,7 +427,7 @@ def run_trial(cfg: ExperimentConfig, index: int, shared=None, early=None) -> Tri
     config's record, the one its own run would give, is appended to its
     records.  The hop distances are taken after the spread."""
     rng = _trial_rng(cfg.seed, index)
-    net, source = NETWORKS[cfg.network](cfg, rng, shared)
+    net, source = NETWORKS[cfg.network](cfg, rng, shared_network(cfg) if shared is None else shared)
     scored = []  # (records, snapshot, estimate) of each early config
     hand_over = None if early is None else (early, _early_estimator(early, net, rng, scored))
     snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng, hand_over)
@@ -470,10 +484,9 @@ def _records(cfg: ExperimentConfig, groups: list) -> list:
     shared network.  With workers > 1 they run on a pool started for this
     call, from one submission of every group's batches, so that it drains
     once."""
-    for sub in (c for group in groups for c in group):  # polya-line snapshots hold a node off the line
-        if sub.protocol.kind == "polya-line" and sub.adversary != "line-ml":
-            raise ValueError(f"polya-line runs only with the line-ml adversary, not {sub.adversary}")
-    shared = _shared_network(cfg)
+    for sub in (c for group in groups for c in group):
+        check_applies(sub)
+    shared = shared_network(cfg)
     if cfg.workers == 1:
         return [records for group in groups for records in _group_records(group, range(group[0].trials), shared)]
     per_group = [_batches(group, cfg.workers) for group in groups]
@@ -506,6 +519,7 @@ def _summarize(cfg: ExperimentConfig, records: list) -> ExperimentSummary:
         mean_hops=float(np.mean(hops)) if hops else float("nan"),
         mean_n_infected=float(np.mean([r.n_infected for r in records])),
         inconclusive=inconclusive,
+        config=cfg,
     )
     if cfg.trial_output:
         with open(cfg.trial_output, "wt", encoding="utf-8") as fh:
@@ -563,6 +577,8 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
         label = f"{cfg.label or parameter}={text}"
         subs.append(replace(sub, label=label, trial_output=_value_path(sub.trial_output, label)))
     if parameter in _PER_VALUE_SETUP:
+        for sub in subs:  # each value runs on its own, so all are checked before the first runs
+            check_applies(sub)
         return ExperimentSummary([run_experiment(sub).row() for sub in subs], cfg)
     records = _records(cfg, [subs] if parameter == "T" else [[sub] for sub in subs])
     return ExperimentSummary([_summarize(sub, recs).row() for sub, recs in zip(subs, records)], cfg)
@@ -572,8 +588,8 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
 # theory comparison
 
 
-# quantity -> (summary row, cfg) -> (value, mode), where mode is 'match' for
-# equalities and 'upper-bound' or 'lower-bound' for bounds
+# quantity -> (summary row, the row's config) -> (value, mode), where mode is
+# 'match' for equalities and 'upper-bound' or 'lower-bound' for bounds
 CLOSED_FORMS = Registry("quantity", {
     "pd_uniform": lambda row, cfg: (1.0 / (analysis.n_regular(cfg.d, row.T) - 1), "match"),
     "pd_always_pass": lambda row, cfg: (analysis.pd_always_pass(cfg.d, analysis.n_regular(cfg.d, row.T)),
@@ -593,9 +609,8 @@ def compare_with_theory(summary: ExperimentSummary, quantity: str, z: float = 3.
     """Annotate rows with the named prediction and flag disagreements:
     matches must lie within z sigma, bounds must not be crossed by more than
     z sigma."""
-    cfg = summary.config
     for row in summary.rows:
-        value, mode = CLOSED_FORMS[quantity](row, cfg)
+        value, mode = CLOSED_FORMS[quantity](row, row.config)
         row.predicted = value
         row.pred_mode = mode
         sigma = math.sqrt(max(value * (1 - value), 1e-12) / row.trials)

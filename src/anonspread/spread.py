@@ -456,11 +456,11 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
 
 def _pick_holder(rng, weights, net, holder, candidates):
     """The token's next holder: uniform over candidates, or drawn by
-    weights(net, holder, candidates) when weights is given."""
+    weights(net, holder, candidates), or None when every weight is 0."""
     if weights is None:
         return _pick(rng, candidates)
     probs = np.asarray(weights(net, holder, candidates), dtype=float)
-    return candidates[int(rng.choice(len(candidates), p=probs / probs.sum()))]
+    return candidates[int(rng.choice(len(candidates), p=probs / probs.sum()))] if probs.any() else None
 
 
 def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, moves, wave, snapshot,
@@ -481,7 +481,7 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
     neighbor `blocked` (None for a holder that kept the token).
     snapshot(state, t, centers, mid_pass, vs_events, h_history) builds the
     snapshot at t.  weights(net, holder, candidates) -> weights replaces the
-    uniform pick of each holder.
+    uniform pick of each holder; with every weight 0, the holder keeps.
 
     early = (horizons, hand_over), every spread's _early: for each horizon t
     in `horizons`, all below T, hand_over(snapshot at t) is called as the
@@ -500,6 +500,8 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
         return snapshot(st, T, [source], False, vs_events, h_history)
 
     first = _pick_holder(rng, weights, st.net, source, first_holders)
+    if first is None:  # the source must hand the token on at step 1
+        raise ValueError(f"every move from the source {source!r} has weight 0")
     st.infect(first, 1, source)
     vs, prev = first, source
     h = 1
@@ -516,13 +518,14 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
     te = 2
     while te + 1 <= T:
         children = moves(vs, prev)
-        if rng.random() < alpha(te, h) or not children:
+        kept = rng.random() < alpha(te, h) or not children
+        new_vs = None if kept else _pick_holder(rng, weights, st.net, vs, children)
+        if new_vs is None:
             wave(vs, None, te + 1)
             mid_pass = False
             if te + 1 in horizons:
                 hand_over(snapshot(st.copy(), te + 1, [vs], False, list(vs_events), list(h_history)))
         else:
-            new_vs = _pick_holder(rng, weights, st.net, vs, children)
             wave(new_vs, vs, te + 1)
             prev, vs = vs, new_vs
             h += 1
@@ -884,8 +887,8 @@ def spread_polya_line(n: int, source: int, rng, horizon: int | None = None):
     parent = {source: None}
     left_edge = right_edge = source
 
-    def infect(pos, t, par):
-        if pos not in time:
+    def infect(pos, t, par):  # without a horizon, nothing past the end spies
+        if pos not in time and (horizon is not None or 0 <= pos <= n + 1):
             time[pos] = t
             parent[pos] = par
 

@@ -85,6 +85,7 @@ class TestSpreadEstimate:
                  "--protocol", "adaptive", "--alpha_policy", "always-pass",
                  "--T", "4", "--seed", "5", "--output", str(trace)])
         code, out = run_cli(["estimate", "--network", "regular-tree", "--d", "3",
+                             "--protocol", "adaptive", "--alpha_policy", "always-pass",
                              "--adversary", "map-leaf", str(trace)])
         assert code == 0
         assert "candidates,6" in out
@@ -145,27 +146,32 @@ class TestSpreadEstimate:
 
     @pytest.mark.parametrize("policy", ["exact", "always-pass"])
     def test_estimate_runs_every_snapshot_adversary(self, policy, tmp_path, capsys):
-        from anonspread.harness import ADVERSARIES
+        from anonspread.harness import ADVERSARIES, READS
 
         trace = tmp_path / "trace.csv"
-        common = ["--T", "4", "--seed", "3"]
-        assert run_cli(["spread", "--protocol", "adaptive", "--alpha_policy", policy, *common,
-                        "--output", str(trace)])[0] == 0
+        protocol = ["--protocol", "adaptive", "--alpha_policy", policy]
+        common = [*protocol, "--T", "4", "--seed", "3"]
+        assert run_cli(["spread", *common, "--output", str(trace)])[0] == 0
+        spread = "always-pass" if policy == "always-pass" else "adaptive"
         # line-ml and paad-map need what a trace lacks (test_bad_input_exits_1_with_message)
         for kind in sorted(set(ADVERSARIES) - {"line-ml", "paad-map"}):
             capsys.readouterr()
             code, out = run_cli(["estimate", "--adversary", kind, "--p", "0.3", *common, str(trace)])
-            if kind == "map-leaf" and policy == "exact":  # the source is not at a leaf
-                assert code == 1
-                assert "error: snapshot did not come from an always-pass" in capsys.readouterr().err
+            # map-leaf reads only always-pass spreads, spy-ml and spy-irregular only the tree
+            # protocol, and multi-snapshot needs an observe_T below T: the trace stops at T
+            if spread not in READS[kind] or kind == "multi-snapshot":
+                assert code == 1 and out == ""
+                assert f"error: {kind} does not apply to adaptive on regular-tree: " in capsys.readouterr().err
                 continue
             assert code == 0, kind
             assert out.startswith("estimator,")
-            if kind == "multi-snapshot":  # the trace ends at T: no later token move to watch
-                assert "v_hat,None" in out
-        if policy == "always-pass":  # without --T, watch from the trace's own end, not from 0
-            code, out = run_cli(["estimate", "--adversary", "multi-snapshot", str(trace)])
-            assert code == 0 and "v_hat,None" in out
+        if policy == "always-pass":  # without --T, the check reads the trace's own T
+            code, out = run_cli(["estimate", *protocol, "--adversary", "multi-snapshot", str(trace)])
+            assert code == 1
+            assert "it needs an even observe_T below T=4, not None" in capsys.readouterr().err
+            code, out = run_cli(["estimate", *protocol, "--adversary", "multi-snapshot", "--observe_T", "2",
+                                 str(trace)])
+            assert code == 0 and "v_hat,None" not in out
 
 
 @pytest.mark.parametrize("args, message", [
@@ -174,18 +180,25 @@ class TestSpreadEstimate:
     (["estimate", "--network", "explicit", "TRACE"], "explicit network needs edge_list or graph"),
     (["experiment", "--network", "galton-watson", "--trials", "2"],
      "galton-watson network needs degree_table"),
-    (["estimate", "--adversary", "line-ml", "TRACE"], "line-ml needs a line trace"),
-    (["experiment", "--adversary", "line-ml", "--protocol", "adaptive", "--trials", "2"],
+    (["estimate", "--network", "line", "--protocol", "polya-line", "--adversary", "line-ml", "TRACE"],
      "line-ml needs a line trace"),
+    (["estimate", "--adversary", "line-ml", "TRACE"],
+     "line-ml does not apply to adaptive on regular-tree: it reads only polya-line spreads"),
+    (["experiment", "--adversary", "line-ml", "--protocol", "adaptive", "--trials", "2"],
+     "line-ml does not apply to adaptive on regular-tree: it reads only polya-line spreads"),
     (["experiment", "--protocol", "polya-line", "--adversary", "line-ml", "--trials", "2"],
-     "polya-line runs only on the line network, not on regular-tree"),
-    (["experiment", "--network", "line", "--protocol", "paad", "--trials", "2"],
-     "line network does not run paad: next to an end, a holder's one move has weight 0"),
-    (["estimate", "--adversary", "paad-map", "TRACE"], "snapshot lacks frontier adjacency"),
+     "line-ml does not apply to polya-line on regular-tree: polya-line runs only on line"),
+    (["experiment", "--network", "line", "--protocol", "grid-adaptive", "--trials", "2"],
+     "snapshot does not apply to grid-adaptive on line: grid-adaptive runs only on grid"),
+    (["estimate", "--protocol", "paad", "--adversary", "paad-map", "TRACE"], "snapshot lacks frontier adjacency"),
+    (["estimate", "--adversary", "paad-map", "TRACE"],
+     "paad-map does not apply to adaptive on regular-tree: it reads only paad spreads"),
     (["estimate", "--adversary", "bogus", "TRACE"], "unknown adversary kind 'bogus'"),
     (["experiment", "--network", "grid", "--protocol", "diffusion", "--q", "0.5", "--T", "4", "--trials", "3"],
-     "grid network runs only the grid-adaptive protocol"),
-    (["spread", "--network", "grid", "--d0", "4", "--T", "4"], "grid network runs only the grid-adaptive protocol"),
+     "snapshot does not apply to diffusion on grid: diffusion runs only on regular-tree, galton-watson, explicit, "
+     "line"),
+    (["spread", "--network", "grid", "--d0", "4", "--T", "4"],
+     "spread does not apply to adaptive on grid: adaptive runs only on regular-tree, galton-watson, explicit, line"),
     (["sweep", "--trials", "2", "bogus", "1,2"], "unknown option 'bogus'"),
     (["sweep", "--trials", "2", "horizon", "2,4"], "unknown option 'horizon'"),  # the key is T
     (["experiment", "--alpha_policy", "bogus", "--T", "4"], "unknown alpha_policy 'bogus'"),
@@ -209,9 +222,17 @@ def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     (["--adversary", "line-ml", "--line_n", "0"], "line_n must be >= 1, got 0"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
     (["--network", "line", "--protocol", "polya-line", "--adversary", "map-leaf"],
-     "polya-line runs only with the line-ml adversary, not map-leaf"),
+     "map-leaf does not apply to polya-line on line: it reads only always-pass, paad, tree-protocol spreads"),
+    (["--adversary", "multi-snapshot"], "multi-snapshot does not apply to adaptive on regular-tree: it needs an even "
+                                        "observe_T below T="),
+    (["--adversary", "spy-ml"],
+     "spy-ml does not apply to adaptive on regular-tree: it reads only tree-protocol spreads"),
+    (["--network", "explicit", "--edge_list", "EDGES", "--protocol", "diffusion", "--q", "0.4", "--adversary",
+      "irregular-ml"], "irregular-ml does not apply to diffusion on explicit: it reads only adaptive, always-pass, "
+                       "paad, tree-protocol spreads"),
 ], ids=["compare", "empty-graph", "cap-negative", "cap-zero", "workers-zero", "workers-negative", "line-n-zero",
-        "seed-negative", "polya-line-adversary"])
+        "seed-negative", "polya-line-adversary", "multi-snapshot-without-observe-T", "spy-ml-on-adaptive",
+        "irregular-ml-on-diffusion"])
 def test_bad_input_fails_before_the_first_trial(command, args, message, tmp_path, capsys, monkeypatch):
     from anonspread import harness
 
@@ -221,7 +242,9 @@ def test_bad_input_fails_before_the_first_trial(command, args, message, tmp_path
     monkeypatch.setattr(harness, "run_trial", no_trial)
     empty = tmp_path / "empty.edges"
     empty.write_text("# comments only\n")
-    flags = [str(empty) if a == "EMPTY" else a for a in args]
+    edges = tmp_path / "path.edges"
+    edges.write_text("".join(f"{v} {v + 1}\n" for v in range(12)))
+    flags = [{"EMPTY": str(empty), "EDGES": str(edges)}.get(a, a) for a in args]
     code, _ = run_cli([command[0], *flags, "--trials", "2", *command[1:]])
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
@@ -242,17 +265,31 @@ def test_tree_protocol_snapshots_score_with_irregular_ml(tmp_path):
 
 
 @pytest.mark.parametrize("adversary", [["snapshot"], ["irregular-ml", "--d0", "3"]], ids=["snapshot", "irregular-ml"])
-def test_snapshot_of_its_center_alone_is_inconclusive(adversary, tmp_path):
-    # a diffusion spread with q = 0.3 can infect no one by T
-    trials = tmp_path / "trials.csv"
+def test_snapshot_of_its_center_alone_is_inconclusive(adversary, capsys):
+    # a diffusion spread can infect no one by T.  These estimators read token spreads, so the CLI does
+    # not run them on diffusion; a caller that does gets an inconclusive estimate for such a snapshot
+    import numpy as np
+
+    from anonspread.adversary import estimate_irregular_ml, estimate_snapshot_regular
+    from anonspread.graph import galton_watson_tree
+    from anonspread.spread import ProtocolParams, spread_diffusion
+
     code, out = run_cli(["experiment", "--network", "galton-watson", "--degree_table", "3:0.5,4:0.5",
                          "--protocol", "diffusion", "--q", "0.3", "--adversary", *adversary, "--T", "4",
-                         "--trials", "25", "--seed", "7", "--trial_output", str(trials)])
-    assert code == 0
-    records = list(csv.DictReader(line for line in trials.read_text().splitlines() if not line.startswith("#")))
-    alone = [r["trial"] for r in records if r["n_infected"] == "1"]
-    assert alone and alone == [r["trial"] for r in records if r["inconclusive"] == "1"]
-    assert _summary_rows(out)[0][12] == str(len(alone))
+                         "--trials", "25", "--seed", "7"])
+    assert code == 1 and out == ""
+    assert f"error: {adversary[0]} does not apply to diffusion on galton-watson: " in capsys.readouterr().err
+    estimate = {"snapshot": lambda snap, rng: estimate_snapshot_regular(snap, rng=rng),
+                "irregular-ml": lambda snap, rng: estimate_irregular_ml(snap, 3, rng=rng)}[adversary[0]]
+    net = galton_watson_tree({3: 0.5, 4: 0.5}, 7)
+    alone = 0
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        snap = spread_diffusion(net, 0, ProtocolParams(kind="diffusion", q=0.05, horizon=4), rng)
+        est = estimate(snap, rng)
+        assert est.inconclusive == (snap.n_infected == 1)
+        alone += snap.n_infected == 1
+    assert 0 < alone < 25
 
 
 class TestExperiment:
@@ -312,6 +349,15 @@ class TestExperiment:
                            "--trials", "20", "--seed", "1", "--output", "env_out.csv"])
         assert code == 0
         assert (tmp_path / "env_out.csv").exists()
+
+    def test_paad_runs_on_a_path(self, tmp_path):
+        # next to an end of the path, every move of the holder weighs 0, and it keeps the token
+        edges = tmp_path / "path.edges"
+        edges.write_text("".join(f"{v} {v + 1}\n" for v in range(12)))
+        code, out = run_cli(["experiment", "--network", "explicit", "--edge_list", str(edges), "--protocol", "paad",
+                             "--T", "6", "--trials", "20", "--seed", "1"])
+        assert code == 0
+        assert _summary_rows(out)[0][1:3] == ["explicit", "paad"]
 
     def test_line_ml_runs_on_the_line(self):
         code, out = run_cli(["experiment", "--network", "line", "--protocol", "polya-line",

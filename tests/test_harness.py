@@ -1,13 +1,18 @@
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from anonspread.analysis import n_regular, pd_spy_adaptive
+from anonspread.analysis import line_bound, n_regular, pd_spy_adaptive
 from anonspread.graph import degree_distribution, galton_watson_tree, regular_tree
 from anonspread.harness import (
     ADVERSARIES,
+    EVEN_T,
+    NOT_ON,
+    READS,
+    RUNS_ON,
     STREAM_BLOCK,
     ExperimentConfig,
     ExperimentSummary,
@@ -85,6 +90,14 @@ class TestRunner:
         s.config.d = 7  # predictions for the wrong tree must get flagged
         compare_with_theory(s, "pd_uniform")
         assert s.row().flag == 1
+
+    def test_each_rows_prediction_reads_its_own_config(self):
+        line = ExperimentConfig(network="line", protocol=ProtocolParams(kind="polya-line"), adversary="line-ml",
+                                trials=20, seed=1)
+        rows = compare_with_theory(sweep(line, "line_n", [11, 401]), "line_bound").rows
+        assert [r.predicted for r in rows] == [line_bound(11), line_bound(401)]
+        rows = compare_with_theory(sweep(small_cfg(trials=20), "d", [3, 4]), "pd_uniform").rows
+        assert [r.predicted for r in rows] == [1 / (n_regular(d, 4) - 1) for d in (3, 4)]
 
     def test_sweep_over_a_protocol_field(self):
         def cfg(**kw):
@@ -356,81 +369,145 @@ SWEEP_PROTOCOLS = {
     "deterministic": dict(kind="deterministic"),
     "polya-line": dict(kind="polya-line"),
 }
-# the pairs that run: the grid runs only its own protocol, polya-line runs only on the line (and
-# only with line-ml), and the line does not run paad
+
+
+def declared(network, protocol, adversary, T=None, observe_T=None):
+    """Whether the table in harness lets adversary read protocol's spread on
+    network (at horizon T and observe_T, when T is given)."""
+    params = ProtocolParams(**SWEEP_PROTOCOLS[protocol])
+    spread = "always-pass" if params.kind == "adaptive" and params.alpha_policy == "always-pass" else params.kind
+    if network not in RUNS_ON[params.kind] or spread not in READS[adversary] or network in NOT_ON.get(adversary, ()):
+        return False
+    return T is None or ((adversary not in EVEN_T or T % 2 == 0)
+                         and (adversary != "multi-snapshot" or observe_T is not None and 0 <= observe_T < T
+                              and observe_T % 2 == 0))
+
+
+# the pairs the table runs
 RUNNING_PAIRS = [(n, p) for n in sorted(SWEEP_NETWORKS) for p in sorted(SWEEP_PROTOCOLS)
-                 if (n == "grid") == (p == "grid-adaptive") and (n == "line" or p != "polya-line")
-                 and (n, p) != ("line", "paad")]
+                 if n in RUNS_ON[SWEEP_PROTOCOLS[p]["kind"]]]
+
+
+def _cli_flags(fields: dict) -> list:
+    """An ExperimentConfig's or ProtocolParams's fields as CLI flags."""
+    names = {"kind": "protocol", "horizon": "T"}
+    text = {dict: lambda t: ",".join(f"{k}:{v}" for k, v in t.items())}
+    return [a for k, v in fields.items() for a in (f"--{names.get(k, k)}", text.get(type(v), str)(v))]
 
 
 class TestHorizonSweep:
     """A sweep over T runs each trial's spread once, to the largest T, and
     scores every T on the way; its rows and per-trial files are those of one
-    run per value."""
+    run per value.  The table in harness decides which configs run."""
 
-    T_LISTS = ([5, 2, 4, 3], [0, 1, 6])
+    T_LISTS = ([5, 2, 4, 3], [0, 1, 6], [6, 4])
+    OBSERVE_T = 2  # multi-snapshot's, below every T of the even list
 
-    @staticmethod
-    def cfg(network, protocol, adversary, edges, **kw):
+    @classmethod
+    def cfg(cls, network, protocol, adversary, edges, **kw):
         net = dict(SWEEP_NETWORKS[network])
         if network == "explicit":
             net["edge_list"] = edges
         return ExperimentConfig(**{**net, **dict(protocol=ProtocolParams(**SWEEP_PROTOCOLS[protocol]),
                                                  adversary=adversary, p=0.2, trials=9, seed=3, estimator_d0=3,
-                                                 line_n=9), **kw})
+                                                 observe_T=cls.OBSERVE_T, line_n=9), **kw})
 
     @staticmethod
     def swept(cfg, Ts, out):
-        """The sweep's summary text and per-trial files."""
+        """The sweep's summary, its text and its per-trial files."""
         s = sweep(replace(cfg, trial_output=str(out / "swept.csv")), "T", Ts)
-        return summary_csv_text(s), [(out / f"swept.{r.label}.csv").read_text() for r in s.rows]
+        return s, (summary_csv_text(s), [(out / f"swept.{r.label}.csv").read_text() for r in s.rows])
 
     @staticmethod
     def per_value(cfg, Ts, out):
         """What sweep printed and wrote before it grouped the values: one
-        run_experiment per value, or the set of errors they raise."""
-        rows, files, errors = [], [], set()
+        run_experiment per value."""
+        rows, files = [], []
         for T in Ts:
-            sub = replace(with_options(cfg, {"T": T}), label=f"T={T}",
-                          trial_output=str(out / f"each.T={T}.csv"))
-            try:
-                rows.append(run_experiment(sub).row())
-            except ValueError as e:
-                errors.add(str(e))
-                continue
+            sub = replace(with_options(cfg, {"T": T}), label=f"T={T}", trial_output=str(out / f"each.T={T}.csv"))
+            rows.append(run_experiment(sub).row())
             files.append((out / f"each.T={T}.csv").read_text())
-        return (summary_csv_text(ExperimentSummary(rows, cfg)), files), errors
+        return summary_csv_text(ExperimentSummary(rows, cfg)), files
+
+    @staticmethod
+    def trace(network, edges, out):
+        """A trace on network, from the CLI's spread, and the flags that name its network."""
+        from anonspread.cli import main
+
+        net = dict(SWEEP_NETWORKS[network], **({"edge_list": edges} if network == "explicit" else {}),
+                   **({"line_n": 9} if network == "line" else {}))
+        kind = "grid-adaptive" if network == "grid" else "deterministic"
+        path = out / f"{network}.trace.csv"
+        assert main(["spread", *_cli_flags(net), "--protocol", kind, "--T", "2", "--seed", "3",
+                     "--output", str(path)]) == 0
+        return path, _cli_flags(net)
 
     @pytest.mark.parametrize("protocol", sorted(SWEEP_PROTOCOLS))
     @pytest.mark.parametrize("network", sorted(SWEEP_NETWORKS))
-    def test_grouped_records_equal_per_value_records(self, network, protocol, tmp_path):
+    def test_grouped_records_equal_per_value_records(self, network, protocol, tmp_path, monkeypatch, capsys):
+        """Every config the table declares runs, and every declared triple
+        concludes at some T; every other config raises the table's message
+        before any spread runs or any pool starts, in experiment, in sweep
+        over T (serial and pooled) and in the CLI's estimate."""
+        from anonspread import harness
+        from anonspread.cli import main
+
+        spreads, pools = [], []
+        for kind, real in list(harness.PROTOCOLS.items()):
+            monkeypatch.setitem(harness.PROTOCOLS, kind, lambda *a, real=real: spreads.append(1) or real(*a))
+        real_pool = harness._start_pool
+        monkeypatch.setattr(harness, "_start_pool", lambda *a: pools.append(1) or real_pool(*a))
         edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail(300, 3))
-        compared = 0
+        trace, net_flags = self.trace(network, edges, tmp_path)
+        kind = SWEEP_PROTOCOLS[protocol]["kind"]
         for adversary in ADVERSARIES:
+            message = re.escape(f"{adversary} does not apply to {kind} on {network}: ")
+            concluded = []
             for Ts in self.T_LISTS:
                 cfg = self.cfg(network, protocol, adversary, edges)
-                expected, errors = self.per_value(cfg, Ts, tmp_path)
-                if errors:  # the sweep stops at the first trial that raises
-                    with pytest.raises(ValueError) as raised:
-                        sweep(cfg, "T", Ts)
-                    assert str(raised.value) in errors, (adversary, Ts)
-                else:
-                    assert self.swept(cfg, Ts, tmp_path) == expected, (adversary, Ts)
-                    compared += 1
-        if (network, protocol) in RUNNING_PAIRS:
-            assert compared >= 2  # a pair that runs has an adversary that scores it, at both T lists
+                if all(declared(network, protocol, adversary, T, self.OBSERVE_T) for T in Ts):
+                    expected = self.per_value(cfg, Ts, tmp_path)
+                    summary, got = self.swept(cfg, Ts, tmp_path)
+                    assert got == expected, (adversary, Ts)
+                    concluded.append(sum(r.trials - r.inconclusive for r in summary.rows))
+                    continue
+                before = len(spreads), len(pools)
+                for workers in (1, 2):
+                    with pytest.raises(ValueError, match=message):
+                        sweep(replace(cfg, workers=workers), "T", Ts)
+                for T in Ts:
+                    if not declared(network, protocol, adversary, T, self.OBSERVE_T):
+                        with pytest.raises(ValueError, match=message):
+                            run_experiment(with_options(cfg, {"T": T}))
+                assert (len(spreads), len(pools)) == before, (adversary, Ts)
+            if declared(network, protocol, adversary):
+                assert concluded and sum(concluded) > 0, adversary
+            else:
+                assert not concluded
+            capsys.readouterr()
+            args = ["estimate", *net_flags, *_cli_flags(SWEEP_PROTOCOLS[protocol]), "--adversary", adversary,
+                    "--p", "0.2", "--seed", "3", "--estimator_d0", "3", "--observe_T", "4", "--T", "6", str(trace)]
+            if not declared(network, protocol, adversary, 6, 4):
+                assert main(args) == 1
+                assert re.search(f"^error: {message}", capsys.readouterr().err)
 
     @pytest.mark.parametrize("network, protocol", RUNNING_PAIRS)
     def test_pooled_grouped_records_equal_per_value_records(self, network, protocol, tmp_path):
-        # spy-irregular draws the spies from the trial's stream between the
+        # first-spy draws the spies from the trial's stream between the
         # spread's draws, and accepts odd T; polya-line is scored by line-ml alone
         edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail(300, 3))
-        adversary = "line-ml" if protocol == "polya-line" else "spy-irregular"
+        adversary = "first-spy" if declared(network, protocol, "first-spy") else "line-ml"
         cfg = self.cfg(network, protocol, adversary, edges, workers=2, trials=23)
         for Ts in ([5, 2, 4, 3], [4, 4]):
-            expected, errors = self.per_value(replace(cfg, workers=1), Ts, tmp_path)
-            assert not errors
-            assert self.swept(cfg, Ts, tmp_path) == expected
+            expected = self.per_value(replace(cfg, workers=1), Ts, tmp_path)
+            assert self.swept(cfg, Ts, tmp_path)[1] == expected
+
+    def test_sweep_over_a_set_up_key_checks_every_value_first(self, monkeypatch):
+        from anonspread import harness
+
+        monkeypatch.setattr(harness, "run_trial", lambda *a, **k: pytest.fail("a trial ran"))
+        with pytest.raises(ValueError, match="snapshot does not apply to adaptive on grid: "):
+            sweep(small_cfg(trials=5), "network", ["regular-tree", "grid"])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_repeated_value_prints_equal_rows(self, workers):

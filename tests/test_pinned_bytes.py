@@ -6,8 +6,9 @@ hashes the summary CSV and the per-T trial CSVs of one sweep over T.  The
 digests were taken from the code before the adaptive and grid spreads
 shared one token walk, so a change that moves any draw, infection order or
 estimate shows here.  The line's (line-ml on polya-line spreads) were taken
-from the code before the line joined the network and protocol registries,
-when run_trial drew its own line.  To regenerate after a declared output
+when a polya-line spread stopped infecting at the end spies: before, it
+could infect one node past the spy that reports, and only n_infected
+differed.  To regenerate after a declared output
 change, print cell_digest(name), sweep_digest(name, tmp_dir) and
 line_digest() for every name."""
 
@@ -128,14 +129,14 @@ def test_sweep_over_T_keeps_its_bytes(name, tmp_path):
 
 
 def test_line_trial_records_keep_their_bytes():
-    assert line_digest() == "5b15271120e0c52ebf326823353a7b1f6ab12362561e0f9f6480f471faa54049"
+    assert line_digest() == "9575c49ea34dcb55b396ce38895fa42d67ac336bf656917681412a80d8bde45e"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_line_sweep_over_T_keeps_its_bytes(workers, tmp_path):
     # line-ml ignores the horizon, so every T gets the same records, on any pool
     digest = sweep_digest("line", tmp_path, replace(LINE, workers=workers))
-    assert digest == "42338402e5edd2f892284b07a295f0059fd7986f07a2f277af2ca2f95848fab5"
+    assert digest == "63ebb274e797f5c7a758820bdc6c1590e0d43a6219ec1797415cfbd594ac46e7"
 
 
 def test_multi_snapshot_sampler_keeps_its_counts():

@@ -770,6 +770,18 @@ class TestPaad:
         p = 4 / 6
         assert abs(hits / n - p) < 4 * np.sqrt(p * (1 - p) / n)
 
+    def test_holder_whose_every_move_weighs_0_keeps_the_token(self):
+        # on the path 0..12 a holder next to an end has one move, onto the end, of weight 0
+        g = from_edges((v, v + 1) for v in range(12))
+        for seed in range(40):
+            s = spread_paad(g, 2, ProtocolParams(kind="paad", g=1, horizon=8), rng=np.random.default_rng(seed))
+            holders = [v for _, v, _ in s.vs_events]
+            assert 0 not in holders and 12 not in holders
+            assert all(abs(a - b) == 1 for a, b in zip(holders, holders[1:]))
+        with pytest.raises(ValueError, match="every move from the source 0 has weight 0"):
+            spread_paad(from_edges([(0, 1), (0, 2)]), 0, ProtocolParams(kind="paad", horizon=4),
+                        rng=np.random.default_rng(0))
+
     def test_g2_weights_match_enumeration(self):
         # 10-node tree: weights for g=2 equal brute-force 2-hop counts
         edges = [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (6, 7), (6, 8), (4, 9)]
@@ -812,6 +824,15 @@ class TestPolyaLine:
             b, _ = spread_polya_line(4000, 2000, rng=rng, horizon=T)
             cp[b.h_T - 1] += 1
         assert chi2_contingency(np.vstack([ca, cp])).pvalue > 0.001
+
+    def test_spread_stops_at_the_spy_that_reports(self):
+        # without a horizon the spread runs until an end spy reports, and infects nothing past it
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 9, 41):
+            for _ in range(200):
+                snap, tr = spread_polya_line(n, int(rng.integers(1, n + 1)), rng=rng)
+                assert min(snap.time) >= 0 and max(snap.time) <= n + 1
+                assert snap.time[tr.first_spy] == max(snap.time.values()) == tr.t_first
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
