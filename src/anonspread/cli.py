@@ -130,7 +130,8 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
 
     T is the snapshot time; without it, the latest infection time is taken,
     which falls one short of T when the last epoch kept the token.  A T
-    before the latest infection time raises ValueError."""
+    before the latest infection time, a trace with no rows and a node that
+    a finite network lacks raise ValueError."""
     import csv as _csv
 
     time, parent, direction, level = {}, {}, {}, {}
@@ -146,6 +147,11 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
                 level[v] = int(row["level"])
             if row["is_virtual_source_at_t"]:
                 vs_marks.append((int(row["is_virtual_source_at_t"]), v))
+    if not time:
+        raise ValueError(f"trace {path} has no rows")
+    missing = [v for v in time if v not in net.adj] if net.is_finite else []
+    if missing:
+        raise ValueError(f"trace node {missing[0]} is not a node of the {net.kind} network of {net.n_nodes} nodes")
     vs_marks.sort()
     latest = max(time.values())
     if T and T < latest:

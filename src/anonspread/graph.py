@@ -176,10 +176,10 @@ class ContactNetwork:
 
 
 class Memo(dict):
-    """Results computed from one lazy tree alone, kept on it for the next
-    spread (spread.spread_adaptive keeps each infected ball under the token
-    walk that fixes it).  `nodes` counts the nodes its entries hold, so that
-    the spread can cap it."""
+    """Results computed from one lazy tree alone, kept on it, oldest first,
+    for later spreads (spread.spread_adaptive keeps each infected ball under
+    the token walk that fixes it) while the tree lives.  `nodes` counts the
+    nodes its entries hold, so that the spread can cap it."""
 
     nodes = 0
 

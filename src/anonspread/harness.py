@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import threading
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from multiprocessing import get_context
@@ -267,13 +268,26 @@ def _galton_watson(cfg: ExperimentConfig, rng, shared):
     return galton_watson_tree(cfg.degree_table, int(rng.integers(2**62))), 0
 
 
+_thread_trees = threading.local()  # .by_degree: d -> this thread's regular tree
+
+
+def _thread_tree(d: int):
+    """The calling thread's d-regular tree, built at its first use and then
+    kept, so that its ball memo serves every later run of that degree in
+    the thread; forked pool workers inherit it, filled."""
+    trees = vars(_thread_trees).setdefault("by_degree", {})
+    if d not in trees:
+        trees[d] = regular_tree(d)
+    return trees[d]
+
+
 def shared_network(cfg: ExperimentConfig):
-    """The network that every trial of cfg runs on, built once per
-    experiment: the explicit graph, the line 0..line_n+1, or the regular
-    tree, so that the balls its memo keeps serve every trial.  None for
-    networks drawn per trial."""
+    """The network that every trial of cfg runs on: the explicit graph or
+    the line 0..line_n+1, built once per experiment, or the calling
+    thread's regular tree of degree d (_thread_tree).  None for networks
+    drawn per trial."""
     if cfg.network == "regular-tree":
-        return regular_tree(cfg.d)
+        return _thread_tree(cfg.d)
     if cfg.network == "line":
         return from_edges((v, v + 1) for v in range(cfg.line_n + 1))
     if cfg.network != "explicit":
@@ -707,10 +721,10 @@ def multi_snapshot_trial(net, T: int, rng):
 
 def multi_snapshot_detection_mc(d: int, T: int, trials: int, seed: int = 0):
     """Detections, trials and inconclusive estimates of `trials`
-    multi_snapshot_trial runs on one d-regular tree, whose ball memo serves
-    them all."""
+    multi_snapshot_trial runs on the calling thread's d-regular tree
+    (_thread_tree), whose ball memo serves them all."""
     rng = np.random.default_rng(seed)
-    net = regular_tree(d)
+    net = _thread_tree(d)
     det = 0
     inconclusive = 0
     for _ in range(trials):

@@ -395,7 +395,7 @@ def _default_cap(net: ContactNetwork, params: ProtocolParams):
 # adaptive diffusion (trees and explicit graphs)
 
 
-BALL_MEMO_NODES = 1 << 16  # a lazy tree's memo takes no more balls once they hold this many nodes in all
+BALL_MEMO_NODES = 1 << 16  # a lazy tree's memo holds balls of at most this many nodes in all
 
 
 def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
@@ -549,8 +549,9 @@ def _lazy_tree_ball(st: _State, source, first, plan: tuple) -> None:
     """Fill st, which holds the source and the first holder, with the ball
     that `plan`'s waves leave on its lazy tree: a copy of the one in the
     tree's memo, or else the waves run and a copy of their ball is kept
-    there if it fits, with the balls already there, in BALL_MEMO_NODES
-    nodes.  Every spread gets dicts of its own, so changing a snapshot
+    there.  The memo's balls hold at most BALL_MEMO_NODES nodes in all: the
+    oldest leave first to make room, and a ball larger than that is not
+    kept.  Every spread gets dicts of its own, so changing a snapshot
     changes no other."""
     memo = st.net.memo
     key = (source, first, plan)
@@ -560,9 +561,12 @@ def _lazy_tree_ball(st: _State, source, first, plan: tuple) -> None:
         return
     for origin, blocked, t in plan:
         _lazy_tree_wave(st, origin, blocked, t)
-    if memo.nodes + len(st.time) <= BALL_MEMO_NODES:
+    size = len(st.time)
+    if size <= BALL_MEMO_NODES:
+        while memo.nodes + size > BALL_MEMO_NODES:
+            memo.nodes -= len(memo.pop(next(iter(memo)))[0])
         memo[key] = dict(st.time), dict(st.parent)
-        memo.nodes += len(st.time)
+        memo.nodes += size
 
 
 def _adaptive_snapshot(name, st, T, source, centers, mid_pass, vs_events, h_history) -> InfectionSnapshot:

@@ -69,6 +69,17 @@ class TestSpreadEstimate:
         assert code == 1 and out == ""
         assert "error: T=4 lies before the trace's latest infection time 8" in capsys.readouterr().err
 
+    def test_a_trace_the_network_cannot_hold_exits_1(self, tmp_path, capsys):
+        trace, header = tmp_path / "t8.csv", tmp_path / "header.csv"
+        assert run_cli(["spread", "--T", "8", "--seed", "1", "--output", str(trace)])[0] == 0
+        header.write_text(trace.read_text().splitlines(keepends=True)[0])  # no rows
+        capsys.readouterr()
+        for args, message in ((["--network", "line", "--line_n", "5", "--T", "8", str(trace)],
+                               "trace node 7 is not a node of the explicit network of 7 nodes"),
+                              ([str(header)], f"trace {header} has no rows")):
+            code, out = run_cli(["estimate", *args])
+            assert (code, out, capsys.readouterr().err) == (1, "", f"error: {message}\n")  # and no traceback
+
     def test_line_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
         code, _ = run_cli(["spread", "--network", "line", "--protocol", "polya-line", "--line_n", "41",

@@ -1,5 +1,8 @@
+import io
 import random
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -23,13 +26,35 @@ from anonspread.harness import (
     normal_ci_half,
     run_experiment,
     run_trial,
+    shared_network,
     spy_tree_detection_mc,
     sweep,
     with_options,
+    write_trial_csv,
 )
 from anonspread.spread import ProtocolParams, assign_spies, observations_for, spread_adaptive, spread_tree_protocol
 from anonspread.adversary import estimate_map_leaf, estimate_spy_ml
 from helpers import summary_csv_text
+
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """Start the calling thread with no regular trees, and list the degree
+    of every tree the harness builds from then on."""
+    from anonspread import harness
+
+    monkeypatch.setattr(harness, "_thread_trees", threading.local())
+    built = []
+    real = harness.regular_tree
+    monkeypatch.setattr(harness, "regular_tree", lambda d: built.append(d) or real(d))
+    return built
+
+
+def fresh_tree_text(cfg):
+    """The per-trial CSV of cfg's trials, each on a regular tree of its own."""
+    buf = io.StringIO()
+    write_trial_csv([run_trial(cfg, i, regular_tree(cfg.d)) for i in range(cfg.trials)], buf)
+    return buf.getvalue()
 
 
 def small_cfg(**kw):
@@ -158,20 +183,55 @@ class TestRunner:
 
 
 class TestSharedTree:
-    """An experiment on a regular tree builds the tree once, and its trials
-    share the balls that the tree's memo keeps."""
+    """Each thread builds one regular tree per degree, at its first use, and
+    every later experiment, sweep and bare trial of that degree in the
+    thread shares the balls that the tree's memo keeps."""
 
-    def test_an_experiment_builds_one_tree(self, monkeypatch):
-        from anonspread import harness
+    def test_experiments_and_bare_trials_share_one_tree_per_degree(self, tree_builds, tmp_path):
+        runs = []
+        for k, d in enumerate([3, 4, 3, 4]):
+            cfg = small_cfg(d=d, trials=50, seed=7 + k // 2, trial_output=str(tmp_path / f"run{k}.csv"))
+            run_experiment(cfg)
+            runs.append((cfg, (tmp_path / f"run{k}.csv").read_bytes().decode()))
+        bare = {d: [run_trial(small_cfg(d=d), i) for i in range(50)] for d in (3, 4)}
+        assert tree_builds == [3, 4]
+        for cfg, text in runs:
+            assert text == fresh_tree_text(cfg)
+        for d, records in bare.items():
+            assert records == [run_trial(small_cfg(d=d), i, regular_tree(d)) for i in range(50)]
 
-        cfg = small_cfg(trials=50)
-        records = [run_trial(cfg, i) for i in range(cfg.trials)]  # each builds its own tree
-        built = []
-        real = harness.regular_tree
-        monkeypatch.setattr(harness, "regular_tree", lambda d: built.append(d) or real(d))
-        row = run_experiment(cfg).row()
-        assert built == [3]
-        assert row.detections == sum(r.detected for r in records)
+    def test_each_thread_has_its_own_trees(self, tree_builds):
+        cfg = small_cfg(protocol=ProtocolParams(horizon=6), trials=40)
+        out = {}
+
+        def run(k):
+            out[k] = (shared_network(cfg), [run_trial(cfg, i) for i in range(cfg.trials)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the spreads
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]  # more threads than cores
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and sorted(out) == [0, 1, 2, 3]
+        trees = [tree for tree, _ in out.values()]
+        assert len({id(tree) for tree in trees}) == 4 and tree_builds == [3] * 4
+        assert shared_network(cfg) not in trees  # this thread's own, built now
+        expected = [run_trial(cfg, i, regular_tree(3)) for i in range(cfg.trials)]
+        assert all(records == expected for _, records in out.values())
+
+    def test_a_pool_forked_with_a_filled_memo_gives_the_serial_records(self, tree_builds, tmp_path):
+        cfg = small_cfg(protocol=ProtocolParams(horizon=6), trials=200, seed=12)
+        run_experiment(replace(cfg, seed=11))  # fills this thread's d=3 memo
+        assert len(shared_network(cfg).memo) > 0
+        pooled = replace(cfg, workers=2, trial_output=str(tmp_path / "pooled.csv"))
+        run_experiment(pooled)
+        assert tree_builds == [3]
+        assert (tmp_path / "pooled.csv").read_bytes().decode() == fresh_tree_text(cfg)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_over_d_runs_each_value_on_its_own_tree(self, workers):
@@ -527,14 +587,16 @@ class TestHorizonSweep:
         sweep(small_cfg(trials=25), "p", [0.0, 0.1])  # any other option: one run per value
         assert calls == [4] * 50
 
-    def test_one_tree_for_the_sweep(self, monkeypatch):
-        from anonspread import harness
-
-        built = []
-        real = harness.regular_tree
-        monkeypatch.setattr(harness, "regular_tree", lambda d: built.append(d) or real(d))
-        sweep(small_cfg(trials=10), "T", [2, 4, 6])
-        assert built == [3]
+    def test_one_tree_for_the_sweep(self, tree_builds, tmp_path):
+        cfg = small_cfg(trials=30, trial_output=str(tmp_path / "swept.csv"))
+        for seed in (7, 8):
+            for row in sweep(replace(cfg, seed=seed), "T", [2, 4, 6]).rows:
+                text = (tmp_path / f"swept.{row.label}.csv").read_bytes().decode()
+                assert text == fresh_tree_text(replace(cfg, seed=seed, protocol=ProtocolParams(horizon=row.T)))
+        records = [run_trial(cfg, i) for i in range(cfg.trials)]
+        run_experiment(replace(cfg, trial_output=None))
+        assert tree_builds == [3]
+        assert records == [run_trial(cfg, i, regular_tree(3)) for i in range(cfg.trials)]
 
 
 def _load_spans():
@@ -553,9 +615,10 @@ class TestTraceHooks:
     `adversary`; a registry that bound them at import would hide every call."""
 
     @pytest.mark.parametrize("kind", ["tree", "edge-list"])
-    def test_one_spread_and_one_adversary_span_per_trial(self, kind, tmp_path):
+    def test_one_spread_and_one_adversary_span_per_trial(self, kind, tmp_path, monkeypatch):
         from anonspread import adversary, harness
 
+        monkeypatch.setattr(harness, "_thread_trees", threading.local())  # the traced tree goes with the test
         spans = _load_spans()
         if kind == "tree":
             cfg = small_cfg(trials=20)
@@ -724,14 +787,11 @@ class TestFastPaths:
             results[d0] = run_experiment(cfg).row().p_hat
         assert results[2] > 2 * results[4]
 
-    def test_multi_snapshot_sampler_builds_one_tree(self, monkeypatch):
-        from anonspread import harness
-
-        built = []
-        real = harness.regular_tree
-        monkeypatch.setattr(harness, "regular_tree", lambda d: built.append(d) or real(d))
-        multi_snapshot_detection_mc(3, 6, 200, seed=10)
-        assert built == [3]
+    def test_multi_snapshot_sampler_builds_one_tree(self, tree_builds):
+        first = multi_snapshot_detection_mc(3, 6, 200, seed=10)
+        assert multi_snapshot_detection_mc(3, 6, 200, seed=10) == first  # on the memo the first run filled
+        run_experiment(small_cfg(trials=20))
+        assert tree_builds == [3]
 
     def test_multi_snapshot_sampler(self):
         det, n, inc = multi_snapshot_detection_mc(3, 4, 8000, seed=10)

@@ -465,22 +465,56 @@ class TestBallMemo:
             s.parent.clear()
         assert len(net.memo) == 1
 
-    def test_memo_stops_growing_at_its_node_cap(self, monkeypatch):
+    @staticmethod
+    def _fresh_tree_agrees(snap, rng, params, seed):
+        ref_rng = np.random.default_rng(seed)
+        ref = spread_adaptive(regular_tree(3), 0, params, ref_rng)
+        return _snapshot_items(snap, rng) == _snapshot_items(ref, ref_rng)
+
+    def test_memo_drops_its_oldest_balls_to_stay_within_its_node_cap(self, monkeypatch):
         monkeypatch.setattr(spread_module, "BALL_MEMO_NODES", 60)
         net = regular_tree(3)
-        params = ProtocolParams(horizon=6)
-        sizes, walks = [], set()
+        inserted = []  # every ball key the memo took, in order
         for seed in range(200):
+            params = ProtocolParams(horizon=(4, 5, 6, 10)[seed % 4])  # 10, 14 or 22, 22 and 94 nodes
+            before = list(net.memo)
             rng = np.random.default_rng(seed)
             s = spread_adaptive(net, 0, params, rng)
-            walks.add(tuple(s.vs_events))
-            sizes.append(net.memo.nodes)
-            ref_rng = np.random.default_rng(seed)
-            assert _snapshot_items(s, rng) == _snapshot_items(spread_adaptive(regular_tree(3), 0, params, ref_rng),
-                                                              ref_rng)
-        assert sizes == sorted(sizes) and 0 < sizes[-1] <= 60
-        assert net.memo.nodes == sum(len(time) for time, _ in net.memo.values())
-        assert len(net.memo) < len(walks)  # the cap turned balls away
+            assert self._fresh_tree_agrees(s, rng, params, seed), seed
+            new = [key for key in net.memo if key not in before]
+            assert len(new) <= 1
+            inserted += new
+            assert list(net.memo) == inserted[len(inserted) - len(net.memo):]  # the first in leave first
+            assert net.memo.nodes == sum(len(time) for time, _ in net.memo.values()) <= 60
+            if s.n_infected > 60:  # a ball larger than the cap is not kept
+                assert list(net.memo) == before
+            else:  # the ball this spread left is in the memo: the same walk again is a hit
+                after = list(net.memo)
+                spread_adaptive(net, 0, params, np.random.default_rng(seed))
+                assert list(net.memo) == after
+        assert len(inserted) > len(net.memo) > 1  # balls came and went
+
+    def test_a_full_memo_takes_the_balls_of_a_new_horizon(self, monkeypatch):
+        monkeypatch.setattr(spread_module, "BALL_MEMO_NODES", 60)
+        net = regular_tree(3)
+        for seed in range(40):
+            spread_adaptive(net, 0, ProtocolParams(horizon=6), np.random.default_rng(seed))
+        assert net.memo.nodes == 2 * 22  # two T=6 balls: no room for a third without dropping one
+        walks = {}  # T=4 walk -> the first seed that draws it
+        for seed in range(100):
+            s = spread_adaptive(regular_tree(3), 0, ProtocolParams(horizon=4), np.random.default_rng(seed))
+            walks.setdefault(tuple(s.vs_events), seed)
+        seeds = list(walks.values())[:6]  # six balls of 10 nodes: a cap's worth
+        assert len(seeds) == 6
+        misses = []
+        for _ in range(3):
+            for seed in seeds:
+                before = list(net.memo)
+                rng = np.random.default_rng(seed)
+                s = spread_adaptive(net, 0, ProtocolParams(horizon=4), rng)
+                assert self._fresh_tree_agrees(s, rng, ProtocolParams(horizon=4), seed), seed
+                misses.append(list(net.memo) != before)
+        assert misses == [True] * 6 + [False] * 12
 
 
 def _snapshot_fields(s):
