@@ -28,7 +28,7 @@ for d0 in (2, 3, 4, 5):
     for _ in range(trials):
         net = galton_watson_tree(dist, int(rng.integers(2**60)))
         snap = spread_adaptive(net, 0, ProtocolParams(horizon=6, d0=d0), rng=rng)
-        est = estimate_irregular_ml(snap, d0, rng=rng)
+        est = estimate_irregular_ml(net, snap, d0, rng=rng)
         det += int(est.v_hat == 0)
     print(f"d0={d0}: detection {det/trials:.4f}"
           + ("   <- below the offspring threshold" if d0 - 1 < dist.mean_children else ""))
@@ -57,16 +57,16 @@ uniform_params = ProtocolParams(alpha_policy="always-pass", horizon=6)
 weighted_params = ProtocolParams(kind="paad", g=1, horizon=6)
 for label, spread_fn, est_fn in (
     ("uniform passing ", lambda net: spread_adaptive(net, 0, uniform_params, rng=rng),
-     lambda s: estimate_map_leaf(s, rng=rng)),
+     lambda net, s: estimate_map_leaf(net, s, rng=rng)),
     ("weighted passing", lambda net: spread_paad(net, 0, weighted_params, rng=rng),
-     lambda s: estimate_paad_map(s, 1, rng=rng)),
+     lambda net, s: estimate_paad_map(net, s, 1, rng=rng)),
 ):
     det, leaves = 0, 0
     trials = 1500
     for _ in range(trials):
         net = galton_watson_tree(dist_w, int(rng.integers(2**60)))
         snap = spread_fn(net)
-        est = est_fn(snap)
+        est = est_fn(net, snap)
         det += int(est.v_hat == 0)
         leaves += len(snap.boundary())
     print(f"{label}: detection {det/trials:.4f}  (1/mean-leaves = {trials/leaves:.4f})")

@@ -52,7 +52,7 @@ for p in (0.05, 0.10, 0.15):
         src = nodes[int(rng.integers(len(nodes)))]
         s = spread_tree_protocol(g, src, ProtocolParams(kind="tree-protocol", horizon=24), rng=rng)
         est = estimate_spy_irregular(g, observations_for(s, assign_spies(s, p, int(rng.integers(2**62)))),
-                                     rng=rng, open_degree=s.open_degree)
+                                     rng=rng, time=s.time)
         det_a += int(not est.inconclusive and est.v_hat == src)
         s2 = spread_diffusion(g, src, ProtocolParams(kind="diffusion", q=0.1, horizon=24), rng=rng)
         est2 = estimate_first_spy(observations_for(s2, assign_spies(s2, p, int(rng.integers(2**62)))), rng=rng)

@@ -7,12 +7,18 @@ weighted variant.  Spy-side: the pivot estimator for the distributed tree
 protocol, the first-spy baseline, the degree-weighted refinement for
 irregular trees, and the closed-form line estimator.  A brute-force
 trajectory-sum oracle backs the message-passing implementation in tests.
+
+An estimator that reads degrees or neighbors takes the network first and
+asks it: the snapshot holds what the spread did, not the network's facts.
+Finite networks (net.is_finite) get the variants that allow for cycles.
+An inconclusive estimate gives its reason in info["reason"].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from types import SimpleNamespace
 
 from . import graph
@@ -85,11 +91,12 @@ def _path_up(up, v):
 # snapshot estimators
 
 
-def _only_centers(kind: str) -> Estimate:
-    """The inconclusive estimate of a snapshot that holds no node but its
-    centers, which a spread that infected no one leaves."""
-    return Estimate(None, [], None, 0, kind, inconclusive=True,
-                    info={"reason": "no infected node outside the centers"})
+def _inconclusive(kind: str, reason: str) -> Estimate:
+    return Estimate(None, [], None, 0, kind, inconclusive=True, info={"reason": reason})
+
+
+# the reason of a snapshot that holds no node but its centers, which a spread that infected no one leaves
+ONLY_CENTERS = "no infected node outside the centers"
 
 
 def estimate_snapshot_regular(snap: InfectionSnapshot, rng) -> Estimate:
@@ -109,11 +116,11 @@ def estimate_snapshot_regular(snap: InfectionSnapshot, rng) -> Estimate:
         excluded = set(snap.centers)
     candidates = [v for v in nodes if v not in excluded]
     if not candidates:
-        return _only_centers("snapshot-uniform")
+        return _inconclusive("snapshot-uniform", ONLY_CENTERS)
     return Estimate(_pick(rng, candidates), candidates, None, len(candidates), "snapshot-uniform")
 
 
-def irregular_ml_scores(snap: InfectionSnapshot, d0: int):
+def irregular_ml_scores(net: ContactNetwork, snap: InfectionSnapshot, d0: int):
     """Degree message passing for the mismatched-schedule likelihood.
 
     Returns (relative score map, absolute likelihood map).  The relative
@@ -126,8 +133,8 @@ def irregular_ml_scores(snap: InfectionSnapshot, d0: int):
         raise ValueError("likelihood scoring requires an even snapshot time")
     if d0 < 2:
         raise ValueError("d0 must be >= 2")
-    deg = snap.net_degree
     children, up, depth = _children_from_center(snap)
+    deg = {v: net.degree(v) for v in children}
     root = snap.virtual_source
 
     score = {root: 0.0}
@@ -157,11 +164,11 @@ def irregular_ml_scores(snap: InfectionSnapshot, d0: int):
     return score, likelihood
 
 
-def estimate_irregular_ml(snap: InfectionSnapshot, d0: int, rng, cyclic: bool = False) -> Estimate:
+def estimate_irregular_ml(net: ContactNetwork, snap: InfectionSnapshot, d0: int, rng) -> Estimate:
     """ML source estimate under a degree-d0 schedule run on an irregular
     tree, via one O(N) message-passing sweep from the center.
 
-    With cyclic=True (finite graphs with cycles) the token walks down the
+    On a finite network (which may have cycles) the token walks down the
     infection tree, so the source sits exactly h_T hops from the center;
     h_T is read from the snapshot's token trace and equals T/2 for
     always-pass spreads.  Candidates are the infected nodes at that depth.
@@ -177,21 +184,21 @@ def estimate_irregular_ml(snap: InfectionSnapshot, d0: int, rng, cyclic: bool = 
 
     On trees, a snapshot that holds only its center is inconclusive.
     """
-    if cyclic:
-        score = likelihood = candidates = _token_path_scores(snap)
+    if net.is_finite:
+        score = likelihood = candidates = _token_path_scores(net, snap)
     else:
-        score, likelihood = irregular_ml_scores(snap, d0)
+        score, likelihood = irregular_ml_scores(net, snap, d0)
         candidates = {v: s for v, s in score.items() if v != snap.virtual_source}
         if not candidates:
-            return _only_centers("irregular-ml")
+            return _inconclusive("irregular-ml", ONLY_CENTERS)
     v_hat, ties = _argmax_pick(candidates, rng)
     return Estimate(v_hat, sorted(candidates, key=repr), score, len(ties), "irregular-ml",
                     info={"likelihood": likelihood, "d0": d0})
 
 
-def _token_path_scores(snap: InfectionSnapshot) -> dict:
+def _token_path_scores(net: ContactNetwork, snap: InfectionSnapshot) -> dict:
     """Token-path probability of every infected node at depth h_T from the
-    center (see estimate_irregular_ml with cyclic=True)."""
+    center (see estimate_irregular_ml on a finite network)."""
     if snap.T % 2:
         raise ValueError("likelihood scoring requires an even snapshot time")
     children, up, depth = _children_from_center(snap)
@@ -200,7 +207,7 @@ def _token_path_scores(snap: InfectionSnapshot) -> dict:
     for v, dv in depth.items():
         if dv != h:
             continue
-        prob = 1.0 / snap.net_degree[v]
+        prob = 1.0 / net.degree(v)
         w = up[v]
         while w is not None and up[w] is not None:
             prob /= len(children[w])
@@ -209,14 +216,14 @@ def _token_path_scores(snap: InfectionSnapshot) -> dict:
     return score
 
 
-def estimate_map_leaf(snap: InfectionSnapshot, rng, finite: bool = False) -> Estimate:
+def estimate_map_leaf(net: ContactNetwork, snap: InfectionSnapshot, rng) -> Estimate:
     """MAP rule for always-pass spreads: pick the boundary leaf minimizing
     the product of (degree-1) over its path to the center.  Also reports the
     extremal product Lambda and the conditional detection probability
     1/Lambda.
 
     A token that is not h_T = T/2 hops from the center means the spread was
-    not always-pass, which raises on trees.  On a finite graph (finite=True)
+    not always-pass, which raises on infinite networks.  On a finite network
     an always-pass spread gets there too when a holder with no tree child
     had to keep the token; the source is then not at a leaf, and the
     estimate is inconclusive, with the reason in `info`.
@@ -227,12 +234,9 @@ def estimate_map_leaf(snap: InfectionSnapshot, rng, finite: bool = False) -> Est
         return Estimate(only, [only], {only: 1.0}, 1, "map-leaf",
                         info={"lambda": 1.0, "pd_conditional": 1.0})
     if T >= 2 and snap.h_T != T // 2:
-        if finite:
-            return Estimate(None, [], None, 0, "map-leaf", inconclusive=True,
-                            info={"reason": f"token kept on a finite graph: h_T={snap.h_T}, "
-                                            f"not T/2={T // 2}"})
+        if net.is_finite:
+            return _inconclusive("map-leaf", f"token kept on a finite graph: h_T={snap.h_T}, not T/2={T // 2}")
         raise ValueError("snapshot did not come from an always-pass spread (source not at a leaf)")
-    deg = snap.net_degree
     children, up, depth = _children_from_center(snap)
     root = snap.virtual_source
     prod = {}
@@ -242,57 +246,55 @@ def estimate_map_leaf(snap: InfectionSnapshot, rng, finite: bool = False) -> Est
         v, acc = stack.pop()
         if v in leaves:
             prod[v] = acc
-        for c in children[v]:
-            stack.append((c, acc * (deg[v] - 1)))
+        if children[v]:
+            acc *= net.degree(v) - 1
+            stack.extend((c, acc) for c in children[v])
     v_hat, ties = _argmax_pick(prod, rng, reverse=True)
-    lam = deg[root] * prod[v_hat]
-    scores = {v: 1.0 / (deg[root] * pr) for v, pr in prod.items()}
+    d_root = net.degree(root)
+    lam = d_root * prod[v_hat]
+    scores = {v: 1.0 / (d_root * pr) for v, pr in prod.items()}
     return Estimate(v_hat, sorted(prod, key=repr), scores, len(ties), "map-leaf",
                     info={"lambda": lam, "pd_conditional": 1.0 / lam})
 
 
-def paad_map_scores(snap: InfectionSnapshot, g: int, cyclic: bool = False) -> dict:
+def paad_map_scores(net: ContactNetwork, snap: InfectionSnapshot, g: int) -> dict:
     """Score of each candidate source from the probability Q(v) of the token
     walking from v to the observed center under neighborhood-weighted
     passing; each hand-off weighs a next holder by its g-hop neighborhood
-    away from the current one.
+    on `net` away from the current one.
 
     On trees the candidates are the boundary leaves, every hand-off is
     weighed over the holder's graph neighbors other than the previous
-    holder, and the score is d_v * Q(v).  With cyclic=True (finite graphs)
-    the token walks down the infection tree, as spread_paad hands it on:
-    the candidates are the infected nodes h_T hops from the center, the
-    first hand-off is weighed over all graph neighbors of the candidate and
-    each later one over the holder's infection-tree neighbors other than
-    the previous holder, and the score is Q(v) itself (as in
+    holder, and the score is d_v * Q(v).  On a finite network, which may
+    have cycles, the token walks down the infection tree, as spread_paad
+    hands it on: the candidates are the infected nodes h_T hops from the
+    center, the first hand-off is weighed over all graph neighbors of the
+    candidate and each later one over the holder's infection-tree neighbors
+    other than the previous holder, and the score is Q(v) itself (as in
     _token_path_scores).  A keep forced on a holder without children lets
     later waves add children to earlier holders, so Q is then approximate.
     """
-    if snap.region_adj is None:
-        raise ValueError("snapshot lacks frontier adjacency; spread with the paad protocol")
-    adj = snap.region_adj
-    region = SimpleNamespace(neighbors=adj.__getitem__)
-    hand_off = snap.subtree_adjacency() if cyclic else adj
+    finite = net.is_finite
+    neighbors = cache(net.neighbors)  # the paths to the center share most of their neighborhoods
+    region = SimpleNamespace(neighbors=neighbors)
+    hand_off = snap.subtree_adjacency().__getitem__ if finite else neighbors
     children, up, depth = _children_from_center(snap)
-    candidates = [v for v, dv in depth.items() if dv == snap.h_T] if cyclic else snap.boundary()
+    candidates = [v for v, dv in depth.items() if dv == snap.h_T] if finite else snap.boundary()
     scores = {}
     for v in candidates:
         path = _path_up(up, v)  # v .. center
         q = 1.0
         for i in range(len(path) - 1):
             cur, nxt = path[i], path[i + 1]
-            eligible = adj[cur] if i == 0 else [w for w in hand_off[cur] if w != path[i - 1]]
-            try:
-                weights = [_g_hop_neighborhood_size(region, w, cur, g) for w in eligible]
-            except KeyError:
-                raise ValueError("snapshot lacks the frontier ring needed for this g") from None
+            eligible = neighbors(cur) if i == 0 else [w for w in hand_off(cur) if w != path[i - 1]]
+            weights = [_g_hop_neighborhood_size(region, w, cur, g) for w in eligible]
             q *= weights[eligible.index(nxt)] / sum(weights)
-        scores[v] = q if cyclic else len(adj[v]) * q
+        scores[v] = q if finite else net.degree(v) * q
     return scores
 
 
-def estimate_paad_map(snap: InfectionSnapshot, g: int, rng, cyclic: bool = False) -> Estimate:
-    scores = paad_map_scores(snap, g, cyclic)
+def estimate_paad_map(net: ContactNetwork, snap: InfectionSnapshot, g: int, rng) -> Estimate:
+    scores = paad_map_scores(net, snap, g)
     v_hat, ties = _argmax_pick(scores, rng)
     total = sum(scores.values())
     return Estimate(v_hat, sorted(scores, key=repr), scores, len(ties), "paad-map",
@@ -390,12 +392,19 @@ def algorithm_pivot_candidates(net: ContactNetwork, observations):
     return leaves, l_min, level, s0, pivots
 
 
+def _no_pivot_candidates(kind: str, out) -> Estimate:
+    """The inconclusive estimate when algorithm_pivot_candidates gave `out`,
+    None or no candidate."""
+    return _inconclusive(kind, "no spine spy reported" if out is None
+                         else "the feasible region ends before the pivot's level")
+
+
 def estimate_spy_ml(net: ContactNetwork, observations, rng) -> Estimate:
     """Pivot-based ML estimator for the tree protocol on regular trees:
     uniform over the feasible leaves that survive pivot elimination."""
     out = algorithm_pivot_candidates(net, observations)
     if out is None or not out[0]:
-        return Estimate(None, [], None, 0, "spy-ml", inconclusive=True)
+        return _no_pivot_candidates("spy-ml", out)
     candidates, l_min, level, s0, pivots = out
     return Estimate(_pick(rng, candidates), candidates, None, len(candidates), "spy-ml",
                     info={"pivot": l_min, "pivot_level": level, "s0": s0.node,
@@ -405,29 +414,33 @@ def estimate_spy_ml(net: ContactNetwork, observations, rng) -> Estimate:
 def estimate_first_spy(observations, rng) -> Estimate:
     """Parent of the earliest-infected spy; the fundamental lower bound."""
     if not observations:
-        return Estimate(None, [], None, 0, "first-spy", inconclusive=True)
+        return _inconclusive("first-spy", "no spy reported")
     t0 = min(o.time for o in observations)
     first = _pick(rng, [o for o in observations if o.time == t0])
     return Estimate(first.parent, [first.parent], None, 1, "first-spy",
                     info={"spy": first.node, "time": t0})
 
 
-def estimate_spy_irregular(net: ContactNetwork, observations, rng,
-                           open_degree: dict | None = None) -> Estimate:
+def estimate_spy_irregular(net: ContactNetwork, observations, rng, time: dict | None = None) -> Estimate:
     """Pivot candidates re-weighted for irregular degrees: candidate u gets
     1/deg(u) * prod of 1/(deg(v)-1) over the interior of its path to the
-    lowest pivot.  With `open_degree` (uninfected-neighbor counts at
-    infection time) the weights use those instead, which corrects for
-    cycles."""
+    lowest pivot.  With `time`, a snapshot's infection times in infection
+    order, an infected node of a finite network counts instead its
+    neighbors still uninfected when it was infected, deg(v) minus those
+    infected before it, which corrects for cycles."""
     out = algorithm_pivot_candidates(net, observations)
     if out is None or not out[0]:
-        return Estimate(None, [], None, 0, "spy-irregular", inconclusive=True)
+        return _no_pivot_candidates("spy-irregular", out)
     candidates, l_min, level, s0, pivots = out
+    rank = {v: i for i, v in enumerate(time)} if time is not None and net.is_finite else {}
+    open_degree = {}
 
     def eff_degree(v):
-        if open_degree is not None and v in open_degree:
-            return open_degree[v]
-        return net.degree(v)
+        if v not in open_degree:
+            r = rank.get(v)
+            before = 0 if r is None else sum(1 for w in net.neighbors(v) if rank.get(w, r) < r)
+            open_degree[v] = net.degree(v) - before
+        return open_degree[v]
 
     weights = {}
     for u in candidates:
@@ -451,7 +464,7 @@ def estimate_line_ml(trace: LineTrace) -> Estimate:
     if trace is None:
         raise ValueError("line-ml needs a line trace: run the polya-line protocol on the line network")
     if trace.first_spy is None or trace.t_first is None:
-        return Estimate(None, [], None, 0, "line-ml", inconclusive=True)
+        return _inconclusive("line-ml", "no end spy reported")
     n, q, t1 = trace.n, trace.q, trace.t_first
     mirrored = trace.first_spy == n + 1
     # express everything as if the reporting spy sat at position 0
@@ -553,7 +566,7 @@ def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng) -> Estimat
         if ok:
             survivors.append(leaf)
     if not survivors:
-        return Estimate(None, [], None, 0, "spy-snapshot", inconclusive=True)
+        return _inconclusive("spy-snapshot", "no boundary leaf explains every spy")
     return Estimate(_pick(rng, survivors), survivors, None, len(survivors), "spy-snapshot")
 
 
@@ -572,7 +585,7 @@ def estimate_multiple_snapshots(snap: InfectionSnapshot, observe_T: int, rng) ->
     t_vs, vs, h = events[-1]
     later = [e for e in snap.vs_events if e[0] > observe_T]
     if not later:
-        return Estimate(None, [], None, 0, "multi-snapshot", inconclusive=True)
+        return _inconclusive("multi-snapshot", f"the token did not move after observe_T={observe_T}")
     next_vs = later[0][1]
 
     # the ring h hops from vs in the infection tree as it stood at observe_T,
@@ -582,7 +595,7 @@ def estimate_multiple_snapshots(snap: InfectionSnapshot, observe_T: int, rng) ->
     rings = [ring for ring, _ in graph.bfs(snap.subtree_adjacency().__getitem__, [vs], blocked, h)]
     candidates = rings[h] if len(rings) > h else []
     if not candidates:
-        return Estimate(None, [], None, 0, "multi-snapshot", inconclusive=True)
+        return _inconclusive("multi-snapshot", f"no node {h} hops from the token off the branch it moved into")
     v_hat = _pick(rng, candidates)
     return Estimate(v_hat, candidates, None, len(candidates), "multi-snapshot",
                     info={"h": h, "vs": vs})

@@ -34,7 +34,7 @@ from .harness import (
     with_options,
     write_summary_csv,
 )
-from .spread import InfectionSnapshot, OpenDegrees
+from .spread import TRACE_COLUMNS, InfectionSnapshot
 
 
 def parse_config_file(path: str) -> dict:
@@ -129,15 +129,20 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
     """Rebuild a snapshot from a trace CSV plus the network it ran on.
 
     T is the snapshot time; without it, the latest infection time is taken,
-    which falls one short of T when the last epoch kept the token.  A T
-    before the latest infection time, a trace with no rows and a node that
-    a finite network lacks raise ValueError."""
+    which falls one short of T when the last epoch kept the token.  A trace
+    without the columns that `spread` writes, with no rows or with no
+    virtual source marked by T, a T before the latest infection time and a
+    node that a finite network lacks raise ValueError."""
     import csv as _csv
 
     time, parent, direction, level = {}, {}, {}, {}
     vs_marks = []
     with open(path, "rt", encoding="utf-8") as fh:
-        for row in _csv.DictReader(fh):
+        reader = _csv.DictReader(fh)
+        missing = [c for c in TRACE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"trace {path} lacks the column(s) {', '.join(missing)}")
+        for row in reader:
             v = int(row["node"])
             time[v] = int(row["infection_time"])
             parent[v] = int(row["parent"]) if row["parent"] != "" else None
@@ -159,6 +164,8 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
     T = T or latest
     source = min(time, key=time.get)
     in_window = [(t, v) for t, v in vs_marks if t <= T]
+    if not in_window:
+        raise ValueError(f"trace {path} marks no virtual source at or before T={T}")
     t_vs, vs = in_window[-1]
     later = [(t, v) for t, v in vs_marks if t > T]
     mid = bool(later) and T % 2 == 1
@@ -167,10 +174,8 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
         protocol="trace",
         T=T,
         source=source,
-        time=time,
+        time=time,  # the rows are in infection order
         parent=parent,
-        net_degree={v: net.degree(v) for v in time},
-        open_degree=OpenDegrees(net, time),  # the rows are in infection order
         centers=centers,
         mid_pass=mid,
         vs_events=[(t, v, i) for i, (t, v) in enumerate(vs_marks)],

@@ -344,15 +344,14 @@ PROTOCOLS = Registry("protocol kind", {
 ADVERSARIES = Registry("adversary kind", {
     "snapshot": lambda cfg, net, snap, rng: adv.estimate_snapshot_regular(snap, rng=rng),
     "irregular-ml": lambda cfg, net, snap, rng: adv.estimate_irregular_ml(
-        snap, int(cfg.estimator_d0 or cfg.protocol.d0 or cfg.d), rng=rng, cyclic=net.is_finite),
-    "map-leaf": lambda cfg, net, snap, rng: adv.estimate_map_leaf(snap, rng=rng, finite=net.is_finite),
-    "paad-map": lambda cfg, net, snap, rng: adv.estimate_paad_map(snap, cfg.protocol.g, rng=rng,
-                                                                  cyclic=net.is_finite),
+        net, snap, int(cfg.estimator_d0 or cfg.protocol.d0 or cfg.d), rng=rng),
+    "map-leaf": lambda cfg, net, snap, rng: adv.estimate_map_leaf(net, snap, rng=rng),
+    "paad-map": lambda cfg, net, snap, rng: adv.estimate_paad_map(net, snap, cfg.protocol.g, rng=rng),
     "multi-snapshot": lambda cfg, net, snap, rng: adv.estimate_multiple_snapshots(snap, cfg.observe_T, rng=rng),
     "first-spy": lambda cfg, net, snap, rng: adv.estimate_first_spy(_spies(cfg, snap, rng), rng=rng),
     "spy-ml": lambda cfg, net, snap, rng: adv.estimate_spy_ml(net, _spies(cfg, snap, rng), rng=rng),
-    "spy-irregular": lambda cfg, net, snap, rng: adv.estimate_spy_irregular(
-        net, _spies(cfg, snap, rng), rng=rng, open_degree=snap.open_degree if net.is_finite else None),
+    "spy-irregular": lambda cfg, net, snap, rng: adv.estimate_spy_irregular(net, _spies(cfg, snap, rng), rng=rng,
+                                                                            time=snap.time),
     "spy-snapshot": lambda cfg, net, snap, rng: adv.estimate_spy_snapshot(snap, _spies(cfg, snap, rng),
                                                                           rng=rng),
     "line-ml": lambda cfg, net, snap, rng: adv.estimate_line_ml(snap.line_trace),

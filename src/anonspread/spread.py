@@ -1,9 +1,10 @@
 """Spreading protocols as deterministic-given-RNG step machines.
 
 Every protocol produces an InfectionSnapshot carrying the full metadata an
-adversary might see: infection times, parents, the virtual-source history,
-per-node levels/directions for the distributed tree protocol, and each
-node's uninfected-neighbor count when it was infected.
+adversary might see: infection times (in infection order), parents, the
+virtual-source history and per-node levels/directions for the distributed
+tree protocol.  Degrees and neighbors are facts about the network, not the
+spread: estimators read them from the network itself.
 
 Timing convention used throughout: the token holder at an even epoch te
 decides to keep or pass; the resulting infection waves occupy steps te+1
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +27,6 @@ from .graph import (
     Grid,
     GRID_DIRECTIONS,
     OPPOSITE_DIRECTION,
-    RegularTree,
     bfs,
     grid_encode,
     node_uniforms,
@@ -79,12 +78,6 @@ class ProtocolParams:
     to and keeps the token, which breaks that guarantee.  fanout_cap limits
     new infections per node per step; it defaults to 3 on finite explicit
     graphs and to no cap on infinite networks.
-
-    A snapshot's open_degree (uninfected neighbors at infection time) is
-    deg - 1 on infinite trees (deg at the source); on finite graphs it is
-    an OpenDegrees, counted from the infection order; on the grid it counts
-    the neighbors still uninfected at T.  Each is built when first read, as
-    net_degree is.
     """
 
     kind: str = "adaptive"
@@ -136,23 +129,19 @@ class SpyObservation:
     level: int | None = None
 
 
+TRACE_COLUMNS = ("node", "infection_time", "parent", "direction", "level", "is_virtual_source_at_t")
+
+
 @dataclass
 class InfectionSnapshot:
-    """The infected subgraph at time T plus the full spread trace.
-
-    A spread passes None for net_degree and open_degree and its _State as
-    `degrees`: each map is then built from the state when first read
-    (__getattr__) and kept as a plain attribute, so a snapshot whose
-    readers ask for no degree builds neither map.  Equality and repr read
-    the maps as they read any field."""
+    """The infected subgraph at time T plus the full spread trace.  `time`'s
+    insertion order is the infection order, the source first."""
 
     protocol: str
     T: int
     source: object
     time: dict
     parent: dict
-    net_degree: dict | None
-    open_degree: Mapping | None  # uninfected neighbors at infection time (OpenDegrees on finite graphs)
     centers: list
     mid_pass: bool = False
     vs_events: list = field(default_factory=list)  # (t, node, h) token handoffs
@@ -160,20 +149,7 @@ class InfectionSnapshot:
     direction: dict = field(default_factory=dict)  # tree protocol metadata
     level: dict = field(default_factory=dict)
     grid_displacement: tuple | None = None
-    region_adj: dict | None = None  # adjacency over G_T and its observed frontier
     line_trace: LineTrace | None = None  # what the end spies of a polya-line spread see
-    degrees: object = field(default=None, repr=False, compare=False)  # builds the degree maps
-
-    def __post_init__(self):
-        if self.degrees is not None:
-            del self.net_degree, self.open_degree
-
-    def __getattr__(self, name):
-        # reached only for a degree map not built yet, or an unknown name
-        if name not in ("net_degree", "open_degree"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = self.__dict__[name] = getattr(self.degrees, name)
-        return value
 
     @property
     def nodes(self):
@@ -208,7 +184,7 @@ class InfectionSnapshot:
     def to_csv(self, fh) -> None:
         vs_time = {node: t for t, node, _ in self.vs_events}
         writer = csv.writer(fh)
-        writer.writerow(["node", "infection_time", "parent", "direction", "level", "is_virtual_source_at_t"])
+        writer.writerow(TRACE_COLUMNS)
         enc = (lambda v: grid_encode(*v)) if self.protocol == "grid-adaptive" else (lambda v: v)
         for v in sorted(self.time, key=self.time.get):
             p = self.parent.get(v)
@@ -226,43 +202,9 @@ class InfectionSnapshot:
 # shared machinery
 
 
-class OpenDegrees(Mapping):
-    """Each infected node's count of uninfected neighbors at the time it was
-    infected, computed when first read.  `time`'s insertion order is the
-    infection order, so the count is deg(v) minus the neighbors infected
-    before v."""
-
-    def __init__(self, net, time: dict):
-        self.net, self.time = net, time
-        self.rank = None  # node -> infection rank, built on the first read
-        self.cache: dict = {}
-
-    def __getitem__(self, v):
-        if v not in self.cache:
-            if self.rank is None:
-                self.rank = {u: i for i, u in enumerate(self.time)}
-            r = self.rank[v]
-            before = sum(1 for w in self.net.neighbors(v) if self.rank.get(w, r) < r)
-            self.cache[v] = self.net.degree(v) - before
-        return self.cache[v]
-
-    def __contains__(self, v):
-        return v in self.time
-
-    def __iter__(self):
-        return iter(self.time)
-
-    def __len__(self):
-        return len(self.time)
-
-    def __repr__(self):
-        return repr(dict(self))
-
-
 class _State:
     """A spread's infection times and parents, in infection order (the
-    source first).  A snapshot builds its degree maps from them, each when
-    first read."""
+    source first)."""
 
     def __init__(self, net):
         self.net = net
@@ -279,30 +221,6 @@ class _State:
         st = _State(self.net)
         st.time, st.parent = dict(self.time), dict(self.parent)
         return st
-
-    @property
-    def net_degree(self) -> dict:
-        if isinstance(self.net, RegularTree):
-            return dict.fromkeys(self.time, self.net.d)
-        return {v: self.net.degree(v) for v in self.time}
-
-    @property
-    def open_degree(self) -> Mapping:
-        # on trees the infector is the only infected neighbor at infection
-        # time, so the uninfected-neighbor count is deg - 1; finite graphs
-        # count it from the infection order when a reader asks
-        if self.net.is_finite:
-            return OpenDegrees(self.net, self.time)
-        if isinstance(self.net, Grid):  # the lattice counts the neighbors still uninfected at T
-            return {(x, y): sum((x + dx, y + dy) not in self.time for dx, dy in GRID_DIRECTIONS.values())
-                    for x, y in self.time}
-        if isinstance(self.net, RegularTree):
-            open_degree = dict.fromkeys(self.time, self.net.d - 1)
-        else:
-            open_degree = {v: deg - 1 for v, deg in self.net_degree.items()}
-        source = next(iter(self.time))
-        open_degree[source] = self.net.degree(source)
-        return open_degree
 
 
 def _pick(rng: np.random.Generator, items):
@@ -576,13 +494,10 @@ def _adaptive_snapshot(name, st, T, source, centers, mid_pass, vs_events, h_hist
         source=source,
         time=st.time,
         parent=st.parent,
-        net_degree=None,
-        open_degree=None,
         centers=centers,
         mid_pass=mid_pass,
         vs_events=vs_events,
         h_history=h_history,
-        degrees=st,
     )
 
 
@@ -600,29 +515,14 @@ def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng, _early
     """Always-pass adaptive diffusion with the next token holder picked
     proportionally to the size of its g-hop neighborhood away from the
     current holder (for g=1, proportionally to degree-1).  _early is
-    _token_walk's; each snapshot handed over has its own region_adj."""
+    _token_walk's."""
     g = params.g
     p2 = replace(params, alpha_policy=ALWAYS_PASS)
 
     def weights(net_, vs, candidates):
         return [_g_hop_neighborhood_size(net_, w, vs, g) for w in candidates]
 
-    def with_region(snap):
-        snap.region_adj = _region_adjacency(net, snap, g + 1)
-        return snap
-
-    if _early is not None:
-        horizons, hand_over = _early
-        _early = horizons, lambda snap: hand_over(with_region(snap))
-    return with_region(spread_adaptive(net, source, p2, rng=rng, _vs_weights=weights,
-                                       _protocol_name="paad", _early=_early))
-
-
-def _region_adjacency(net, snap, extra_hops: int) -> dict:
-    """Adjacency over the infected set plus `extra_hops` rings beyond it."""
-    for _, region in bfs(net.neighbors, snap.time, depth=extra_hops):
-        pass
-    return {v: list(net.neighbors(v)) for v in region}
+    return spread_adaptive(net, source, p2, rng=rng, _vs_weights=weights, _protocol_name="paad", _early=_early)
 
 
 # ---------------------------------------------------------------------------
@@ -947,16 +847,12 @@ def spread_polya_line(n: int, source: int, rng, horizon: int | None = None):
         if within(te):
             h_history.append((te, h))
 
-    degree = {v: 2 for v in time}
-    open_deg = {v: sum(1 for w in (v - 1, v + 1) if w not in time) for v in time}
     snap = InfectionSnapshot(
         protocol="polya-line",
         T=horizon if horizon is not None else max(time.values()),
         source=source,
         time=time,
         parent=parent,
-        net_degree=degree,
-        open_degree=open_deg,
         centers=[vs],
         vs_events=vs_events,
         h_history=h_history,

@@ -1,11 +1,55 @@
 """Test-only reference code: the brute-force trajectory oracle that the
-irregular-ml scores are checked against, and a summary CSV as text."""
+irregular-ml scores are checked against, hand-built trees and snapshots,
+and a summary CSV as text."""
 
 import io
+from itertools import count
 
 from anonspread.adversary import _children_from_center, _path_up
+from anonspread.graph import ContactNetwork
 from anonspread.harness import ExperimentSummary, write_summary_csv
 from anonspread.spread import InfectionSnapshot, alpha_regular
+
+
+class TreeAdjacency(ContactNetwork):
+    """A tree given by its adjacency lists, which the estimators read as
+    they read an infinite tree (is_finite is False)."""
+
+    kind = "tree-adjacency"
+    is_tree = True
+
+    def __init__(self, adj: dict):
+        self.adj = adj
+
+    def degree(self, v) -> int:
+        return len(self.adj[v])
+
+    def neighbors(self, v) -> list:
+        return self.adj[v]
+
+
+def eight_node_snapshot():
+    """(network, snapshot): a depth-2 balanced snapshot around node 3 whose
+    nodes have the pinned degrees below on the network, a tree that hangs
+    pendant nodes (ids from 100) off the infection tree; likelihood scores
+    for this shape are known exactly."""
+    time = {3: 0, 2: 1, 4: 1, 5: 1, 1: 2, 6: 2, 7: 2, 8: 2}
+    parent = {3: None, 2: 3, 4: 3, 5: 3, 1: 2, 6: 4, 7: 5, 8: 5}
+    deg = {1: 4, 2: 2, 3: 3, 4: 2, 5: 3, 6: 4, 7: 2, 8: 4}
+    adj = {v: [] for v in time}
+    for v, p in parent.items():
+        if p is not None:
+            adj[v].append(p)
+            adj[p].append(v)
+    pendant = count(100)
+    for v, d in deg.items():
+        while len(adj[v]) < d:
+            w = next(pendant)
+            adj[v].append(w)
+            adj[w] = [v]
+    snap = InfectionSnapshot(protocol="adaptive", T=4, source=1, time=time, parent=parent, centers=[3],
+                             vs_events=[(0, 1, 0), (1, 2, 1), (4, 3, 2)])
+    return TreeAdjacency(adj), snap
 
 
 def summary_csv_text(summary: ExperimentSummary) -> str:
@@ -14,25 +58,26 @@ def summary_csv_text(summary: ExperimentSummary) -> str:
     return buf.getvalue()
 
 
-def oracle_trajectory_likelihood(snap: InfectionSnapshot, candidate, d0: int) -> float:
+def oracle_trajectory_likelihood(net: ContactNetwork, snap: InfectionSnapshot, candidate, d0: int) -> float:
     """Exact likelihood of `candidate` by summing over every keep/pass
     trajectory that walks the token from the candidate to the observed
-    center.  Exponential in T; refuses T > 12."""
+    center, with the degrees of the tree `net`.  Exponential in T; refuses
+    T > 12."""
     T = snap.T
     if T % 2:
         raise ValueError("oracle requires even T")
     if T > 12:
         raise ValueError("oracle is exponential in T; refuse T > 12")
-    deg = snap.net_degree
+    deg = net.degree
     children, up, depth = _children_from_center(snap)
     root = snap.virtual_source
     if candidate == root:
         return 0.0
     path = _path_up(up, candidate)  # candidate .. root
     h = len(path) - 1
-    a_val = 1.0 / deg[candidate]
+    a_val = 1.0 / deg(candidate)
     for w in path[1:-1]:
-        a_val /= deg[w] - 1
+        a_val /= deg(w) - 1
 
     slots = list(range(2, T - 1, 2))
     passes_needed = h - 1

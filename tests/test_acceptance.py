@@ -37,7 +37,6 @@ from anonspread.harness import (
     spy_tree_detection_mc,
 )
 from anonspread.spread import (
-    InfectionSnapshot,
     ProtocolParams,
     assign_spies,
     observations_for,
@@ -47,7 +46,7 @@ from anonspread.spread import (
     spread_polya_line,
     spread_tree_protocol,
 )
-from helpers import oracle_trajectory_likelihood
+from helpers import eight_node_snapshot, oracle_trajectory_likelihood
 
 import os
 
@@ -114,7 +113,7 @@ def test_criterion_03_always_pass_detection():
     for _ in range(500):
         s = spread_adaptive(net, 0, ProtocolParams(alpha_policy="always-pass", horizon=T), rng=rng)
         assert len(s.boundary()) == 6
-        assert estimate_map_leaf(s, rng=rng).tie_count == 6
+        assert estimate_map_leaf(net, s, rng=rng).tie_count == 6
     report(f"criterion 3 PASS: p_hat={row.p_hat:.4f} vs 1/6 (z={z:+.2f}); 6 leaves every trial")
     assert abs(z) <= 3.0
 
@@ -129,9 +128,9 @@ def test_criterion_04_irregular_ml_vs_oracle():
         T = int(rng.choice([2, 4, 6, 8]))
         d0 = int(rng.choice([2, 3, 4]))
         s = spread_adaptive(net, 0, ProtocolParams(horizon=T, d0=d0), rng=rng)
-        _, like = irregular_ml_scores(s, d0)
+        _, like = irregular_ml_scores(net, s, d0)
         for v in s.time:
-            o = oracle_trajectory_likelihood(s, v, d0)
+            o = oracle_trajectory_likelihood(net, s, v, d0)
             ref = max(abs(like[v]), 1e-300)
             worst = max(worst, abs(o - like[v]) / ref if like[v] else abs(o))
         snapshots += 1
@@ -140,15 +139,10 @@ def test_criterion_04_irregular_ml_vs_oracle():
 
 
 def test_criterion_05_pinned_fixture():
-    time = {3: 0, 2: 1, 4: 1, 5: 1, 1: 2, 6: 2, 7: 2, 8: 2}
-    parent = {3: None, 2: 3, 4: 3, 5: 3, 1: 2, 6: 4, 7: 5, 8: 5}
-    deg = {1: 4, 2: 2, 3: 3, 4: 2, 5: 3, 6: 4, 7: 2, 8: 4}
-    snap = InfectionSnapshot(protocol="adaptive", T=4, source=1, time=time, parent=parent,
-                             net_degree=deg, open_degree={}, centers=[3],
-                             vs_events=[(0, 1, 0), (1, 2, 1), (4, 3, 2)])
-    s2, _ = irregular_ml_scores(snap, 2)
-    s4, _ = irregular_ml_scores(snap, 4)
-    _, like3 = irregular_ml_scores(snap, 3)
+    net, snap = eight_node_snapshot()
+    s2, _ = irregular_ml_scores(net, snap, 2)
+    s4, _ = irregular_ml_scores(net, snap, 4)
+    _, like3 = irregular_ml_scores(net, snap, 3)
     v2 = [s2[v] for v in range(1, 9)]
     v4 = [s4[v] for v in range(1, 9)]
     assert v2 == [1 / 2, 1, 0, 1, 2 / 3, 1 / 2, 1 / 2, 1 / 4]
@@ -366,8 +360,7 @@ def test_criterion_12_real_graph_pipeline():
             src = nodes[int(rng.integers(len(nodes)))]
             s = spread_tree_protocol(g, src, ProtocolParams(kind="tree-protocol", horizon=24), rng=rng)
             spies = assign_spies(s, p, int(rng.integers(2**62)))
-            est = estimate_spy_irregular(g, observations_for(s, spies), rng=rng,
-                                         open_degree=s.open_degree)
+            est = estimate_spy_irregular(g, observations_for(s, spies), rng=rng, time=s.time)
             det_a += int(not est.inconclusive and est.v_hat == src)
             s2 = spread_diffusion(g, src, ProtocolParams(kind="diffusion", q=0.1, horizon=24), rng=rng)
             spies2 = assign_spies(s2, p, int(rng.integers(2**62)))

@@ -26,22 +26,9 @@ from anonspread.spread import (
     spread_paad,
     spread_tree_protocol,
 )
-from helpers import oracle_trajectory_likelihood
+from helpers import TreeAdjacency, eight_node_snapshot, oracle_trajectory_likelihood
 
 RNG = np.random.default_rng
-
-
-def eight_node_snapshot():
-    """Depth-2 balanced snapshot around node 3 with pinned underlying
-    degrees; likelihood scores for this shape are known exactly."""
-    time = {3: 0, 2: 1, 4: 1, 5: 1, 1: 2, 6: 2, 7: 2, 8: 2}
-    parent = {3: None, 2: 3, 4: 3, 5: 3, 1: 2, 6: 4, 7: 5, 8: 5}
-    deg = {1: 4, 2: 2, 3: 3, 4: 2, 5: 3, 6: 4, 7: 2, 8: 4}
-    return InfectionSnapshot(
-        protocol="adaptive", T=4, source=1, time=time, parent=parent,
-        net_degree=deg, open_degree={}, centers=[3],
-        vs_events=[(0, 1, 0), (1, 2, 1), (4, 3, 2)],
-    )
 
 
 def spine_example():
@@ -99,29 +86,29 @@ class TestSnapshotUniform:
 
 class TestIrregularML:
     def test_pinned_score_vectors(self):
-        snap = eight_node_snapshot()
-        score2, _ = irregular_ml_scores(snap, 2)
+        net, snap = eight_node_snapshot()
+        score2, _ = irregular_ml_scores(net, snap, 2)
         assert [score2[v] for v in range(1, 9)] == [1 / 2, 1, 0, 1, 2 / 3, 1 / 2, 1 / 2, 1 / 4]
-        score4, _ = irregular_ml_scores(snap, 4)
+        score4, _ = irregular_ml_scores(net, snap, 4)
         assert [score4[v] for v in range(1, 9)] == [3, 2, 0, 2, 4 / 3, 3, 3, 3 / 2]
 
     def test_pinned_likelihood(self):
-        snap = eight_node_snapshot()
-        _, like = irregular_ml_scores(snap, 3)
+        net, snap = eight_node_snapshot()
+        _, like = irregular_ml_scores(net, snap, 3)
         assert like[5] == pytest.approx(1 / 9, abs=1e-15)
 
     def test_argmax_sets(self):
-        snap = eight_node_snapshot()
-        est2 = estimate_irregular_ml(snap, 2, rng=RNG(0))
+        net, snap = eight_node_snapshot()
+        est2 = estimate_irregular_ml(net, snap, 2, rng=RNG(0))
         assert est2.v_hat in {2, 4} and est2.tie_count == 2
-        est4 = estimate_irregular_ml(snap, 4, rng=RNG(0))
+        est4 = estimate_irregular_ml(net, snap, 4, rng=RNG(0))
         assert est4.v_hat in {1, 6, 7} and est4.tie_count == 3
 
     def test_rejects_odd_time(self):
         net = regular_tree(3)
         s = spread_adaptive(net, 0, ProtocolParams(horizon=5), rng=RNG(5))
         with pytest.raises(ValueError):
-            estimate_irregular_ml(s, 3, rng=RNG(0))
+            estimate_irregular_ml(net, s, 3, rng=RNG(0))
 
     def test_cyclic_variant_scores_leaves_with_open_degrees(self):
         from anonspread.graph import prune_min_degree, synthetic_heavy_tail
@@ -134,7 +121,7 @@ class TestIrregularML:
         for _ in range(60):
             src = nodes[int(rng.integers(len(nodes)))]
             s = run_spread(g, src, ProtocolParams(alpha_policy="always-pass", horizon=6), rng=rng)
-            est = estimate_irregular_ml(s, 4, rng=rng, cyclic=True)
+            est = estimate_irregular_ml(g, s, 4, rng=rng)
             assert est.v_hat in s.boundary()
             hits += int(est.v_hat == src)
         assert hits >= 1  # far better than blind guessing on a 400-node graph
@@ -152,7 +139,7 @@ class TestIrregularML:
         for _ in range(n):
             src = nodes[int(rng.integers(len(nodes)))]
             s = spread_adaptive(g, src, ProtocolParams(alpha_policy="always-pass", horizon=6), rng=rng)
-            est = estimate_irregular_ml(s, 4, rng=rng, cyclic=True)
+            est = estimate_irregular_ml(g, s, 4, rng=rng)
             assert src in est.candidates
             hits += int(est.v_hat == src)
             b = 1.0 / len(s.boundary())
@@ -169,28 +156,28 @@ class TestIrregularML:
             T = int(rng.choice([2, 4, 6]))
             d0 = int(rng.choice([2, 3, 4]))
             s = spread_adaptive(net, 0, ProtocolParams(horizon=T, d0=d0), rng=rng)
-            _, like = irregular_ml_scores(s, d0)
+            _, like = irregular_ml_scores(net, s, d0)
             for v in s.time:
-                o = oracle_trajectory_likelihood(s, v, d0)
+                o = oracle_trajectory_likelihood(net, s, v, d0)
                 assert o == pytest.approx(like[v], rel=1e-9, abs=1e-300)
 
     def test_oracle_refuses_large_t(self):
-        snap = eight_node_snapshot()
+        net, snap = eight_node_snapshot()
         snap.T = 14
         with pytest.raises(ValueError):
-            oracle_trajectory_likelihood(snap, 1, 3)
+            oracle_trajectory_likelihood(net, snap, 1, 3)
 
     def test_oracle_uniform_on_regular_trees(self):
         # matched schedule: every non-center node is equally likely
         net = regular_tree(3)
         s = spread_adaptive(net, 0, ProtocolParams(horizon=4), rng=RNG(77))
-        vals = {oracle_trajectory_likelihood(s, v, 3) for v in s.time if v != s.virtual_source}
+        vals = {oracle_trajectory_likelihood(net, s, v, 3) for v in s.time if v != s.virtual_source}
         assert max(vals) == pytest.approx(min(vals), rel=1e-12)
         # a max-depth candidate admits exactly one trajectory: all passes
         leaf = next(v for v in s.boundary() if v != s.virtual_source)
         from anonspread.spread import alpha_regular
         expect = (1 / 3) * (1 / 2) * (1 - alpha_regular(3, 2, 1))
-        assert oracle_trajectory_likelihood(s, leaf, 3) == pytest.approx(expect)
+        assert oracle_trajectory_likelihood(net, s, leaf, 3) == pytest.approx(expect)
 
 
 class TestTreeProtocolSnapshots:
@@ -206,17 +193,17 @@ class TestTreeProtocolSnapshots:
             for _ in range(25):
                 source = g.nodes()[int(rng.integers(g.n_nodes))]
                 s = spread_tree_protocol(g, source, ProtocolParams(kind="tree-protocol", horizon=T), rng=rng)
-                est = estimate_irregular_ml(s, 3, rng=rng, cyclic=True)
+                est = estimate_irregular_ml(g, s, 3, rng=rng)
                 assert source in est.candidates
 
     def test_map_leaf_holds_the_source_on_regular_trees(self):
         rng = RNG(31)
         for T in (2, 4, 6):
             for _ in range(25):
-                s = spread_tree_protocol(regular_tree(4), 0, ProtocolParams(kind="tree-protocol", horizon=T),
-                                         rng=rng)
+                net = regular_tree(4)
+                s = spread_tree_protocol(net, 0, ProtocolParams(kind="tree-protocol", horizon=T), rng=rng)
                 assert s.h_T == T // 2
-                assert 0 in estimate_map_leaf(s, rng=rng).candidates
+                assert 0 in estimate_map_leaf(net, s, rng=rng).candidates
 
 
 class TestMapLeaf:
@@ -224,7 +211,7 @@ class TestMapLeaf:
         net = regular_tree(3)
         rng = RNG(7)
         s = spread_adaptive(net, 0, ProtocolParams(alpha_policy="always-pass", horizon=6), rng=rng)
-        est = estimate_map_leaf(s, rng=rng)
+        est = estimate_map_leaf(net, s, rng=rng)
         assert est.tie_count == len(s.boundary())
         d, half = 3, 3
         assert est.info["lambda"] == pytest.approx(d * (d - 1) ** (half - 1))
@@ -233,7 +220,7 @@ class TestMapLeaf:
     def test_line_snapshot(self):
         net = regular_tree(2)
         s = spread_adaptive(net, 0, ProtocolParams(alpha_policy="always-pass", horizon=6), rng=RNG(8))
-        est = estimate_map_leaf(s, rng=RNG(0))
+        est = estimate_map_leaf(net, s, rng=RNG(0))
         assert est.info["lambda"] == pytest.approx(2.0)
         assert est.info["pd_conditional"] == pytest.approx(0.5)
         assert est.tie_count == 2
@@ -242,8 +229,8 @@ class TestMapLeaf:
         # center degree 2, one degree-3 path, bulk degree 5: the low-degree
         # path leaf attains the extremal score and detection is 2^(-T/2)
         # (the sibling hanging off the last path node ties with it)
-        snap, special = _extreme_snapshot(T=6, d=5)
-        est = estimate_map_leaf(snap, rng=RNG(9))
+        net, snap, special = _extreme_snapshot(T=6, d=5)
+        est = estimate_map_leaf(net, snap, rng=RNG(9))
         assert est.scores[special] == max(est.scores.values())
         assert est.info["pd_conditional"] == pytest.approx(2.0 ** (-3))
 
@@ -254,7 +241,7 @@ class TestMapLeaf:
             net = galton_watson_tree(dist, int(rng.integers(2**60)))
             s = spread_adaptive(net, 0,
                                 ProtocolParams(alpha_policy="always-pass", horizon=6), rng=rng)
-            est = estimate_map_leaf(s, rng=rng)
+            est = estimate_map_leaf(net, s, rng=rng)
             assert sum(est.scores.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_interior_source(self):
@@ -265,7 +252,7 @@ class TestMapLeaf:
             if s.h_T < s.T // 2:
                 break
         with pytest.raises(ValueError):
-            estimate_map_leaf(s, rng=RNG(0))
+            estimate_map_leaf(net, s, rng=RNG(0))
 
     def test_forced_keep_on_finite_graph_is_inconclusive(self):
         # the first trial of seed 0 whose always-pass spread met a holder with
@@ -286,11 +273,11 @@ class TestMapLeaf:
         else:
             pytest.fail("no forced keep in the first 5,000 trials")
         assert s.h_T < s.T // 2
-        est = estimate_map_leaf(s, rng=RNG(0), finite=True)
+        est = estimate_map_leaf(g, s, rng=RNG(0))
         assert est.inconclusive and est.v_hat is None and est.candidates == []
         assert "token kept" in est.info["reason"]
-        with pytest.raises(ValueError):
-            estimate_map_leaf(s, rng=RNG(0))  # on a tree this spread was not always-pass
+        with pytest.raises(ValueError):  # read as an infinite tree, this spread was not always-pass
+            estimate_map_leaf(TreeAdjacency(g.adj), s, rng=RNG(0))
 
         cfg = ExperimentConfig(network="explicit", graph=g, protocol=proto,
                                adversary="map-leaf", trials=1, seed=0)
@@ -299,7 +286,8 @@ class TestMapLeaf:
 
 
 def _extreme_snapshot(T, d=5):
-    """Balanced snapshot with a low-degree path from the center to one leaf."""
+    """(network, snapshot, source): a balanced snapshot with a low-degree
+    path from the center to one leaf, on a tree that ends one ring past it."""
     half = T // 2
     ids = iter(range(10**6))
     adj = {}
@@ -350,19 +338,17 @@ def _extreme_snapshot(T, d=5):
     parent = {u: (None if dist[u] == 0 else next(w for w in adj[u] if dist[w] == dist[u] - 1))
               for u in time}
     snap = InfectionSnapshot(
-        protocol="paad", T=T, source=special, time=time, parent=parent,
-        net_degree={u: len(adj[u]) for u in time}, open_degree={}, centers=[center],
+        protocol="paad", T=T, source=special, time=time, parent=parent, centers=[center],
         vs_events=[(0, special, 0), (T, center, half)],
-        region_adj={u: list(ws) for u, ws in adj.items()},
     )
-    return snap, special
+    return TreeAdjacency(adj), snap, special
 
 
 class TestPaadMap:
     def test_regular_tree_ties(self):
         net = regular_tree(3)
         s = spread_paad(net, 0, ProtocolParams(kind="paad", g=1, horizon=6), rng=RNG(11))
-        scores = paad_map_scores(s, 1)
+        scores = paad_map_scores(net, s, 1)
         vals = list(scores.values())
         assert max(vals) == pytest.approx(min(vals))
 
@@ -370,8 +356,8 @@ class TestPaadMap:
         # the heavy-tailed counterexample: weighted passing keeps detection
         # below 2/((d-1)^(T/2-1)-1) at small depths
         for T in (4, 6):
-            snap, special = _extreme_snapshot(T, d=5)
-            scores = paad_map_scores(snap, 1)
+            net, snap, special = _extreme_snapshot(T, d=5)
+            scores = paad_map_scores(net, snap, 1)
             det = max(scores.values()) / sum(scores.values())
             assert det <= 2.0 / (4 ** (T // 2 - 1) - 1)
 
@@ -383,16 +369,11 @@ class TestPaadMap:
         for _ in range(n):
             net = galton_watson_tree(dist, int(rng.integers(2**60)))
             s = spread_paad(net, 0, ProtocolParams(kind="paad", g=1, horizon=4), rng=rng)
-            est = estimate_paad_map(s, 1, rng=rng)
+            est = estimate_paad_map(net, s, 1, rng=rng)
             det += int(est.v_hat == 0)
             cond += est.info["pd_conditional"]
         ph, pc = det / n, cond / n
         assert abs(ph - pc) < 4 * np.sqrt(pc * (1 - pc) / n)
-
-    def test_requires_frontier(self):
-        snap = eight_node_snapshot()
-        with pytest.raises(ValueError):
-            estimate_paad_map(snap, 1, rng=RNG(0))
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_cyclic_score_is_the_spreads_pick_probability(self, g, monkeypatch):
@@ -424,7 +405,7 @@ class TestPaadMap:
             prob = 1.0
             for (candidates, w), (_, holder, _) in zip(picks, s.vs_events[1:]):
                 prob *= w[candidates.index(holder)] / sum(w)
-            assert paad_map_scores(s, g, cyclic=True)[src] == pytest.approx(prob, rel=1e-12)
+            assert paad_map_scores(net, s, g)[src] == pytest.approx(prob, rel=1e-12)
 
     def test_cyclic_beats_blind_guess_at_depth_h(self):
         # baseline: a uniform guess over the infected nodes h_T hops from the
@@ -438,7 +419,7 @@ class TestPaadMap:
         for _ in range(n):
             src = nodes[int(rng.integers(len(nodes)))]
             s = spread_paad(net, src, ProtocolParams(kind="paad", g=1, horizon=6), rng=rng)
-            est = estimate_paad_map(s, 1, rng=rng, cyclic=True)
+            est = estimate_paad_map(net, s, 1, rng=rng)
             assert src in est.candidates
             hits += int(est.v_hat == src)
             b = 1.0 / len(est.candidates)
@@ -656,7 +637,7 @@ class TestAdmissibility:
             est = estimate_snapshot_regular(s, rng=rng)
             assert est.v_hat in s.time
             if s.T % 2 == 0:
-                e2 = estimate_irregular_ml(s, 3, rng=rng)
+                e2 = estimate_irregular_ml(net, s, 3, rng=rng)
                 assert e2.v_hat in s.time
         for _ in range(40):
             s = spread_tree_protocol(net, 0, ProtocolParams(kind="tree-protocol", horizon=10), rng=rng)

@@ -80,6 +80,20 @@ class TestSpreadEstimate:
             code, out = run_cli(["estimate", *args])
             assert (code, out, capsys.readouterr().err) == (1, "", f"error: {message}\n")  # and no traceback
 
+    def test_a_malformed_trace_exits_1(self, tmp_path, capsys):
+        # a CSV that is not a trace, and a trace cut to a T before its first virtual-source mark
+        other, trace, cut = tmp_path / "other.csv", tmp_path / "t4.csv", tmp_path / "cut.csv"
+        other.write_text("id,t\n1,0\n")
+        assert run_cli(["spread", "--T", "4", "--seed", "1", "--output", str(trace)])[0] == 0
+        lines = trace.read_text().splitlines(keepends=True)
+        cut.write_text(lines[0] + "".join(line.rsplit(",", 1)[0] + ",\n" for line in lines[1:]))  # no marks
+        capsys.readouterr()
+        for path, message in ((other, f"trace {other} lacks the column(s) node, infection_time, parent, direction, "
+                                      "level, is_virtual_source_at_t"),
+                              (cut, f"trace {cut} marks no virtual source at or before T=4")):
+            code, out = run_cli(["estimate", str(path)])
+            assert (code, out, capsys.readouterr().err) == (1, "", f"error: {message}\n")  # and no traceback
+
     def test_line_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
         code, _ = run_cli(["spread", "--network", "line", "--protocol", "polya-line", "--line_n", "41",
@@ -126,34 +140,48 @@ class TestSpreadEstimate:
         rng = np.random.default_rng(2)
         source = net.nodes()[int(rng.integers(net.n_nodes))]
         snap = spread_adaptive(net, source, ProtocolParams(d0=math.inf, horizon=6), rng=rng)
-        est = estimate_irregular_ml(snap, 3, rng=rng, cyclic=net.is_finite)
+        est = estimate_irregular_ml(net, snap, 3, rng=rng)
         best = max(est.scores.values())
         ties = {v for v, sc in est.scores.items() if sc == best}
         assert int(lines["candidates"]) == est.tie_count == len(ties)
         assert int(lines["v_hat"]) in ties
 
-    def test_trace_keeps_the_spread_open_degrees(self, tmp_path):
-        # open degrees count uninfected neighbors when each node was
-        # infected, not at T; spy-irregular weighs candidates by them
+    @pytest.mark.parametrize("network, options", [
+        ("regular-tree", dict(protocol="paad", adversary="paad-map", g="2")),
+        ("explicit", dict(protocol="paad", adversary="paad-map", g="1")),
+        ("explicit", dict(protocol="paad", adversary="paad-map", g="2")),
+        ("explicit", dict(protocol="tree-protocol", adversary="spy-irregular", p="0.2")),
+    ], ids=["tree-paad-map", "explicit-paad-map-g1", "explicit-paad-map-g2", "explicit-spy-irregular"])
+    def test_estimate_on_a_trace_equals_the_in_memory_estimate(self, network, options, tmp_path):
+        # the trace keeps what these estimators read of the spread: the infection order, the
+        # parents and the token trace; the network gives the rest
         import numpy as np
 
-        from anonspread.cli import load_trace
-        from anonspread.graph import prune_min_degree, regular_tree, synthetic_heavy_tail
-        from anonspread.spread import ProtocolParams, spread_adaptive, spread_tree_protocol
+        from anonspread.cli import config_from_options
+        from anonspread.graph import prune_min_degree, synthetic_heavy_tail
+        from anonspread.harness import ADVERSARIES, NETWORKS, PROTOCOLS, shared_network
 
+        edges = tmp_path / "g.edges"
         g = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+        edges.write_text("".join(f"{u} {w}\n" for u, nbrs in g.adj.items() for w in nbrs if u < w))
         trace = tmp_path / "trace.csv"
-        for net, spread, kind in [(g, spread_tree_protocol, "tree-protocol"), (g, spread_adaptive, "adaptive"),
-                                  (regular_tree(3), spread_adaptive, "adaptive")]:
-            nodes = net.nodes() if net.is_finite else [0]
-            for seed in range(10):
-                rng = np.random.default_rng(seed)
-                source = nodes[int(rng.integers(len(nodes)))]
-                snap = spread(net, source, ProtocolParams(kind=kind, d0=3, horizon=6), rng=rng)
-                with open(trace, "w", newline="") as fh:
-                    snap.to_csv(fh)
-                loaded = load_trace(str(trace), net, 6)
-                assert list(loaded.open_degree.items()) == list(snap.open_degree.items())
+        conclusive = 0
+        for seed in range(12):
+            opts = dict(network=network, edge_list=str(edges), T="6", seed=str(seed), **options)
+            flags = [a for k, v in opts.items() for a in (f"--{k}", v)]
+            assert run_cli(["spread", *flags, "--output", str(trace)])[0] == 0
+            code, out = run_cli(["estimate", *flags, str(trace)])
+            assert code == 0
+            lines = dict(line.split(",") for line in out.strip().splitlines())
+
+            cfg = config_from_options(opts)
+            rng = np.random.default_rng(seed)
+            net, source = NETWORKS[cfg.network](cfg, rng, shared_network(cfg))
+            snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng)
+            est = ADVERSARIES[cfg.adversary](cfg, net, snap, np.random.default_rng(seed))
+            assert (lines["v_hat"], int(lines["candidates"])) == (str(est.v_hat), est.tie_count), seed
+            conclusive += not est.inconclusive
+        assert conclusive
 
     @pytest.mark.parametrize("policy", ["exact", "always-pass"])
     def test_estimate_runs_every_snapshot_adversary(self, policy, tmp_path, capsys):
@@ -164,12 +192,12 @@ class TestSpreadEstimate:
         common = [*protocol, "--T", "4", "--seed", "3"]
         assert run_cli(["spread", *common, "--output", str(trace)])[0] == 0
         spread = "always-pass" if policy == "always-pass" else "adaptive"
-        # line-ml and paad-map need what a trace lacks (test_bad_input_exits_1_with_message)
-        for kind in sorted(set(ADVERSARIES) - {"line-ml", "paad-map"}):
+        for kind in sorted(ADVERSARIES):
             capsys.readouterr()
             code, out = run_cli(["estimate", "--adversary", kind, "--p", "0.3", *common, str(trace)])
             # map-leaf reads only always-pass spreads, spy-ml and spy-irregular only the tree
-            # protocol, and multi-snapshot needs an observe_T below T: the trace stops at T
+            # protocol, paad-map only paad and line-ml only polya-line spreads, and multi-snapshot
+            # needs an observe_T below T: the trace stops at T
             if spread not in READS[kind] or kind == "multi-snapshot":
                 assert code == 1 and out == ""
                 assert f"error: {kind} does not apply to adaptive on regular-tree: " in capsys.readouterr().err
@@ -201,7 +229,6 @@ class TestSpreadEstimate:
      "line-ml does not apply to polya-line on regular-tree: polya-line runs only on line"),
     (["experiment", "--network", "line", "--protocol", "grid-adaptive", "--trials", "2"],
      "snapshot does not apply to grid-adaptive on line: grid-adaptive runs only on grid"),
-    (["estimate", "--protocol", "paad", "--adversary", "paad-map", "TRACE"], "snapshot lacks frontier adjacency"),
     (["estimate", "--adversary", "paad-map", "TRACE"],
      "paad-map does not apply to adaptive on regular-tree: it reads only paad spreads"),
     (["estimate", "--adversary", "bogus", "TRACE"], "unknown adversary kind 'bogus'"),
@@ -291,7 +318,7 @@ def test_snapshot_of_its_center_alone_is_inconclusive(adversary, capsys):
     assert code == 1 and out == ""
     assert f"error: {adversary[0]} does not apply to diffusion on galton-watson: " in capsys.readouterr().err
     estimate = {"snapshot": lambda snap, rng: estimate_snapshot_regular(snap, rng=rng),
-                "irregular-ml": lambda snap, rng: estimate_irregular_ml(snap, 3, rng=rng)}[adversary[0]]
+                "irregular-ml": lambda snap, rng: estimate_irregular_ml(net, snap, 3, rng=rng)}[adversary[0]]
     net = galton_watson_tree({3: 0.5, 4: 0.5}, 7)
     alone = 0
     for seed in range(25):

@@ -164,8 +164,8 @@ class TestRunner:
             rng = _trial_rng(cfg.seed, i)
             net = galton_watson_tree(table, int(rng.integers(2**62)))
             snap = spread_paad(net, 0, proto, rng=rng)
-            with_g1 = estimate_paad_map(snap, 1, rng=copy.deepcopy(rng))
-            est = estimate_paad_map(snap, 2, rng=rng)
+            with_g1 = estimate_paad_map(net, snap, 1, rng=copy.deepcopy(rng))
+            est = estimate_paad_map(net, snap, 2, rng=rng)
             record = run_trial(cfg, i)
             assert (record.v_hat, record.n_candidates) == (est.v_hat, est.tie_count)
             differs += with_g1.scores != est.scores
@@ -599,6 +599,34 @@ class TestHorizonSweep:
         assert records == [run_trial(cfg, i, regular_tree(3)) for i in range(cfg.trials)]
 
 
+def test_every_inconclusive_estimate_gives_its_reason(tmp_path, monkeypatch):
+    """Every adversary that abstains says why in info["reason"]: on every
+    config the table declares at small T and with few spies, and on the
+    snapshots that the rest abstain on, a spread that infected no one and a
+    line whose end spies saw nothing.  paad-map always names a node."""
+    from anonspread.spread import InfectionSnapshot, LineTrace
+
+    estimates = []
+    for kind, real in list(ADVERSARIES.items()):
+        monkeypatch.setitem(ADVERSARIES, kind, lambda *a, real=real: estimates.append(real(*a)) or estimates[-1])
+    edges = _write_edge_list(tmp_path / "g.edges", _heavy_tail(300, 3))
+    for network, protocol in RUNNING_PAIRS:
+        for adversary in ADVERSARIES:
+            for T in (1, 2, 4, 6):
+                if declared(network, protocol, adversary, T, 0):
+                    cfg = TestHorizonSweep.cfg(network, protocol, adversary, edges)
+                    run_experiment(with_options(cfg, {"T": T, "p": 0.05, "observe_T": 0}))
+    alone = InfectionSnapshot("diffusion", 2, 0, {0: 0}, {0: None}, [0], vs_events=[(0, 0, 0)])
+    silent = replace(alone, line_trace=LineTrace(5, 0.5, "left", None, None, {}))
+    for kind, snap in (("snapshot", alone), ("irregular-ml", alone), ("line-ml", silent)):
+        ADVERSARIES[kind](ExperimentConfig(adversary=kind, estimator_d0=3), regular_tree(3), snap,
+                          np.random.default_rng(0))
+    inconclusive = [est for est in estimates if est.inconclusive]
+    # the snapshot adversary's estimates are of kind snapshot-uniform
+    assert {est.kind for est in inconclusive} == {*ADVERSARIES, "snapshot-uniform"} - {"snapshot", "paad-map"}
+    assert all(est.info.get("reason") for est in inconclusive)
+
+
 def _load_spans():
     import importlib.util
     import pathlib
@@ -758,7 +786,7 @@ class TestFastPaths:
         for _ in range(4000):
             net = galton_watson_tree(dist, int(rng.integers(2**60)))
             s = spread_adaptive(net, 0, ProtocolParams(alpha_policy="always-pass", horizon=2 * half), rng=rng)
-            est = estimate_map_leaf(s, rng=rng)
+            est = estimate_map_leaf(net, s, rng=rng)
             n_l += 1
             det_l += int(est.v_hat == 0)
         pv, pl = det_v / n_v, det_l / n_l

@@ -8,9 +8,11 @@ shared one token walk, so a change that moves any draw, infection order or
 estimate shows here.  The line's (line-ml on polya-line spreads) were taken
 when a polya-line spread stopped infecting at the end spies: before, it
 could infect one node past the spy that reports, and only n_infected
-differed.  To regenerate after a declared output
-change, print cell_digest(name), sweep_digest(name, tmp_dir) and
-line_digest() for every name."""
+differed.  Each estimator cell runs map-leaf, paad-map or spy-irregular,
+the estimators that read the network's degrees and neighbours, at several
+T on the spreads they read.  To regenerate after a declared output
+change, print cell_digest(name), sweep_digest(name, tmp_dir),
+estimator_digest(name) and line_digest() for every name."""
 
 import hashlib
 import io
@@ -69,6 +71,28 @@ def cell_digest(name: str) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+# name -> (cell, adversary, horizons, extra ExperimentConfig fields): the estimators that read
+# degrees or neighbours of the network, on the spreads they read
+ESTIMATOR_CELLS = {
+    **{f"{net}/{proto}/map-leaf": (CELLS[f"{net}/{proto}"], "map-leaf", range(0, 10, 2), {})
+       for net in NETWORKS for proto in ("always-pass", "paad-g1", "tree-protocol")},
+    **{f"{net}/{proto}/paad-map": (CELLS[f"{net}/{proto}"], "paad-map", range(10), {})
+       for net in NETWORKS for proto in ("paad-g1", "paad-g2")},
+    "explicit/tree-protocol/spy-irregular": (CELLS["explicit/tree-protocol"], "spy-irregular", range(10),
+                                             {"p": 0.2}),
+}
+ESTIMATOR_TRIALS_PER_T = 12
+
+
+def estimator_digest(name: str) -> str:
+    cell, adversary, horizons, extra = ESTIMATOR_CELLS[name]
+    buf = io.StringIO()
+    for T in horizons:
+        cfg = _config(cell, T, adversary, trials=ESTIMATOR_TRIALS_PER_T, **extra)
+        write_trial_csv([run_trial(cfg, i) for i in range(ESTIMATOR_TRIALS_PER_T)], buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 def line_digest() -> str:
     buf = io.StringIO()
     write_trial_csv([run_trial(LINE, i) for i in range(LINE.trials)], buf)
@@ -117,6 +141,26 @@ SWEEP_DIGESTS = {
     "tree-protocol": "7b61b98c75392aa82a16574ae562aab406a62c6e0c2be5ca4c26628706390b02",
 }
 
+# taken from the code in which snapshots still carried their degree maps and paad's region adjacency
+ESTIMATOR_DIGESTS = {
+    "explicit/always-pass/map-leaf": "76e441922ad363846c61f408f813ef8cfc17e941966b40943f167a5bd409e237",
+    "explicit/paad-g1/map-leaf": "5da9bff3f315aed359d1f4be7502a9ef0c187ad73b6e8f02ff1e4945e6e965ed",
+    "explicit/paad-g1/paad-map": "b3971e1b0b4300808e30929351c5f77482edd86430a9c6e5df0d9af55c810971",
+    "explicit/paad-g2/paad-map": "8103950289ff21b01bb82493b854459d3d5294198c7c8face5e70a6003e9206f",
+    "explicit/tree-protocol/map-leaf": "cad29d22f8a61502e45b16e580c53db94d0dbd4693638418b4deab889bff6662",
+    "explicit/tree-protocol/spy-irregular": "c25950abaffa472357788bd04954354a494c16c14360a2caefcda0ba9356fc37",
+    "galton-watson/always-pass/map-leaf": "6f28102c3c7eff451a3507438b6d33e22ec13d22de706ac7dd150565147fd10c",
+    "galton-watson/paad-g1/map-leaf": "4f8348ef62a4b3a74c9f97887496d0f888d8573d266b8331f84101c9f764e95b",
+    "galton-watson/paad-g1/paad-map": "f12d977cde751ee10eefe3858384f5b5d9c71525826177496a6c4cd7b2f19ae4",
+    "galton-watson/paad-g2/paad-map": "5e4b8cc68f4632ac88ed9c103e3353d8301d9815c302c566f8fb6c88c70ddbf0",
+    "galton-watson/tree-protocol/map-leaf": "a5281fc2bf3eecf0a78864cd2a8dc05b616b3fecf4e9c20dc0d3cbcec5b91901",
+    "regular-tree/always-pass/map-leaf": "51fcd5748d1e208afcdbae015eca8888190a54bcbbe3a7fe79df5937f7b4d321",
+    "regular-tree/paad-g1/map-leaf": "95555cb3cd27bd9f1845528057c2e674091d09f144ae9db335eb4dbb47866af5",
+    "regular-tree/paad-g1/paad-map": "45869a2fe015139d16e2acc5fc9900b86e3c5e51df83e2d62a2b4fae5a5d08fc",
+    "regular-tree/paad-g2/paad-map": "45869a2fe015139d16e2acc5fc9900b86e3c5e51df83e2d62a2b4fae5a5d08fc",
+    "regular-tree/tree-protocol/map-leaf": "e3582834a4d0e817318405d9e3f3b541df541d403d302b7f19050bf8541bdb4b",
+}
+
 
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_trial_records_keep_their_bytes(name):
@@ -126,6 +170,11 @@ def test_trial_records_keep_their_bytes(name):
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_over_T_keeps_its_bytes(name, tmp_path):
     assert sweep_digest(name, tmp_path) == SWEEP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATOR_CELLS))
+def test_estimator_records_keep_their_bytes(name):
+    assert estimator_digest(name) == ESTIMATOR_DIGESTS[name]
 
 
 def test_line_trial_records_keep_their_bytes():

@@ -1,5 +1,4 @@
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from anonspread.analysis import (
     state_distribution_regular,
 )
 from anonspread.graph import (
-    GRID_DIRECTIONS,
     ExplicitGraph,
     from_edges,
     galton_watson_tree,
@@ -162,7 +160,7 @@ class TestAdaptive:
                 p = ProtocolParams(horizon=T, d0=3)
                 a = spread_adaptive(tree, 0, p, np.random.default_rng(seed))
                 b = spread_adaptive(generic, 0, p, np.random.default_rng(seed))
-                for field in ("time", "parent", "net_degree", "open_degree"):
+                for field in ("time", "parent"):
                     assert list(getattr(a, field).items()) == list(getattr(b, field).items())
                 assert (a.centers, a.vs_events, a.h_history) == (b.centers, b.vs_events, b.h_history)
 
@@ -221,27 +219,6 @@ class TestCyclicGraphs:
                 assert holder in _ancestors(s, s.parent[v]), (v, t, holder)
 
 
-class _ScanState:
-    """spread._State with an eager open degree: each new node's uninfected
-    neighbors are counted by a scan when it is infected."""
-
-    def __init__(self, net):
-        self.net = net
-        self.time, self.parent, self.net_degree, self.open_degree = {}, {}, {}, {}
-        self.scan_open = net.is_finite
-        self.scanned = {}
-
-    def infect(self, v, t, parent):
-        self.time[v] = t
-        self.parent[v] = parent
-        deg = self.net.degree(v)
-        self.net_degree[v] = deg
-        if self.scan_open:
-            self.open_degree[v] = sum(1 for w in self.net.neighbors(v) if w not in self.time)
-        else:
-            self.open_degree[v] = deg if parent is None else deg - 1
-
-
 def _visited_set_wave(st, origin, blocked, t, cap, rng):
     """spread._tree_link_wave with a visited set over every scanned node."""
     parent = st.parent
@@ -271,8 +248,7 @@ def _visited_set_wave(st, origin, blocked, t, cap, rng):
 
 class TestFiniteGraphScans:
     """Finite-graph spreads scan no neighbor list that nothing reads: the
-    wave keeps only the targets it claimed, and open degrees are computed
-    from the infection order when first read."""
+    wave keeps only the targets it claimed."""
 
     SPREADS = {
         "always-pass": lambda net, src, T, rng: spread_adaptive(
@@ -297,7 +273,7 @@ class TestFiniteGraphScans:
                 rng = np.random.default_rng(1000 * T + seed)
                 s = spread(graph, nodes[int(rng.integers(len(nodes)))], T, rng)
                 out.append([list(getattr(s, f).items())
-                            for f in ("time", "parent", "net_degree", "open_degree", "direction", "level")]
+                            for f in ("time", "parent", "direction", "level")]
                            + [s.centers, s.mid_pass, s.vs_events, s.h_history, rng.random()])
         return out
 
@@ -305,7 +281,6 @@ class TestFiniteGraphScans:
     def test_matches_scanning_reference(self, kind, graph, monkeypatch):
         spread = self.SPREADS[kind]
         fast = self._outputs(graph, spread)
-        monkeypatch.setattr(spread_module, "_State", _ScanState)
         monkeypatch.setattr(spread_module, "_tree_link_wave", _visited_set_wave)
         assert fast == self._outputs(graph, spread)
 
@@ -411,9 +386,8 @@ class TestShuffleDraw:
 
 def _snapshot_items(s, rng):
     """What a spread leaves, in order, and the next draw of its stream."""
-    region = None if s.region_adj is None else sorted(s.region_adj.items())
-    return ([list(getattr(s, f).items()) for f in ("time", "parent", "net_degree", "open_degree")]
-            + [s.centers, s.mid_pass, s.vs_events, s.h_history, region, rng.random()])
+    return ([list(s.time.items()), list(s.parent.items())]
+            + [s.centers, s.mid_pass, s.vs_events, s.h_history, rng.random()])
 
 
 class TestBallMemo:
@@ -519,10 +493,9 @@ class TestBallMemo:
 
 def _snapshot_fields(s):
     """Everything a snapshot holds, in order, as plain values."""
-    return ([list(getattr(s, f).items()) for f in ("time", "parent", "net_degree", "open_degree")]
+    return ([list(s.time.items()), list(s.parent.items())]
             + [s.protocol, s.T, s.source, s.centers, s.mid_pass, s.vs_events, s.h_history,
-               list(s.direction.items()), list(s.level.items()), s.grid_displacement,
-               None if s.region_adj is None else sorted(s.region_adj.items())])
+               list(s.direction.items()), list(s.level.items()), s.grid_displacement])
 
 
 class TestEarlySnapshots:
@@ -575,89 +548,6 @@ class TestEarlySnapshots:
                 ref = spread(make(), source, ProtocolParams(horizon=snap.T, **fields), ref_rng)
                 assert fields_then == _snapshot_fields(ref), (seed, snap.T)
                 assert state_then == ref_rng.bit_generator.state, (seed, snap.T)
-
-
-def _eager_degree_maps(net, snap):
-    """The degree maps as a spread built them before they were built on
-    first read: deg(v), and deg(v) minus the neighbors infected before v
-    (deg - 1 on trees, deg at the source); on the grid, the neighbors still
-    uninfected at T."""
-    net_degree = {v: net.degree(v) for v in snap.time}
-    if snap.protocol == "grid-adaptive":
-        steps = GRID_DIRECTIONS.values()
-        return net_degree, {(x, y): sum(1 for dx, dy in steps if (x + dx, y + dy) not in snap.time)
-                            for x, y in snap.time}
-    if net.is_finite:
-        rank = {v: i for i, v in enumerate(snap.time)}
-        return net_degree, {v: deg - sum(1 for w in net.neighbors(v) if rank.get(w, rank[v]) < rank[v])
-                            for v, deg in net_degree.items()}
-    open_degree = {v: deg - 1 for v, deg in net_degree.items()}
-    open_degree[snap.source] = net_degree[snap.source]
-    return net_degree, open_degree
-
-
-class TestDegreeMaps:
-    """A snapshot builds each degree map when first read, once; the maps,
-    its equality and its repr are those of the maps built eagerly."""
-
-    NETWORKS = {  # name -> (network, source)
-        "regular-tree": (lambda: regular_tree(3), 0),
-        "galton-watson": (lambda: galton_watson_tree({2: 0.3, 3: 0.4, 5: 0.3}, seed=6), 0),
-        "explicit": (lambda: TestEarlySnapshots.GRAPH, 7),
-        "grid": (grid, (0, 0)),
-    }
-    PROTOCOLS = {  # ProtocolParams fields, run on every network that takes them
-        "exact": dict(kind="adaptive", d0=3),
-        "always-pass": dict(kind="adaptive", d0=float("inf")),
-        "capped": dict(kind="adaptive", d0=3, fanout_cap=2),
-        "paad": dict(kind="paad", g=1),
-        "tree-protocol": dict(kind="tree-protocol"),
-        "diffusion": dict(kind="diffusion", q=0.4),
-        "deterministic": dict(kind="deterministic"),
-        "grid-adaptive": dict(kind="grid-adaptive"),
-    }
-
-    @pytest.mark.parametrize("network", sorted(NETWORKS))
-    def test_maps_equal_eager_maps(self, network):
-        from anonspread.harness import PROTOCOLS
-
-        make, source = self.NETWORKS[network]
-        net = make()
-        ran = 0
-        for name, fields in self.PROTOCOLS.items():
-            if (network == "grid") != (fields["kind"] == "grid-adaptive"):
-                continue  # the grid runs only its own protocol, which runs only there
-            for T in (0, 1, 4, 7):
-                for seed in range(3):
-                    snap = PROTOCOLS[fields["kind"]](net, source, ProtocolParams(horizon=T, **fields),
-                                                     np.random.default_rng(seed))
-                    net_degree, open_degree = _eager_degree_maps(net, snap)
-                    eager = replace(snap, net_degree=net_degree, open_degree=open_degree, degrees=None)
-                    assert snap == eager and repr(snap) == repr(eager), (name, T, seed)
-                    assert list(snap.net_degree.items()) == list(net_degree.items()), (name, T, seed)
-                    assert list(snap.open_degree.items()) == list(open_degree.items()), (name, T, seed)
-                    assert snap.net_degree is snap.net_degree and snap.open_degree is snap.open_degree
-                    ran += 1
-        assert ran
-
-    def test_snapshot_trial_on_a_regular_tree_builds_neither_map(self, monkeypatch):
-        from anonspread import harness
-
-        snaps = []
-
-        def keep(*args):
-            snaps.append(spread_adaptive(*args))
-            return snaps[-1]
-
-        monkeypatch.setattr(harness, "spread_adaptive", keep)
-        cfg = harness.ExperimentConfig(d=3, protocol=ProtocolParams(horizon=8), adversary="snapshot",
-                                       trials=20, seed=3)
-        for i in range(cfg.trials):
-            harness.run_trial(cfg, i)
-        assert len(snaps) == cfg.trials
-        assert not any({"net_degree", "open_degree"} & vars(snap).keys() for snap in snaps)
-        snaps[0].open_degree
-        assert "open_degree" in vars(snaps[0])  # a read builds it
 
 
 class TestDeterministicAndDiffusion:
