@@ -10,9 +10,15 @@ when a polya-line spread stopped infecting at the end spies: before, it
 could infect one node past the spy that reports, and only n_infected
 differed.  Each estimator cell runs map-leaf, paad-map or spy-irregular,
 the estimators that read the network's degrees and neighbours, at several
-T on the spreads they read.  To regenerate after a declared output
-change, print cell_digest(name), sweep_digest(name, tmp_dir),
-estimator_digest(name) and line_digest() for every name."""
+T on the spreads they read, and spy-snapshot on the regular tree.  Each
+hand-over sweep runs irregular-ml over T, so that every trial runs to the
+largest T and hands its snapshots over at the others, on the pool too.
+irregular-ml scores only even T, where no snapshot is mid-pass; the
+estimators that orient a mid-pass snapshot are pinned by the paad-map
+cells at odd T.  To regenerate after a declared output change, print
+cell_digest(name), sweep_digest(name, tmp_dir), estimator_digest(name),
+sweep_digest("hand-over", tmp_dir, *HAND_OVER_SWEEPS[name]) and
+line_digest() for every name."""
 
 import hashlib
 import io
@@ -80,6 +86,9 @@ ESTIMATOR_CELLS = {
        for net in NETWORKS for proto in ("paad-g1", "paad-g2")},
     "explicit/tree-protocol/spy-irregular": (CELLS["explicit/tree-protocol"], "spy-irregular", range(10),
                                              {"p": 0.2}),
+    **{f"regular-tree/{proto}/spy-snapshot": (CELLS[f"regular-tree/{proto}"], "spy-snapshot", range(0, 10, 2),
+                                              {"p": 0.2})
+       for proto in ("exact", "always-pass")},
 }
 ESTIMATOR_TRIALS_PER_T = 12
 
@@ -93,18 +102,28 @@ def estimator_digest(name: str) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+# name -> (config, T values): irregular-ml sweeps, whose trials run to the largest T and hand their
+# snapshots over at the others; the first two are the graph-sweep-pool bench's sweep on a smaller graph
+HAND_OVER_SWEEPS = {
+    f"explicit/always-pass/irregular-ml/workers={w}": (
+        _config(CELLS["explicit/always-pass"], 8, "irregular-ml", trials=25, workers=w), (4, 6, 8))
+    for w in (1, 2)}
+HAND_OVER_SWEEPS["galton-watson/exact/irregular-ml"] = (
+    _config(CELLS["galton-watson/exact"], 8, "irregular-ml", trials=25), (2, 4, 6, 8))
+
+
 def line_digest() -> str:
     buf = io.StringIO()
     write_trial_csv([run_trial(LINE, i) for i in range(LINE.trials)], buf)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-def sweep_digest(name: str, tmp_dir, cfg=None) -> str:
+def sweep_digest(name: str, tmp_dir, cfg=None, values=(2, 5, 8)) -> str:
     out = tmp_dir / f"{name}.csv"
     cfg = cfg or _config(SWEEPS[name], 8, trials=25)
-    summary = sweep(replace(cfg, trial_output=str(out)), "T", [2, 5, 8])
+    summary = sweep(replace(cfg, trial_output=str(out)), "T", list(values))
     text = summary_csv_text(summary)
-    for T in (2, 5, 8):
+    for T in values:
         text += (tmp_dir / f"{name}.T={T}.csv").read_text()
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -141,7 +160,9 @@ SWEEP_DIGESTS = {
     "tree-protocol": "7b61b98c75392aa82a16574ae562aab406a62c6e0c2be5ca4c26628706390b02",
 }
 
-# taken from the code in which snapshots still carried their degree maps and paad's region adjacency
+# taken from the code in which snapshots still carried their degree maps and paad's region adjacency,
+# but for spy-snapshot's, taken from the code that oriented the infection tree by a search over its
+# undirected adjacency
 ESTIMATOR_DIGESTS = {
     "explicit/always-pass/map-leaf": "76e441922ad363846c61f408f813ef8cfc17e941966b40943f167a5bd409e237",
     "explicit/paad-g1/map-leaf": "5da9bff3f315aed359d1f4be7502a9ef0c187ad73b6e8f02ff1e4945e6e965ed",
@@ -159,6 +180,15 @@ ESTIMATOR_DIGESTS = {
     "regular-tree/paad-g1/paad-map": "45869a2fe015139d16e2acc5fc9900b86e3c5e51df83e2d62a2b4fae5a5d08fc",
     "regular-tree/paad-g2/paad-map": "45869a2fe015139d16e2acc5fc9900b86e3c5e51df83e2d62a2b4fae5a5d08fc",
     "regular-tree/tree-protocol/map-leaf": "e3582834a4d0e817318405d9e3f3b541df541d403d302b7f19050bf8541bdb4b",
+    "regular-tree/always-pass/spy-snapshot": "b19af0d68bf095d6a0e27c497a0531f689011e86f23485c973d7fead151f2e05",
+    "regular-tree/exact/spy-snapshot": "28560f0e4c5c372a2d317b72a8b18dfb6f168fcae0ccda0d00ec13910d18a4ff",
+}
+
+# taken from the code that oriented the infection tree by a search over its undirected adjacency
+HAND_OVER_DIGESTS = {
+    "explicit/always-pass/irregular-ml/workers=1": "8b015eb7a35237c06c1045c90bb44da31ac64ffaaeea79332eeb6591db204ff0",
+    "explicit/always-pass/irregular-ml/workers=2": "8b015eb7a35237c06c1045c90bb44da31ac64ffaaeea79332eeb6591db204ff0",
+    "galton-watson/exact/irregular-ml": "b9b4c08d76bddef0ba38842c0564b6fad44ffbc90c1f4ef84023e35e0dc556c8",
 }
 
 
@@ -175,6 +205,12 @@ def test_sweep_over_T_keeps_its_bytes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(ESTIMATOR_CELLS))
 def test_estimator_records_keep_their_bytes(name):
     assert estimator_digest(name) == ESTIMATOR_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(HAND_OVER_SWEEPS))
+def test_hand_over_sweep_keeps_its_bytes(name, tmp_path):
+    cfg, values = HAND_OVER_SWEEPS[name]
+    assert sweep_digest("hand-over", tmp_path, cfg, values) == HAND_OVER_DIGESTS[name]
 
 
 def test_line_trial_records_keep_their_bytes():
