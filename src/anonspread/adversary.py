@@ -54,27 +54,38 @@ def _argmax_pick(scores: dict, rng, reverse=False):
 # snapshot-tree helpers
 
 
+def _oriented_children(snap: InfectionSnapshot, root) -> dict:
+    """Child lists of the infection tree hung from `root`, over every
+    infected node.  One pass over snap.parent, which lists parents before
+    their children, hangs each node from its parent; then the path from
+    `root` to the parentless node is flipped.  The lists come out in the
+    order of a breadth-first search from `root` over the undirected tree."""
+    parent = snap.parent
+    children = {v: [] for v in snap.time}
+    for v, p in parent.items():
+        if p is not None:
+            children[p].append(v)
+    v, p = root, parent[root]
+    while p is not None:
+        children[p].remove(v)
+        children[v].insert(0, p)
+        v, p = p, parent[p]
+    return children
+
+
 def _children_from_center(snap: InfectionSnapshot):
     """Orient the infection tree away from the virtual source; returns
-    (children map, up-parent map, depth map) over infected nodes."""
-    adj = snap.subtree_adjacency()
+    (children map, up-parent map, depth map) over infected nodes, the last
+    two in breadth-first order."""
     root = snap.virtual_source
-    # not bfs(): one pass fills all three maps, cheaper on every snapshot trial
-    children = {v: [] for v in adj}
-    up = {root: None}
-    depth = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    up[w] = v
-                    children[v].append(w)
-                    nxt.append(w)
-        frontier = nxt
-    if len(depth) != len(adj):
+    children = _oriented_children(snap, root)
+    up, depth = {root: None}, {root: 0}
+    order = [root]
+    for v in order:  # the loop reaches the nodes appended on the way, breadth first
+        for w in children[v]:
+            up[w], depth[w] = v, depth[v] + 1
+        order += children[v]
+    if len(depth) != len(children):
         raise ValueError("infected subgraph is not connected")
     return children, up, depth
 
@@ -137,8 +148,7 @@ def irregular_ml_scores(net: ContactNetwork, snap: InfectionSnapshot, d0: int):
     deg = {v: net.degree(v) for v in children}
     root = snap.virtual_source
 
-    score = {root: 0.0}
-    a_val = {root: 0.0}
+    score, a_val = {root: 0.0}, {root: 0.0}
     for w in children[root]:
         score[w] = d0 / deg[w]
         a_val[w] = 1.0 / deg[w]
@@ -154,13 +164,8 @@ def irregular_ml_scores(net: ContactNetwork, snap: InfectionSnapshot, d0: int):
     p_leaf = 1.0 / (d0 * (d0 - 1) ** (T // 2 - 1)) if T >= 2 else 1.0
     for te in range(2, T - 1, 2):
         p_leaf *= 1.0 - alpha_regular(d0, te, te // 2)
-    likelihood = {}
-    for v in score:
-        if v == root:
-            likelihood[v] = 0.0
-        else:
-            b_val = p_leaf * d0 * (d0 - 1) ** (depth[v] - 1)
-            likelihood[v] = a_val[v] * b_val
+    # A_v * B_v, with B_v the leaf likelihood times the (d0-1)-power of the depth
+    likelihood = {v: a_val[v] * (p_leaf * d0 * (d0 - 1) ** (depth[v] - 1)) if v != root else 0.0 for v in score}
     return score, likelihood
 
 
@@ -198,22 +203,19 @@ def estimate_irregular_ml(net: ContactNetwork, snap: InfectionSnapshot, d0: int,
 
 def _token_path_scores(net: ContactNetwork, snap: InfectionSnapshot) -> dict:
     """Token-path probability of every infected node at depth h_T from the
-    center (see estimate_irregular_ml on a finite network)."""
+    center (see estimate_irregular_ml on a finite network), in breadth-first
+    order.  The tree is expanded level by level from the center, as groups
+    of siblings that carry the product of the child counts of their path's
+    interior nodes; a node without children adds an empty group."""
     if snap.T % 2:
         raise ValueError("likelihood scoring requires an even snapshot time")
-    children, up, depth = _children_from_center(snap)
+    center = snap.virtual_source
+    children = _oriented_children(snap, center)
     h = snap.h_T
-    score = {}
-    for v, dv in depth.items():
-        if dv != h:
-            continue
-        prob = 1.0 / net.degree(v)
-        w = up[v]
-        while w is not None and up[w] is not None:
-            prob /= len(children[w])
-            w = up[w]
-        score[v] = prob
-    return score
+    level = [(children[center], 1)] if h else [([center], 1)]  # (siblings, their path's product)
+    for _ in range(h - 1):
+        level = [(children[v], prod * len(children[v])) for siblings, prod in level for v in siblings]
+    return {v: 1 / (net.degree(v) * prod) for siblings, prod in level for v in siblings}
 
 
 def estimate_map_leaf(net: ContactNetwork, snap: InfectionSnapshot, rng) -> Estimate:
@@ -237,8 +239,8 @@ def estimate_map_leaf(net: ContactNetwork, snap: InfectionSnapshot, rng) -> Esti
         if net.is_finite:
             return _inconclusive("map-leaf", f"token kept on a finite graph: h_T={snap.h_T}, not T/2={T // 2}")
         raise ValueError("snapshot did not come from an always-pass spread (source not at a leaf)")
-    children, up, depth = _children_from_center(snap)
     root = snap.virtual_source
+    children = _oriented_children(snap, root)
     prod = {}
     stack = [(w, 1.0) for w in children[root]]
     leaves = set(snap.boundary())
@@ -325,9 +327,7 @@ def _solve_pivot(path_s_to_anchor, t_anchor, t_spy):
     dt = t_anchor - t_spy
     if (dist - dt) % 2 or dist < abs(dt):
         raise ValueError("observation inconsistent with a tree spread")
-    h1 = (dist - dt) // 2
-    h2 = (dist + dt) // 2
-    return h1, h2
+    return (dist - dt) // 2, (dist + dt) // 2
 
 
 def algorithm_pivot_candidates(net: ContactNetwork, observations):
@@ -503,7 +503,7 @@ def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng) -> Estimat
     Uniform over survivors."""
     if snap.T % 2:
         raise ValueError("combined estimation expects an even snapshot time")
-    children, up, depth = _children_from_center(snap)
+    _, up, depth = _children_from_center(snap)
     center = snap.virtual_source
     half_t = snap.T // 2
     leaves = snap.boundary()
@@ -511,31 +511,23 @@ def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng) -> Estimat
     if not obs:
         return Estimate(_pick(rng, leaves), leaves, None, len(leaves), "spy-snapshot")
 
-    spy_chains = []
-    for o in obs:
-        chain = _path_up(up, o.node)  # node .. center
-        spy_chains.append((o, chain))
+    spy_chains = [(o, _path_up(up, o.node)) for o in obs]  # chain: node .. center
 
-    survivors = []
-    for leaf in leaves:
+    def explains(leaf) -> bool:
         path = _path_up(up, leaf)  # leaf .. center
         on_path = {v: i for i, v in enumerate(path)}  # index = dist from leaf
-        ok = True
         shift = None
         for o, chain in spy_chains:
             s = o.node
             if s == leaf:
-                ok = False
-                break
+                return False
             if s in on_path:
                 # hypothesized spine member below the center
                 if o.direction != "up":
-                    ok = False
-                    break
+                    return False
                 idx = on_path[s]
                 if o.parent != path[idx - 1]:
-                    ok = False  # spine parents point toward the source
-                    break
+                    return False  # spine parents point toward the source
                 m_hyp = half_t - depth[s]
                 tau_hyp = m_hyp
             else:
@@ -543,8 +535,7 @@ def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng) -> Estimat
                 z = next(v for v in chain if v in on_path)
                 if o.direction == "up":
                     if z != center or (o.level is not None and o.level <= half_t):
-                        ok = False  # a spine spy must sit on the spine or above the center
-                        break
+                        return False  # a spine spy must sit on the spine or above the center
                     m_hyp = o.level
                     tau_hyp = o.level
                 else:
@@ -554,17 +545,16 @@ def estimate_spy_snapshot(snap: InfectionSnapshot, observations, rng) -> Estimat
                     m_hyp = None if z == center else (half_t - depth[z]) - (depth[s] - depth[z])
                     tau_hyp = (half_t - depth[z]) + (depth[s] - depth[z])
             if m_hyp is not None and o.level is not None and o.level != m_hyp:
-                ok = False
-                break
+                return False
             # spy clocks are mutually consistent but not anchored to the start
             delta = o.time - tau_hyp
             if shift is None:
                 shift = delta
             elif delta != shift:
-                ok = False
-                break
-        if ok:
-            survivors.append(leaf)
+                return False
+        return True
+
+    survivors = [leaf for leaf in leaves if explains(leaf)]
     if not survivors:
         return _inconclusive("spy-snapshot", "no boundary leaf explains every spy")
     return Estimate(_pick(rng, survivors), survivors, None, len(survivors), "spy-snapshot")

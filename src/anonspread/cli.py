@@ -128,12 +128,20 @@ def cmd_spread(args) -> int:
 def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
     """Rebuild a snapshot from a trace CSV plus the network it ran on.
 
-    T is the snapshot time; without it, the latest infection time is taken,
-    which falls one short of T when the last epoch kept the token.  A trace
-    without the columns that `spread` writes, with no rows or with no
-    virtual source marked by T, a T before the latest infection time and a
-    node that a finite network lacks raise ValueError."""
+    T is the snapshot time; without it (None), the latest infection time is
+    taken, which falls one short of T when the last epoch kept the token.  A
+    trace without the columns that `spread` writes, with no rows, a cell not
+    an integer, a parent not listed above its node or no virtual source
+    marked by T, a T before the latest infection time and a node that a
+    finite network lacks raise ValueError, naming the row (1 is the first
+    below the header) where there is one."""
     import csv as _csv
+
+    def cell(column):  # row n's integer in `column`
+        try:
+            return int(row[column])
+        except (TypeError, ValueError):  # a short row holds None
+            raise ValueError(f"trace {path} row {n}: column {column} holds {row[column]!r}, not an integer") from None
 
     time, parent, direction, level = {}, {}, {}, {}
     vs_marks = []
@@ -142,16 +150,18 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
         missing = [c for c in TRACE_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"trace {path} lacks the column(s) {', '.join(missing)}")
-        for row in reader:
-            v = int(row["node"])
-            time[v] = int(row["infection_time"])
-            parent[v] = int(row["parent"]) if row["parent"] != "" else None
+        for n, row in enumerate(reader, 1):
+            v = cell("node")
+            p = cell("parent") if row["parent"] != "" else None
+            if p is not None and p not in time:  # the rows are in infection order
+                raise ValueError(f"trace {path} row {n}: the parent {p} of node {v} is not listed above it")
+            time[v], parent[v] = cell("infection_time"), p
             if row["direction"]:
                 direction[v] = row["direction"]
             if row["level"]:
-                level[v] = int(row["level"])
+                level[v] = cell("level")
             if row["is_virtual_source_at_t"]:
-                vs_marks.append((int(row["is_virtual_source_at_t"]), v))
+                vs_marks.append((cell("is_virtual_source_at_t"), v))
     if not time:
         raise ValueError(f"trace {path} has no rows")
     missing = [v for v in time if v not in net.adj] if net.is_finite else []
@@ -159,9 +169,9 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
         raise ValueError(f"trace node {missing[0]} is not a node of the {net.kind} network of {net.n_nodes} nodes")
     vs_marks.sort()
     latest = max(time.values())
-    if T and T < latest:
+    T = latest if T is None else T
+    if T < latest:
         raise ValueError(f"T={T} lies before the trace's latest infection time {latest}")
-    T = T or latest
     source = min(time, key=time.get)
     in_window = [(t, v) for t, v in vs_marks if t <= T]
     if not in_window:
@@ -174,7 +184,7 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
         protocol="trace",
         T=T,
         source=source,
-        time=time,  # the rows are in infection order
+        time=time,
         parent=parent,
         centers=centers,
         mid_pass=mid,
@@ -185,11 +195,12 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
 
 
 def cmd_estimate(args) -> int:
-    cfg = config_from_options(_collect_options(args))
+    opts = _collect_options(args)
+    cfg = config_from_options(opts)
     # the network gets a stream of its own, so that a galton-watson tree is
     # the one `spread` grew with the same seed
     net, _ = NETWORKS[cfg.network](cfg, np.random.default_rng(cfg.seed), shared_network(cfg))
-    snap = load_trace(args.trace, net, cfg.protocol.horizon)
+    snap = load_trace(args.trace, net, cfg.protocol.horizon if "T" in opts else None)
     check_applies(with_options(cfg, {"T": snap.T}))  # without --T, at the trace's T
     est = ADVERSARIES[cfg.adversary](cfg, net, snap, np.random.default_rng(cfg.seed))
     print(f"estimator,{est.kind}")
@@ -229,11 +240,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    d = args.d
-    T = args.T
-    p = args.p
-    n = args.n
-    q = args.quantity
+    d, T, p, n, q = args.d, args.T, args.p, args.n, args.quantity
     rows = []
     if q == "n_regular":
         rows.append((q, f"d={d};T={T};branch={args.branch}", analysis.n_regular(d, T, args.branch)))

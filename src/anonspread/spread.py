@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -177,9 +178,10 @@ class InfectionSnapshot:
         return adj
 
     def boundary(self) -> list:
-        """Leaves of the infected subtree (degree <= 1 in the infection tree)."""
-        adj = self.subtree_adjacency()
-        return [v for v, nbrs in adj.items() if len(nbrs) <= 1]
+        """Leaves of the infected subtree (degree <= 1 in the infection tree),
+        in infection order: the children each node has, plus its parent."""
+        n_children = Counter(self.parent.values())
+        return [v for v in self.time if n_children[v] + (self.parent[v] is not None) <= 1]
 
     def to_csv(self, fh) -> None:
         vs_time = {node: t for t, node, _ in self.vs_events}

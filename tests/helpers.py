@@ -1,11 +1,12 @@
 """Test-only reference code: the brute-force trajectory oracle that the
-irregular-ml scores are checked against, hand-built trees and snapshots,
-and a summary CSV as text."""
+irregular-ml scores are checked against, the breadth-first orientation of
+an infection tree that the estimators' one is checked against, hand-built
+trees and snapshots, and a summary CSV as text."""
 
 import io
 from itertools import count
 
-from anonspread.adversary import _children_from_center, _path_up
+from anonspread.adversary import _path_up
 from anonspread.graph import ContactNetwork
 from anonspread.harness import ExperimentSummary, write_summary_csv
 from anonspread.spread import InfectionSnapshot, alpha_regular
@@ -52,6 +53,34 @@ def eight_node_snapshot():
     return TreeAdjacency(adj), snap
 
 
+def reference_orientation(snap: InfectionSnapshot, root):
+    """(children, up, depth) of the infection tree hung from `root`, by a
+    breadth-first search from it over the tree's undirected adjacency."""
+    adj = snap.subtree_adjacency()
+    children = {v: [] for v in adj}
+    up = {root: None}
+    depth = {root: 0}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    up[w] = v
+                    children[v].append(w)
+                    nxt.append(w)
+        frontier = nxt
+    if len(depth) != len(adj):
+        raise ValueError("infected subgraph is not connected")
+    return children, up, depth
+
+
+def reference_boundary(snap: InfectionSnapshot) -> list:
+    """The nodes of degree at most 1 in the tree's undirected adjacency."""
+    return [v for v, nbrs in snap.subtree_adjacency().items() if len(nbrs) <= 1]
+
+
 def summary_csv_text(summary: ExperimentSummary) -> str:
     buf = io.StringIO()
     write_summary_csv(summary, buf)
@@ -69,8 +98,8 @@ def oracle_trajectory_likelihood(net: ContactNetwork, snap: InfectionSnapshot, c
     if T > 12:
         raise ValueError("oracle is exponential in T; refuse T > 12")
     deg = net.degree
-    children, up, depth = _children_from_center(snap)
     root = snap.virtual_source
+    _, up, _ = reference_orientation(snap, root)
     if candidate == root:
         return 0.0
     path = _path_up(up, candidate)  # candidate .. root

@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from anonspread.adversary import (
+    _children_from_center,
+    _oriented_children,
+    _path_up,
+    _token_path_scores,
     estimate_first_spy,
     estimate_irregular_ml,
     estimate_line_ml,
@@ -14,7 +20,15 @@ from anonspread.adversary import (
     irregular_ml_scores,
     paad_map_scores,
 )
-from anonspread.graph import degree_distribution, from_edges, galton_watson_tree, regular_tree
+from anonspread.graph import (
+    degree_distribution,
+    from_edges,
+    galton_watson_tree,
+    prune_min_degree,
+    regular_tree,
+    synthetic_heavy_tail,
+)
+from anonspread.harness import PROTOCOLS
 from anonspread.spread import (
     InfectionSnapshot,
     LineTrace,
@@ -26,7 +40,13 @@ from anonspread.spread import (
     spread_paad,
     spread_tree_protocol,
 )
-from helpers import TreeAdjacency, eight_node_snapshot, oracle_trajectory_likelihood
+from helpers import (
+    TreeAdjacency,
+    eight_node_snapshot,
+    oracle_trajectory_likelihood,
+    reference_boundary,
+    reference_orientation,
+)
 
 RNG = np.random.default_rng
 
@@ -45,6 +65,93 @@ def spine_example():
         SpyObservation(node=8, time=4, parent=5, direction="up", level=4),
     ]
     return net, obs
+
+
+HEAVY_TAIL = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+TOKEN_WALK_PARAMS = {  # every token-walk protocol that runs off the grid
+    "exact": dict(kind="adaptive", d0=3),
+    "always-pass": dict(kind="adaptive", alpha_policy="always-pass"),
+    "paad": dict(kind="paad", g=1),
+    "tree-protocol": dict(kind="tree-protocol"),
+}
+
+
+def _token_walk_snapshots(network: str, kind: str, trials=4):
+    """Snapshots of one token-walk protocol at every T from 0 to 9 on
+    `network`: the lazy regular tree, a Galton-Watson tree or the pruned
+    heavy-tailed graph."""
+    rng = RNG(17)
+    for T in range(10):
+        for _ in range(trials):
+            if network == "regular-tree":
+                net, src = regular_tree(3), 0
+            elif network == "galton-watson":
+                net, src = galton_watson_tree({2: 0.3, 3: 0.4, 5: 0.3}, int(rng.integers(2**60))), 0
+            else:
+                net, src = HEAVY_TAIL, HEAVY_TAIL.nodes()[int(rng.integers(HEAVY_TAIL.n_nodes))]
+            params = ProtocolParams(horizon=T, **TOKEN_WALK_PARAMS[kind])
+            yield PROTOCOLS[params.kind](net, src, params, rng)
+
+
+def _items(m: dict) -> list:
+    return list(m.items())  # the order too
+
+
+@pytest.mark.parametrize("kind", sorted(TOKEN_WALK_PARAMS))
+@pytest.mark.parametrize("network", ["regular-tree", "galton-watson", "explicit"])
+def test_orientation_matches_a_breadth_first_search(network, kind):
+    """The one-pass orientation gives the child lists, up-parents and depths
+    of a breadth-first search over the undirected tree, in its order, from
+    the center and from the source; boundary() gives its degree-1 nodes."""
+    seen_mid_pass = seen_t0 = seen_t1 = False
+    for snap in _token_walk_snapshots(network, kind):
+        seen_mid_pass |= snap.mid_pass
+        seen_t0 |= snap.T == 0 and snap.virtual_source == snap.source
+        seen_t1 |= snap.T == 1
+        children, up, depth = _children_from_center(snap)
+        ref = reference_orientation(snap, snap.virtual_source)
+        assert _items(children) == _items(ref[0])
+        assert _items(up) == _items(ref[1])
+        assert _items(depth) == _items(ref[2])
+        for root in {*snap.centers, snap.source}:
+            assert _items(_oriented_children(snap, root)) == _items(reference_orientation(snap, root)[0])
+        assert snap.boundary() == reference_boundary(snap)
+    assert seen_t0 and seen_t1 and (seen_mid_pass or kind == "tree-protocol")
+
+
+def test_orientation_of_a_tree_whose_parent_pointers_start_at_the_center():
+    _, snap = eight_node_snapshot()  # rooted at its center 3, not at the source 1
+    for root in snap.time:
+        assert _items(_oriented_children(snap, root)) == _items(reference_orientation(snap, root)[0])
+    assert snap.boundary() == reference_boundary(snap)
+
+
+class TestTokenPathScores:
+    def test_a_childless_node_above_depth_h_ends_its_path(self):
+        # the token went 0 -> 1 -> 2; from the center 2, node 4 is a leaf at
+        # depth 1 and the candidates are 0 and 5 at depth h_T = 2
+        net = from_edges([(0, 1), (0, 3), (1, 2), (1, 5), (2, 4), (0, 6), (0, 7), (5, 8)])
+        parent = {0: None, 1: 0, 3: 0, 2: 1, 5: 1, 4: 2}
+        snap = InfectionSnapshot(protocol="adaptive", T=4, source=0, time=dict.fromkeys(parent, 0),
+                                 parent=parent, centers=[2], vs_events=[(0, 0, 0), (1, 1, 1), (4, 2, 2)])
+        assert _items(_token_path_scores(net, snap)) == [(0, 1 / 8), (5, 1 / 4)]
+
+    @pytest.mark.parametrize("kind", ["exact", "always-pass", "paad", "tree-protocol"])
+    def test_equals_the_walk_up_from_each_candidate(self, kind):
+        """Each candidate's score is 1/deg(v) divided by the child count of
+        every interior node on its path to the center."""
+        for snap in _token_walk_snapshots("explicit", kind):
+            if snap.T % 2:
+                continue
+            children, up, depth = reference_orientation(snap, snap.virtual_source)
+            expected = []
+            for v, dv in depth.items():
+                if dv == snap.h_T:
+                    interior = _path_up(up, v)[1:-1]
+                    expected.append((v, 1 / HEAVY_TAIL.degree(v) / math.prod(len(children[w]) for w in interior)))
+            got = _items(_token_path_scores(HEAVY_TAIL, snap))
+            assert [v for v, _ in got] == [v for v, _ in expected]
+            assert [s for _, s in got] == pytest.approx([s for _, s in expected], rel=1e-12)
 
 
 class TestSnapshotUniform:

@@ -69,6 +69,32 @@ class TestSpreadEstimate:
         assert code == 1 and out == ""
         assert "error: T=4 lies before the trace's latest infection time 8" in capsys.readouterr().err
 
+    def test_T_0_is_a_T(self, tmp_path, capsys):
+        # --T 0 asks for the snapshot at time 0; without --T, the trace's own T is taken
+        trace = tmp_path / "t8.csv"
+        assert run_cli(["spread", "--T", "8", "--seed", "4", "--output", str(trace)])[0] == 0
+        capsys.readouterr()
+        code, out = run_cli(["estimate", "--T", "0", str(trace)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: T=0 lies before the trace's latest infection time 8\n"
+        code, out = run_cli(["estimate", str(trace)])
+        assert code == 0 and "candidates,45" in out
+
+    def test_a_trace_cell_that_is_not_an_integer_exits_1(self, tmp_path, capsys):
+        trace, bad = tmp_path / "t4.csv", tmp_path / "bad.csv"
+        assert run_cli(["spread", "--T", "4", "--seed", "1", "--output", str(trace)])[0] == 0
+        header, first, second, *rest = trace.read_text().splitlines(keepends=True)
+        node, t, parent, tail = second.split(",", 3)
+        capsys.readouterr()
+        for row, message in (
+                (f"x,{t},{parent},{tail}", f"row 2: column node holds 'x', not an integer"),
+                (f"{node},{t},1.5,{tail}", f"row 2: column parent holds '1.5', not an integer"),
+                (f"{node},{t}\n", f"row 2: column parent holds None, not an integer"),  # a short row
+                (f"{node},{t},{node}5,{tail}", f"row 2: the parent {node}5 of node {node} is not listed above it")):
+            bad.write_text(header + first + row + "".join(rest))
+            code, out = run_cli(["estimate", str(bad)])
+            assert (code, out, capsys.readouterr().err) == (1, "", f"error: trace {bad} {message}\n")  # and no traceback
+
     def test_a_trace_the_network_cannot_hold_exits_1(self, tmp_path, capsys):
         trace, header = tmp_path / "t8.csv", tmp_path / "header.csv"
         assert run_cli(["spread", "--T", "8", "--seed", "1", "--output", str(trace)])[0] == 0
