@@ -164,7 +164,6 @@ def irregular_ml_scores(net: ContactNetwork, snap: InfectionSnapshot, d0: int):
     p_leaf = 1.0 / (d0 * (d0 - 1) ** (T // 2 - 1)) if T >= 2 else 1.0
     for te in range(2, T - 1, 2):
         p_leaf *= 1.0 - alpha_regular(d0, te, te // 2)
-    # A_v * B_v, with B_v the leaf likelihood times the (d0-1)-power of the depth
     likelihood = {v: a_val[v] * (p_leaf * d0 * (d0 - 1) ** (depth[v] - 1)) if v != root else 0.0 for v in score}
     return score, likelihood
 
@@ -204,9 +203,8 @@ def estimate_irregular_ml(net: ContactNetwork, snap: InfectionSnapshot, d0: int,
 def _token_path_scores(net: ContactNetwork, snap: InfectionSnapshot) -> dict:
     """Token-path probability of every infected node at depth h_T from the
     center (see estimate_irregular_ml on a finite network), in breadth-first
-    order.  The tree is expanded level by level from the center, as groups
-    of siblings that carry the product of the child counts of their path's
-    interior nodes; a node without children adds an empty group."""
+    order: the tree is expanded level by level from the center, in groups of
+    siblings that carry the product of their path's interior child counts."""
     if snap.T % 2:
         raise ValueError("likelihood scoring requires an even snapshot time")
     center = snap.virtual_source
@@ -243,14 +241,13 @@ def estimate_map_leaf(net: ContactNetwork, snap: InfectionSnapshot, rng) -> Esti
     children = _oriented_children(snap, root)
     prod = {}
     stack = [(w, 1.0) for w in children[root]]
-    leaves = set(snap.boundary())
     while stack:
         v, acc = stack.pop()
-        if v in leaves:
-            prod[v] = acc
         if children[v]:
             acc *= net.degree(v) - 1
             stack.extend((c, acc) for c in children[v])
+        else:  # a leaf of the infection tree
+            prod[v] = acc
     v_hat, ties = _argmax_pick(prod, rng, reverse=True)
     d_root = net.degree(root)
     lam = d_root * prod[v_hat]
@@ -327,7 +324,9 @@ def _solve_pivot(path_s_to_anchor, t_anchor, t_spy):
     dt = t_anchor - t_spy
     if (dist - dt) % 2 or dist < abs(dt):
         raise ValueError("observation inconsistent with a tree spread")
-    return (dist - dt) // 2, (dist + dt) // 2
+    h1 = (dist - dt) // 2
+    h2 = (dist + dt) // 2
+    return h1, h2
 
 
 def algorithm_pivot_candidates(net: ContactNetwork, observations):

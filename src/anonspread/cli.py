@@ -130,11 +130,10 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
 
     T is the snapshot time; without it (None), the latest infection time is
     taken, which falls one short of T when the last epoch kept the token.  A
-    trace without the columns that `spread` writes, with no rows, a cell not
-    an integer, a parent not listed above its node or no virtual source
-    marked by T, a T before the latest infection time and a node that a
-    finite network lacks raise ValueError, naming the row (1 is the first
-    below the header) where there is one."""
+    trace without the columns that `spread` writes or without rows, a row (1
+    is the first below the header) with a cell not an integer or a parent not
+    listed above it, no virtual source marked by T, a T before the latest
+    infection time and a node that a finite network lacks raise ValueError."""
     import csv as _csv
 
     def cell(column):  # row n's integer in `column`
@@ -240,7 +239,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    d, T, p, n, q = args.d, args.T, args.p, args.n, args.quantity
+    d = args.d
+    T = args.T
+    p = args.p
+    n = args.n
+    q = args.quantity
     rows = []
     if q == "n_regular":
         rows.append((q, f"d={d};T={T};branch={args.branch}", analysis.n_regular(d, T, args.branch)))

@@ -178,8 +178,7 @@ class InfectionSnapshot:
         return adj
 
     def boundary(self) -> list:
-        """Leaves of the infected subtree (degree <= 1 in the infection tree),
-        in infection order: the children each node has, plus its parent."""
+        """The infection tree's nodes of degree <= 1, in infection order."""
         n_children = Counter(self.parent.values())
         return [v for v in self.time if n_children[v] + (self.parent[v] is not None) <= 1]
 
