@@ -57,9 +57,9 @@ def _argmax_pick(scores: dict, rng, reverse=False):
 def _oriented_children(snap: InfectionSnapshot, root) -> dict:
     """Child lists of the infection tree hung from `root`, over every
     infected node.  One pass over snap.parent, which lists parents before
-    their children, hangs each node from its parent; then the path from
-    `root` to the parentless node is flipped.  The lists come out in the
-    order of a breadth-first search from `root` over the undirected tree."""
+    their children (as spreads and load_trace do), hangs each node from its
+    parent; then the path from `root` to the parentless node is flipped.
+    The lists come out in a breadth-first search's order from `root`."""
     parent = snap.parent
     children = {v: [] for v in snap.time}
     for v, p in parent.items():
@@ -211,8 +211,8 @@ def _token_path_scores(net: ContactNetwork, snap: InfectionSnapshot) -> dict:
     children = _oriented_children(snap, center)
     h = snap.h_T
     level = [(children[center], 1)] if h else [([center], 1)]  # (siblings, their path's product)
-    for _ in range(h - 1):
-        level = [(children[v], prod * len(children[v])) for siblings, prod in level for v in siblings]
+    for _ in range(h - 1):  # a node without children ends its path
+        level = [(kids, prod * len(kids)) for siblings, prod in level for v in siblings if (kids := children[v])]
     return {v: 1 / (net.degree(v) * prod) for siblings, prod in level for v in siblings}
 
 
