@@ -57,19 +57,19 @@ def _argmax_pick(scores: dict, rng, reverse=False):
 def _oriented_children(snap: InfectionSnapshot, root) -> dict:
     """Child lists of the infection tree hung from `root`, over every
     infected node.  One pass over snap.parent, which lists parents before
-    their children (as spreads and load_trace do), hangs each node from its
-    parent; then the path from `root` to the parentless node is flipped.
-    The lists come out in a breadth-first search's order from `root`."""
-    parent = snap.parent
-    children = {v: [] for v in snap.time}
-    for v, p in parent.items():
+    their children (as spreads and load_trace do; else KeyError), hangs each
+    node from its parent; then the path from `root` to the parentless node
+    is flipped.  The lists come out in a breadth-first search's order."""
+    children = {}
+    for v, p in snap.parent.items():
         if p is not None:
             children[p].append(v)
-    v, p = root, parent[root]
+        children[v] = []
+    v, p = root, snap.parent[root]
     while p is not None:
         children[p].remove(v)
         children[v].insert(0, p)
-        v, p = p, parent[p]
+        v, p = p, snap.parent[p]
     return children
 
 

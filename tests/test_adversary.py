@@ -126,6 +126,15 @@ def test_orientation_of_a_tree_whose_parent_pointers_start_at_the_center():
     assert snap.boundary() == reference_boundary(snap)
 
 
+@pytest.mark.parametrize("parent", [{1: 2, 2: 1}, {1: None, 2: 2}, {2: 1, 1: None}])
+def test_orientation_refuses_a_parent_listed_after_its_child(parent):
+    # a cycle, a node its own parent, a child above its parent: each raises instead of looping
+    snap = InfectionSnapshot(protocol="adaptive", T=2, source=1, time=dict.fromkeys(parent, 0), parent=parent,
+                             centers=[2], vs_events=[(0, 1, 0), (1, 2, 1)])
+    with pytest.raises(KeyError):
+        _oriented_children(snap, 2)
+
+
 class TestTokenPathScores:
     def test_a_childless_node_above_depth_h_ends_its_path(self):
         # the token went 0 -> 1 -> 2; from the center 2, node 4 is a leaf at
