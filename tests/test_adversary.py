@@ -145,7 +145,7 @@ class TestTokenPathScores:
                                  parent=parent, centers=[2], vs_events=[(0, 0, 0), (1, 1, 1), (4, 2, 2)])
         assert _items(_token_path_scores(net, snap)) == [(0, 1 / 8), (5, 1 / 4)]
 
-    @pytest.mark.parametrize("kind", ["exact", "always-pass", "paad", "tree-protocol"])
+    @pytest.mark.parametrize("kind", sorted(TOKEN_WALK_PARAMS))
     def test_equals_the_walk_up_from_each_candidate(self, kind):
         """Each candidate's score is 1/deg(v) divided by the child count of
         every interior node on its path to the center."""
