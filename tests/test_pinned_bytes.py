@@ -11,14 +11,16 @@ could infect one node past the spy that reports, and only n_infected
 differed.  Each estimator cell runs map-leaf, paad-map or spy-irregular,
 the estimators that read the network's degrees and neighbours, at several
 T on the spreads they read, and spy-snapshot on the regular tree.  Each
-hand-over sweep runs irregular-ml over T, so that every trial runs to the
-largest T and hands its snapshots over at the others, on the pool too.
+ball cell runs first-spy, at T = 0..9, on plain diffusion or flooding.
+Each hand-over sweep runs irregular-ml, or first-spy on a ball spread,
+over T, so that every trial runs to the largest T and hands its snapshots
+over at the others, on the pool too.
 irregular-ml scores only even T, where no snapshot is mid-pass; the
 estimators that orient a mid-pass snapshot are pinned by the paad-map
 cells at odd T.  To regenerate after a declared output change, print
 cell_digest(name), sweep_digest(name, tmp_dir), estimator_digest(name),
-sweep_digest("hand-over", tmp_dir, *HAND_OVER_SWEEPS[name]) and
-line_digest() for every name."""
+estimator_digest(name, BALL_CELLS), sweep_digest("hand-over", tmp_dir,
+*HAND_OVER_SWEEPS[name]) and line_digest() for every name."""
 
 import hashlib
 import io
@@ -93,13 +95,23 @@ ESTIMATOR_CELLS = {
 ESTIMATOR_TRIALS_PER_T = 12
 
 
-def estimator_digest(name: str) -> str:
-    cell, adversary, horizons, extra = ESTIMATOR_CELLS[name]
+def estimator_digest(name: str, cells=ESTIMATOR_CELLS) -> str:
+    cell, adversary, horizons, extra = cells[name]
     buf = io.StringIO()
     for T in horizons:
         cfg = _config(cell, T, adversary, trials=ESTIMATOR_TRIALS_PER_T, **extra)
         write_trial_csv([run_trial(cfg, i) for i in range(ESTIMATOR_TRIALS_PER_T)], buf)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+# name -> ProtocolParams fields: the ball spreads, which first-spy reads
+BALL_PROTOCOLS = {
+    "diffusion": dict(kind="diffusion", q=0.3),
+    "flooding": dict(kind="deterministic"),
+}
+# name -> (cell, adversary, horizons, extra ExperimentConfig fields), as ESTIMATOR_CELLS
+BALL_CELLS = {f"{net}/{proto}/first-spy": ((NETWORKS[net], BALL_PROTOCOLS[proto]), "first-spy", range(10), {"p": 0.2})
+              for net in NETWORKS for proto in BALL_PROTOCOLS}
 
 
 # name -> (config, T values): irregular-ml sweeps, whose trials run to the largest T and hand their
@@ -110,6 +122,10 @@ HAND_OVER_SWEEPS = {
     for w in (1, 2)}
 HAND_OVER_SWEEPS["galton-watson/exact/irregular-ml"] = (
     _config(CELLS["galton-watson/exact"], 8, "irregular-ml", trials=25), (2, 4, 6, 8))
+HAND_OVER_SWEEPS.update({
+    f"explicit/{proto}/first-spy/workers={w}": (
+        _config((NETWORKS["explicit"], BALL_PROTOCOLS[proto]), 8, "first-spy", trials=25, p=0.2, workers=w), (2, 5, 8))
+    for proto in BALL_PROTOCOLS for w in (1, 2)})
 
 
 def line_digest() -> str:
@@ -184,11 +200,26 @@ ESTIMATOR_DIGESTS = {
     "regular-tree/exact/spy-snapshot": "28560f0e4c5c372a2d317b72a8b18dfb6f168fcae0ccda0d00ec13910d18a4ff",
 }
 
-# taken from the code that oriented the infection tree by a search over its undirected adjacency
+# taken from the code in which flooding was a spread of its own, the `deterministic` protocol kind
+BALL_DIGESTS = {
+    "explicit/diffusion/first-spy": "466f7dafaea4fbeda03eee3830b0123ce9cfde182d0f41e552fd788b072847c4",
+    "explicit/flooding/first-spy": "16175ae295a0283475c21acfc11a5e4bf1506f532e95d37283a629da055bcd72",
+    "galton-watson/diffusion/first-spy": "ca39ba5fcbe8e656526432e71f07e67c4a47edfd8fd767a84e3de3d95ef78293",
+    "galton-watson/flooding/first-spy": "5a56c6ddb532138cd3df23aee29e71abf0b0065fb659edfeee332d50c71df697",
+    "regular-tree/diffusion/first-spy": "209d31fec48972675c98e1583a088b7b3f8785c91dd9460ced9415ebcb097ccc",
+    "regular-tree/flooding/first-spy": "8e528605ae30dea6d531b2bd2ed81712f3e4c0df1d0ddce3617c2fd842690adc",
+}
+
+# taken from the code that oriented the infection tree by a search over its undirected adjacency, but for
+# first-spy's, taken with BALL_DIGESTS
 HAND_OVER_DIGESTS = {
     "explicit/always-pass/irregular-ml/workers=1": "8b015eb7a35237c06c1045c90bb44da31ac64ffaaeea79332eeb6591db204ff0",
     "explicit/always-pass/irregular-ml/workers=2": "8b015eb7a35237c06c1045c90bb44da31ac64ffaaeea79332eeb6591db204ff0",
     "galton-watson/exact/irregular-ml": "b9b4c08d76bddef0ba38842c0564b6fad44ffbc90c1f4ef84023e35e0dc556c8",
+    "explicit/diffusion/first-spy/workers=1": "920e746c616b5058c96748ef6a19d3618c6490e42568017bc1e5b551315401cf",
+    "explicit/diffusion/first-spy/workers=2": "920e746c616b5058c96748ef6a19d3618c6490e42568017bc1e5b551315401cf",
+    "explicit/flooding/first-spy/workers=1": "e8ed00a9376d6d3aa19f34e961226a27843e7c1652b68adca39cb6bde2889a7f",
+    "explicit/flooding/first-spy/workers=2": "e8ed00a9376d6d3aa19f34e961226a27843e7c1652b68adca39cb6bde2889a7f",
 }
 
 
@@ -205,6 +236,11 @@ def test_sweep_over_T_keeps_its_bytes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(ESTIMATOR_CELLS))
 def test_estimator_records_keep_their_bytes(name):
     assert estimator_digest(name) == ESTIMATOR_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BALL_CELLS))
+def test_ball_spread_records_keep_their_bytes(name):
+    assert estimator_digest(name, BALL_CELLS) == BALL_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(HAND_OVER_SWEEPS))
