@@ -27,7 +27,8 @@ for y in range(max(ys), min(ys) - 1, -1):
         else:
             row += "#" if (x, y) in snap.time else "."
     print(row)
-print(f"source S, center C, displacement {snap.grid_displacement}, N={snap.n_infected}")
+displacement = (c[0] - snap.source[0], c[1] - snap.source[1])
+print(f"source S, center C, displacement {displacement}, N={snap.n_infected}")
 
 print("\n=== detection against the closed-form bound ===")
 for T in (4, 8, 12):

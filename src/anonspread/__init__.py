@@ -30,7 +30,6 @@ from .spread import (
     assign_spies,
     observations_for,
     spread_adaptive,
-    spread_deterministic,
     spread_diffusion,
     spread_grid,
     spread_paad,

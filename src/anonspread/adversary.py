@@ -121,10 +121,7 @@ def estimate_snapshot_regular(snap: InfectionSnapshot, rng) -> Estimate:
     if snap.T == 0:
         only = nodes[0]
         return Estimate(only, [only], None, 1, "snapshot-uniform")
-    if snap.T == 1 or not snap.mid_pass:
-        excluded = {snap.virtual_source}
-    else:
-        excluded = set(snap.centers)
+    excluded = set(snap.centers)
     candidates = [v for v in nodes if v not in excluded]
     if not candidates:
         return _inconclusive("snapshot-uniform", ONLY_CENTERS)
@@ -196,7 +193,7 @@ def estimate_irregular_ml(net: ContactNetwork, snap: InfectionSnapshot, d0: int,
         if not candidates:
             return _inconclusive("irregular-ml", ONLY_CENTERS)
     v_hat, ties = _argmax_pick(candidates, rng)
-    return Estimate(v_hat, sorted(candidates, key=repr), score, len(ties), "irregular-ml",
+    return Estimate(v_hat, list(candidates), score, len(ties), "irregular-ml",
                     info={"likelihood": likelihood, "d0": d0})
 
 
@@ -252,7 +249,7 @@ def estimate_map_leaf(net: ContactNetwork, snap: InfectionSnapshot, rng) -> Esti
     d_root = net.degree(root)
     lam = d_root * prod[v_hat]
     scores = {v: 1.0 / (d_root * pr) for v, pr in prod.items()}
-    return Estimate(v_hat, sorted(prod, key=repr), scores, len(ties), "map-leaf",
+    return Estimate(v_hat, list(prod), scores, len(ties), "map-leaf",
                     info={"lambda": lam, "pd_conditional": 1.0 / lam})
 
 
@@ -296,7 +293,7 @@ def estimate_paad_map(net: ContactNetwork, snap: InfectionSnapshot, g: int, rng)
     scores = paad_map_scores(net, snap, g)
     v_hat, ties = _argmax_pick(scores, rng)
     total = sum(scores.values())
-    return Estimate(v_hat, sorted(scores, key=repr), scores, len(ties), "paad-map",
+    return Estimate(v_hat, list(scores), scores, len(ties), "paad-map",
                     info={"pd_conditional": max(scores.values()) / total})
 
 

@@ -58,13 +58,6 @@ def leaf_count_regular(d: int, n_T: int) -> int:
     return num // (d - 1)
 
 
-def deterministic_n(d: int, T: int) -> int:
-    """Flooding ball size on the d-regular tree."""
-    if d == 2:
-        return 2 * T + 1
-    return 1 + d * ((d - 1) ** T - 1) // (d - 2)
-
-
 def grid_ball_size(r: int) -> int:
     """Nodes within L1 distance r on the lattice."""
     return 2 * r * r + 2 * r + 1

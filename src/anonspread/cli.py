@@ -177,8 +177,8 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
         raise ValueError(f"trace {path} marks no virtual source at or before T={T}")
     t_vs, vs = in_window[-1]
     later = [(t, v) for t, v in vs_marks if t > T]
-    mid = bool(later) and T % 2 == 1
-    centers = [later[0][1], vs] if mid else [vs]
+    # mid-pass: the next hand-off, at T+1, is the second wave of a pass made at T-1
+    centers = [later[0][1], vs] if later and later[0][0] == T + 1 else [vs]
     return InfectionSnapshot(
         protocol="trace",
         T=T,
@@ -186,7 +186,6 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
         time=time,
         parent=parent,
         centers=centers,
-        mid_pass=mid,
         vs_events=[(t, v, i) for i, (t, v) in enumerate(vs_marks)],
         direction=direction,
         level=level,

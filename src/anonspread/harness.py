@@ -40,7 +40,6 @@ from .spread import (
     assign_spies,
     observations_for,
     spread_adaptive,
-    spread_deterministic,
     spread_diffusion,
     spread_grid,
     spread_paad,
@@ -336,7 +335,6 @@ PROTOCOLS = Registry("protocol kind", {
     "tree-protocol": lambda *args: spread_tree_protocol(*args),
     "grid-adaptive": lambda *args: spread_grid(*args),
     "diffusion": lambda *args: spread_diffusion(*args),
-    "deterministic": lambda *args: spread_deterministic(*args),
     "polya-line": _polya_line,
 })
 
@@ -362,12 +360,11 @@ ADVERSARIES = Registry("adversary kind", {
 # network not in its NOT_ON row, at an even T if in EVEN_T; multi-snapshot needs an even observe_T below T.
 NOT_GRID = ("regular-tree", "galton-watson", "explicit", "line")
 RUNS_ON = Registry("protocol kind", {"adaptive": NOT_GRID, "paad": NOT_GRID, "tree-protocol": NOT_GRID,
-                                     "grid-adaptive": ("grid",), "diffusion": NOT_GRID, "deterministic": NOT_GRID,
-                                     "polya-line": ("line",)})
+                                     "grid-adaptive": ("grid",), "diffusion": NOT_GRID, "polya-line": ("line",)})
 TOKEN_WALKS = ("adaptive", "always-pass", "paad", "tree-protocol", "grid-adaptive")
 READS = Registry("adversary kind", {
     "snapshot": TOKEN_WALKS, "irregular-ml": TOKEN_WALKS[:4], "map-leaf": ("always-pass", "paad", "tree-protocol"),
-    "paad-map": ("paad",), "multi-snapshot": TOKEN_WALKS, "first-spy": (*TOKEN_WALKS, "diffusion", "deterministic"),
+    "paad-map": ("paad",), "multi-snapshot": TOKEN_WALKS, "first-spy": (*TOKEN_WALKS, "diffusion"),
     "spy-ml": ("tree-protocol",), "spy-irregular": ("tree-protocol",), "spy-snapshot": TOKEN_WALKS,
     "line-ml": ("polya-line",)})
 NOT_ON = {"spy-snapshot": ("explicit",)}

@@ -2,9 +2,10 @@
 
 Every protocol produces an InfectionSnapshot carrying the full metadata an
 adversary might see: infection times (in infection order), parents, the
-virtual-source history and per-node levels/directions for the distributed
-tree protocol.  Degrees and neighbors are facts about the network, not the
-spread: estimators read them from the network itself.
+token's centers and hand-offs, and per-node levels/directions for the
+distributed tree protocol.  Degrees and neighbors are facts about the
+network, not the spread: estimators read them from the network itself.
+Flooding is plain diffusion at q=1.
 
 Timing convention used throughout: the token holder at an even epoch te
 decides to keep or pass; the resulting infection waves occupy steps te+1
@@ -78,7 +79,8 @@ class ProtocolParams:
     a holder whose neighbors were all infected by others has no one to pass
     to and keeps the token, which breaks that guarantee.  fanout_cap limits
     new infections per node per step; it defaults to 3 on finite explicit
-    graphs and to no cap on infinite networks.
+    graphs and to no cap on infinite networks.  Diffusion takes q in (0, 1]:
+    at q=1 it floods, drawing no coins.
     """
 
     kind: str = "adaptive"
@@ -102,8 +104,8 @@ class ProtocolParams:
         if self.alpha_policy == EXACT and self.d0 is not None and self.d0 < 2:
             raise ValueError("d0 must be >= 2 (or inf for always-pass)")
         if self.kind == "diffusion":
-            if self.q is None or not 0.0 < self.q < 1.0:
-                raise ValueError("diffusion requires q in (0,1)")
+            if self.q is None or not 0.0 < self.q <= 1.0:
+                raise ValueError("diffusion requires q in (0, 1]")
         if self.kind == "paad" and self.g < 1:
             raise ValueError("paad requires g >= 1")
 
@@ -136,7 +138,10 @@ TRACE_COLUMNS = ("node", "infection_time", "parent", "direction", "level", "is_v
 @dataclass
 class InfectionSnapshot:
     """The infected subgraph at time T plus the full spread trace.  `time`'s
-    insertion order is the infection order, the source first."""
+    insertion order is the infection order, the source first.  `centers` is
+    the token holder, or mid-pass (at odd T, between a pass's two waves) the
+    new and the old holder; h in vs_events is the token's hops from the
+    source."""
 
     protocol: str
     T: int
@@ -144,12 +149,9 @@ class InfectionSnapshot:
     time: dict
     parent: dict
     centers: list
-    mid_pass: bool = False
     vs_events: list = field(default_factory=list)  # (t, node, h) token handoffs
-    h_history: list = field(default_factory=list)  # (even t, h)
     direction: dict = field(default_factory=dict)  # tree protocol metadata
     level: dict = field(default_factory=dict)
-    grid_displacement: tuple | None = None
     line_trace: LineTrace | None = None  # what the end spies of a polya-line spread see
 
     @property
@@ -159,6 +161,10 @@ class InfectionSnapshot:
     @property
     def n_infected(self) -> int:
         return len(self.time)
+
+    @property
+    def mid_pass(self) -> bool:
+        return len(self.centers) == 2
 
     @property
     def virtual_source(self):
@@ -364,10 +370,10 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
         def wave(origin, blocked, t):
             plan.append((origin, blocked, t))
 
-    def snapshot(state, T, centers, mid_pass, vs_events, h_history):
+    def snapshot(state, T, centers, vs_events):
         if plan:  # vs_events[1] holds the first holder
             _lazy_tree_ball(state, source, vs_events[1][1], tuple(plan))
-        return _adaptive_snapshot(_protocol_name, state, T, source, centers, mid_pass, vs_events, h_history)
+        return _adaptive_snapshot(_protocol_name, state, T, source, centers, vs_events)
 
     return _token_walk(st, source, params.horizon, rng, params.keep_probability(net), list(net.neighbors(source)),
                        moves, wave, snapshot, _early, _vs_weights)
@@ -398,25 +404,25 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
 
     wave(origin, blocked, t) infects step t from origin, away from its
     neighbor `blocked` (None for a holder that kept the token).
-    snapshot(state, t, centers, mid_pass, vs_events, h_history) builds the
-    snapshot at t.  weights(net, holder, candidates) -> weights replaces the
-    uniform pick of each holder; with every weight 0, the holder keeps.
+    snapshot(state, t, centers, vs_events) builds the snapshot at t from the
+    `centers` list that the walk carries and its hand-offs.  weights(net,
+    holder, candidates) -> weights replaces the uniform pick of each holder;
+    with every weight 0, the holder keeps.
 
     early = (horizons, hand_over), every spread's _early: for each horizon t
     in `horizons`, all below T, hand_over(snapshot at t) is called as the
     spread passes t, before it draws on.  The snapshot equals that of a
     spread to horizon t on the same draws, and owns its dicts and lists (it
-    is built from a copy of the state and of the token trace).  At an odd t
-    after a pass it is taken between the pass's two waves."""
+    is built from a copy of the state, the centers and the token trace).  At
+    an odd t after a pass it is taken between the pass's two waves."""
     st.infect(source, 0, None)
     vs_events = [(0, source, 0)]  # (t, node, h) of each hand-off
-    h_history = []  # (even t, h)
     horizons, hand_over = early or ((), None)
 
     if 0 in horizons:
-        hand_over(snapshot(st.copy(), 0, [source], False, list(vs_events), list(h_history)))
+        hand_over(snapshot(st.copy(), 0, [source], list(vs_events)))
     if T == 0:
-        return snapshot(st, T, [source], False, vs_events, h_history)
+        return snapshot(st, T, [source], vs_events)
 
     first = _pick_holder(rng, weights, st.net, source, first_holders)
     if first is None:  # the source must hand the token on at step 1
@@ -425,15 +431,14 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
     vs, prev = first, source
     h = 1
     vs_events.append((1, first, 1))
+    centers = [first]
     if 1 in horizons:
-        hand_over(snapshot(st.copy(), 1, [first], False, list(vs_events), list(h_history)))
+        hand_over(snapshot(st.copy(), 1, list(centers), list(vs_events)))
     if T >= 2:
         wave(vs, prev, 2)
-        h_history.append((2, h))
         if 2 in horizons:
-            hand_over(snapshot(st.copy(), 2, [vs], False, list(vs_events), list(h_history)))
+            hand_over(snapshot(st.copy(), 2, list(centers), list(vs_events)))
 
-    mid_pass = False
     te = 2
     while te + 1 <= T:
         children = moves(vs, prev)
@@ -441,27 +446,23 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
         new_vs = None if kept else _pick_holder(rng, weights, st.net, vs, children)
         if new_vs is None:
             wave(vs, None, te + 1)
-            mid_pass = False
-            if te + 1 in horizons:
-                hand_over(snapshot(st.copy(), te + 1, [vs], False, list(vs_events), list(h_history)))
         else:
             wave(new_vs, vs, te + 1)
             prev, vs = vs, new_vs
             h += 1
             vs_events.append((te + 2, vs, h))
-            if te + 1 in horizons:
-                hand_over(snapshot(st.copy(), te + 1, [vs, prev], True, list(vs_events), list(h_history)))
-            mid_pass = te + 2 > T
-            if not mid_pass:
-                wave(vs, prev, te + 2)
+            centers = [vs, prev]
+        if te + 1 in horizons:
+            hand_over(snapshot(st.copy(), te + 1, list(centers), list(vs_events)))
         te += 2
         if te <= T:
-            h_history.append((te, h))
+            if new_vs is not None:  # the pass's second wave
+                wave(vs, prev, te)
+                centers = [vs]
             if te in horizons:
-                hand_over(snapshot(st.copy(), te, [vs], False, list(vs_events), list(h_history)))
+                hand_over(snapshot(st.copy(), te, list(centers), list(vs_events)))
 
-    centers = [vs, prev] if mid_pass else [vs]
-    return snapshot(st, T, centers, mid_pass, vs_events, h_history)
+    return snapshot(st, T, centers, vs_events)
 
 
 def _lazy_tree_ball(st: _State, source, first, plan: tuple) -> None:
@@ -488,7 +489,7 @@ def _lazy_tree_ball(st: _State, source, first, plan: tuple) -> None:
         memo.nodes += size
 
 
-def _adaptive_snapshot(name, st, T, source, centers, mid_pass, vs_events, h_history) -> InfectionSnapshot:
+def _adaptive_snapshot(name, st, T, source, centers, vs_events) -> InfectionSnapshot:
     return InfectionSnapshot(
         protocol=name,
         T=T,
@@ -496,9 +497,7 @@ def _adaptive_snapshot(name, st, T, source, centers, mid_pass, vs_events, h_hist
         time=st.time,
         parent=st.parent,
         centers=centers,
-        mid_pass=mid_pass,
         vs_events=vs_events,
-        h_history=h_history,
     )
 
 
@@ -602,8 +601,7 @@ def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rn
 def _tree_protocol_snapshot(st, T, source, spine, direction, level) -> InfectionSnapshot:
     # the infection is balanced around the level-T/2 spine node at even T;
     # at odd T it is mid-transition across the spine edge (T-1)/2 -- (T+1)/2
-    mid = T % 2 == 1 and T > 1
-    if mid:
+    if T % 2 == 1 and T > 1:
         hi = min((T + 1) // 2, len(spine) - 1)
         lo = max(hi - 1, 0)
         centers = [spine[hi], spine[lo]]
@@ -613,36 +611,39 @@ def _tree_protocol_snapshot(st, T, source, spine, direction, level) -> Infection
     # the token trace is the center's walk up the spine, timed as adaptive
     # diffusion's token: spine[1] at step 1, then spine[k] at epoch 2k
     vs_events = [(k if k < 2 else 2 * k, spine[k], k) for k in range(hi + 1)]
-    snap = _adaptive_snapshot("tree-protocol", st, T, source, centers, mid, vs_events, [])
+    snap = _adaptive_snapshot("tree-protocol", st, T, source, centers, vs_events)
     snap.direction = direction
     snap.level = level
     return snap
 
 
 # ---------------------------------------------------------------------------
-# plain diffusion and flooding
+# plain diffusion, which floods at q=1
 
 
-def _ball_snapshot(name, st, T, source) -> InfectionSnapshot:
-    return _adaptive_snapshot(name, st, T, source, [source], False, [(0, source, 0)], [])
+def _ball_snapshot(st, T, source) -> InfectionSnapshot:
+    return _adaptive_snapshot("diffusion", st, T, source, [source], [(0, source, 0)])
 
 
 def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng,
                      _early=None) -> InfectionSnapshot:
     """Discrete-time SI dynamics: each infected-uninfected edge fires
     independently with probability q per step; simultaneous infectors
-    tie-break uniformly for parenthood.  _early is _token_walk's."""
+    tie-break uniformly for parenthood.  At q=1 every edge fires, with no
+    coin drawn: this is flooding, and the snapshot is the radius-T ball
+    around the source.  _early is _token_walk's."""
     q, T = params.q, params.horizon
     horizons, hand_over = _early or ((), None)
     st = _State(net)
     st.infect(source, 0, None)
     if 0 in horizons:
-        hand_over(_ball_snapshot("diffusion", st.copy(), 0, source))
+        hand_over(_ball_snapshot(st.copy(), 0, source))
     open_edges = {source: [w for w in net.neighbors(source) if w not in st.time]}
     for t in range(1, T + 1):
         hits: dict = {}
         # one coin per open edge, in the same order as scalar draws would take them
-        coins = iter(rng.random(sum(map(len, open_edges.values()))).tolist())
+        n_open = sum(map(len, open_edges.values()))
+        coins = iter([0.0] * n_open if q == 1 else rng.random(n_open).tolist())
         for u, targets in open_edges.items():
             for w, coin in zip(targets, coins):
                 if coin < q:
@@ -659,33 +660,8 @@ def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng,
             else:
                 del open_edges[u]
         if t in horizons:
-            hand_over(_ball_snapshot("diffusion", st.copy(), t, source))
-    return _ball_snapshot("diffusion", st, T, source)
-
-
-def spread_deterministic(net: ContactNetwork, source, params: ProtocolParams, rng,
-                         _early=None) -> InfectionSnapshot:
-    """Flooding: the snapshot is the radius-T ball around the source.
-    _early is _token_walk's."""
-    T = params.horizon
-    horizons, hand_over = _early or ((), None)
-    st = _State(net)
-    st.infect(source, 0, None)
-    if 0 in horizons:
-        hand_over(_ball_snapshot("deterministic", st.copy(), 0, source))
-    frontier = [source]
-    for t in range(1, T + 1):
-        hits: dict = {}
-        for u in frontier:
-            for w in net.neighbors(u):
-                if w not in st.time:
-                    hits.setdefault(w, []).append(u)
-        for w, infectors in hits.items():
-            st.infect(w, t, _pick(rng, infectors))
-        frontier = list(hits)
-        if t in horizons:
-            hand_over(_ball_snapshot("deterministic", st.copy(), t, source))
-    return _ball_snapshot("deterministic", st, T, source)
+            hand_over(_ball_snapshot(st.copy(), t, source))
+    return _ball_snapshot(st, T, source)
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +719,8 @@ def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng, _early=None) 
                     st.infect(xy, t, sender)
                     new_in_wave.add(xy)
 
-    def snapshot(state, T, centers, mid_pass, vs_events, h_history):
-        snap = _adaptive_snapshot("grid-adaptive", state, T, source, centers, mid_pass, vs_events, h_history)
-        snap.grid_displacement = (centers[0][0] - x0, centers[0][1] - y0)
-        return snap
+    def snapshot(state, T, centers, vs_events):
+        return _adaptive_snapshot("grid-adaptive", state, T, source, centers, vs_events)
 
     # at the source every direction is a move, so its moves are the first holders
     return _token_walk(st, source, params.horizon, rng, alpha_grid, moves(source, None), moves, wave, snapshot,
@@ -814,7 +788,6 @@ def spread_polya_line(n: int, source: int, rng, horizon: int | None = None):
         return horizon is None and (0 in time or (n + 1) in time)
 
     vs_events = [(0, source, 0)]
-    h_history = []
     h = 0
     vs = source
     if within(1):
@@ -828,7 +801,6 @@ def spread_polya_line(n: int, source: int, rng, horizon: int | None = None):
         vs_events.append((1, vs, 1))
     if within(2):
         grow_far(2)  # restores symmetry around the first token holder
-        h_history.append((2, h))
 
     te = 2
     while within(te + 1) and not done():
@@ -845,8 +817,6 @@ def spread_polya_line(n: int, source: int, rng, horizon: int | None = None):
             if within(te + 2):
                 grow_far(te + 2)
         te += 2
-        if within(te):
-            h_history.append((te, h))
 
     snap = InfectionSnapshot(
         protocol="polya-line",
@@ -856,7 +826,6 @@ def spread_polya_line(n: int, source: int, rng, horizon: int | None = None):
         parent=parent,
         centers=[vs],
         vs_events=vs_events,
-        h_history=h_history,
     )
     spy_times = {s: time[s] for s in (0, n + 1) if s in time}
     first_spy = min(spy_times, key=spy_times.get) if spy_times else None

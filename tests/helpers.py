@@ -1,6 +1,7 @@
 """Test-only reference code: the brute-force trajectory oracle that the
 irregular-ml scores are checked against, the breadth-first orientation of
-an infection tree that the estimators' one is checked against, hand-built
+an infection tree that the estimators' one is checked against, flooding as
+a spread of its own, which diffusion at q=1 is checked against, hand-built
 trees and snapshots, and a summary CSV as text."""
 
 import io
@@ -27,6 +28,25 @@ class TreeAdjacency(ContactNetwork):
 
     def neighbors(self, v) -> list:
         return self.adj[v]
+
+
+def reference_flood(net, source, T, rng):
+    """Flooding as a spread of its own: each step infects every uninfected
+    neighbor of the last step's nodes, each from an infector picked
+    uniformly.  Returns the infection times and parents, in infection
+    order."""
+    time, parent = {source: 0}, {source: None}
+    frontier = [source]
+    for t in range(1, T + 1):
+        hits: dict = {}
+        for u in frontier:
+            for w in net.neighbors(u):
+                if w not in time:
+                    hits.setdefault(w, []).append(u)
+        for w, infectors in hits.items():
+            time[w], parent[w] = t, infectors[int(rng.integers(len(infectors)))]
+        frontier = list(hits)
+    return time, parent
 
 
 def eight_node_snapshot():

@@ -5,7 +5,6 @@ import pytest
 
 from anonspread.analysis import (
     detection_exponent,
-    deterministic_n,
     expected_distance_bound,
     expected_distance_spy,
     grid_ball_size,
@@ -48,7 +47,6 @@ class TestCounts:
             leaf_count_regular(3, 11)
 
     def test_flood_counts(self):
-        assert deterministic_n(3, 2) == 10
         assert grid_ball_size(3) == 25
 
 

@@ -59,6 +59,17 @@ class TestSpreadEstimate:
         assert code == 0
         assert "v_hat," in out and "candidates,21" in out
 
+    def test_a_trace_read_before_a_later_pass_has_one_center(self, tmp_path):
+        # this spread keeps the token at epoch 2, passes it to node 1 at epoch 4 and infects no one after step
+        # 3; read at T=3, its center is the holder then, node 0, and not the two holders of that later pass
+        edges, trace = tmp_path / "g.edges", tmp_path / "t.csv"
+        edges.write_text("0 1\n1 2\n1 3\n0 4\n")
+        net = ["--network", "explicit", "--edge_list", str(edges), "--d0", "3"]
+        assert run_cli(["spread", *net, "--T", "6", "--seed", "2", "--output", str(trace)])[0] == 0
+        assert trace.read_text().splitlines()[1:] == ["4,0,,,,0", "0,1,4,,,1", "1,2,0,,,6", "2,3,1,,,", "3,3,1,,,"]
+        code, out = run_cli(["estimate", *net, str(trace)])
+        assert code == 0 and "candidates,4" in out  # every node but node 0
+
     def test_T_before_the_traces_last_infection_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         assert run_cli(["spread", "--d", "3", "--T", "8", "--seed", "4", "--output", str(trace)])[0] == 0
@@ -266,6 +277,9 @@ class TestSpreadEstimate:
     (["sweep", "--trials", "2", "bogus", "1,2"], "unknown option 'bogus'"),
     (["sweep", "--trials", "2", "horizon", "2,4"], "unknown option 'horizon'"),  # the key is T
     (["experiment", "--alpha_policy", "bogus", "--T", "4"], "unknown alpha_policy 'bogus'"),
+    (["spread", "--protocol", "deterministic", "--T", "2"], "unknown protocol kind 'deterministic'"),
+    (["spread", "--protocol", "diffusion", "--q", "0", "--T", "2"], "diffusion requires q in (0, 1]"),
+    (["spread", "--protocol", "diffusion", "--q", "1.5", "--T", "2"], "diffusion requires q in (0, 1]"),
 ])
 def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
@@ -294,9 +308,12 @@ def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     (["--network", "explicit", "--edge_list", "EDGES", "--protocol", "diffusion", "--q", "0.4", "--adversary",
       "irregular-ml"], "irregular-ml does not apply to diffusion on explicit: it reads only adaptive, always-pass, "
                        "paad, tree-protocol spreads"),
+    (["--protocol", "diffusion", "--q", "0", "--adversary", "first-spy"], "diffusion requires q in (0, 1]"),
+    (["--protocol", "diffusion", "--q", "1.5", "--adversary", "first-spy"], "diffusion requires q in (0, 1]"),
+    (["--protocol", "deterministic", "--adversary", "first-spy"], "unknown protocol kind 'deterministic'"),
 ], ids=["compare", "empty-graph", "cap-negative", "cap-zero", "workers-zero", "workers-negative", "line-n-zero",
         "seed-negative", "polya-line-adversary", "multi-snapshot-without-observe-T", "spy-ml-on-adaptive",
-        "irregular-ml-on-diffusion"])
+        "irregular-ml-on-diffusion", "q-zero", "q-above-one", "deterministic"])
 def test_bad_input_fails_before_the_first_trial(command, args, message, tmp_path, capsys, monkeypatch):
     from anonspread import harness
 
@@ -312,6 +329,35 @@ def test_bad_input_fails_before_the_first_trial(command, args, message, tmp_path
     code, _ = run_cli([command[0], *flags, "--trials", "2", *command[1:]])
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_diffusion_at_q_1_floods(tmp_path):
+    # the trace holds the flooding reference's infections and parent picks, drawn after the source;
+    # an experiment infects the radius-T ball of the regular tree in every trial
+    import numpy as np
+
+    from anonspread.analysis import n_regular
+    from anonspread.graph import load_edge_list
+    from helpers import reference_flood
+
+    edges = tmp_path / "lattice.edges"  # a 5 x 5 lattice, whose cycles give nodes several infectors
+    edges.write_text("".join(f"{5 * x + y} {5 * x + y + 1}\n{5 * y + x} {5 * y + x + 5}\n"
+                             for x in range(5) for y in range(4)))
+    trace = tmp_path / "flood.csv"
+    code, _ = run_cli(["spread", "--network", "explicit", "--edge_list", str(edges), "--protocol", "diffusion",
+                       "--q", "1", "--T", "4", "--seed", "5", "--output", str(trace)])
+    assert code == 0
+    rng = np.random.default_rng(5)
+    net = load_edge_list(str(edges))
+    time, parent = reference_flood(net, net.nodes()[int(rng.integers(net.n_nodes))], 4, rng)
+    with open(trace, encoding="utf-8") as fh:
+        rows = [(int(r["node"]), int(r["infection_time"]), r["parent"]) for r in csv.DictReader(fh)]
+    assert rows == [(v, t, "" if parent[v] is None else str(parent[v])) for v, t in time.items()]
+    code, out = run_cli(["experiment", "--protocol", "diffusion", "--q", "1", "--adversary", "first-spy",
+                         "--p", "0.2", "--T", "3", "--trials", "20", "--seed", "2"])
+    assert code == 0
+    row = _summary_rows(out)[0]
+    assert row[2] == "diffusion" and float(row[11]) == n_regular(3, 2 * 3)
 
 
 def test_tree_protocol_snapshots_score_with_irregular_ml(tmp_path):

@@ -13,7 +13,9 @@ from anonspread.graph import degree_distribution, galton_watson_tree, regular_tr
 from anonspread.harness import (
     ADVERSARIES,
     EVEN_T,
+    NETWORKS,
     NOT_ON,
+    PROTOCOLS,
     READS,
     RUNS_ON,
     STREAM_BLOCK,
@@ -426,9 +428,18 @@ SWEEP_PROTOCOLS = {
     "tree-protocol": dict(kind="tree-protocol"),
     "grid-adaptive": dict(kind="grid-adaptive"),
     "diffusion": dict(kind="diffusion", q=0.4),
-    "deterministic": dict(kind="deterministic"),
+    "flooding": dict(kind="diffusion", q=1.0),
     "polya-line": dict(kind="polya-line"),
 }
+
+
+def test_tables_name_only_registered_kinds():
+    # a kind deleted from a registry leaves no row, and no name in a row, behind it
+    assert set(RUNS_ON) == set(PROTOCOLS)
+    assert set(READS) == set(ADVERSARIES)
+    assert all(set(kinds) <= {*PROTOCOLS, "always-pass"} for kinds in READS.values()), READS
+    assert all(set(networks) <= set(NETWORKS) for networks in (*RUNS_ON.values(), *NOT_ON.values()))
+    assert set(NOT_ON) | set(EVEN_T) <= set(ADVERSARIES)
 
 
 def declared(network, protocol, adversary, T=None, observe_T=None):
@@ -496,9 +507,9 @@ class TestHorizonSweep:
 
         net = dict(SWEEP_NETWORKS[network], **({"edge_list": edges} if network == "explicit" else {}),
                    **({"line_n": 9} if network == "line" else {}))
-        kind = "grid-adaptive" if network == "grid" else "deterministic"
+        kind = ["grid-adaptive"] if network == "grid" else ["diffusion", "--q", "1"]
         path = out / f"{network}.trace.csv"
-        assert main(["spread", *_cli_flags(net), "--protocol", kind, "--T", "2", "--seed", "3",
+        assert main(["spread", *_cli_flags(net), "--protocol", *kind, "--T", "2", "--seed", "3",
                      "--output", str(path)]) == 0
         return path, _cli_flags(net)
 

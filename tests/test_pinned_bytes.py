@@ -107,7 +107,7 @@ def estimator_digest(name: str, cells=ESTIMATOR_CELLS) -> str:
 # name -> ProtocolParams fields: the ball spreads, which first-spy reads
 BALL_PROTOCOLS = {
     "diffusion": dict(kind="diffusion", q=0.3),
-    "flooding": dict(kind="deterministic"),
+    "flooding": dict(kind="diffusion", q=1.0),
 }
 # name -> (cell, adversary, horizons, extra ExperimentConfig fields), as ESTIMATOR_CELLS
 BALL_CELLS = {f"{net}/{proto}/first-spy": ((NETWORKS[net], BALL_PROTOCOLS[proto]), "first-spy", range(10), {"p": 0.2})
@@ -200,7 +200,8 @@ ESTIMATOR_DIGESTS = {
     "regular-tree/exact/spy-snapshot": "28560f0e4c5c372a2d317b72a8b18dfb6f168fcae0ccda0d00ec13910d18a4ff",
 }
 
-# taken from the code in which flooding was a spread of its own, the `deterministic` protocol kind
+# taken from the code in which flooding was a spread of its own, the `deterministic` protocol kind, which
+# diffusion at q=1 reproduces
 BALL_DIGESTS = {
     "explicit/diffusion/first-spy": "466f7dafaea4fbeda03eee3830b0123ce9cfde182d0f41e552fd788b072847c4",
     "explicit/flooding/first-spy": "16175ae295a0283475c21acfc11a5e4bf1506f532e95d37283a629da055bcd72",
@@ -211,15 +212,16 @@ BALL_DIGESTS = {
 }
 
 # taken from the code that oriented the infection tree by a search over its undirected adjacency, but for
-# first-spy's, taken with BALL_DIGESTS
+# first-spy's, taken with BALL_DIGESTS; in flooding's, the summary's protocol column, which read
+# `deterministic` there, reads `diffusion`
 HAND_OVER_DIGESTS = {
     "explicit/always-pass/irregular-ml/workers=1": "8b015eb7a35237c06c1045c90bb44da31ac64ffaaeea79332eeb6591db204ff0",
     "explicit/always-pass/irregular-ml/workers=2": "8b015eb7a35237c06c1045c90bb44da31ac64ffaaeea79332eeb6591db204ff0",
     "galton-watson/exact/irregular-ml": "b9b4c08d76bddef0ba38842c0564b6fad44ffbc90c1f4ef84023e35e0dc556c8",
     "explicit/diffusion/first-spy/workers=1": "920e746c616b5058c96748ef6a19d3618c6490e42568017bc1e5b551315401cf",
     "explicit/diffusion/first-spy/workers=2": "920e746c616b5058c96748ef6a19d3618c6490e42568017bc1e5b551315401cf",
-    "explicit/flooding/first-spy/workers=1": "e8ed00a9376d6d3aa19f34e961226a27843e7c1652b68adca39cb6bde2889a7f",
-    "explicit/flooding/first-spy/workers=2": "e8ed00a9376d6d3aa19f34e961226a27843e7c1652b68adca39cb6bde2889a7f",
+    "explicit/flooding/first-spy/workers=1": "cfc187bc1de1c616ab3fca64f9036ed10f727e797932ec6daf2b11e34b7dd513",
+    "explicit/flooding/first-spy/workers=2": "cfc187bc1de1c616ab3fca64f9036ed10f727e797932ec6daf2b11e34b7dd513",
 }
 
 

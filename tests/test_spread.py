@@ -7,7 +7,6 @@ from scipy.stats import chi2_contingency, chisquare, ks_2samp
 from anonspread import spread as spread_module
 from anonspread.adversary import _children_from_center
 from anonspread.analysis import (
-    deterministic_n,
     diffusion_expected_n,
     grid_ball_size,
     n_regular,
@@ -22,13 +21,13 @@ from anonspread.graph import (
     regular_tree,
     synthetic_heavy_tail,
 )
+from helpers import reference_flood
 from anonspread.spread import (
     ProtocolParams,
     alpha_grid,
     alpha_regular,
     assign_spies,
     spread_adaptive,
-    spread_deterministic,
     spread_diffusion,
     spread_grid,
     spread_paad,
@@ -61,10 +60,10 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             ProtocolParams(d0=1)
-        with pytest.raises(ValueError):
-            ProtocolParams(kind="diffusion", q=0.0)
-        with pytest.raises(ValueError):
-            ProtocolParams(kind="diffusion", q=1.5)
+        for q in (0.0, 1.5, None):
+            with pytest.raises(ValueError, match=r"diffusion requires q in \(0, 1\]"):
+                ProtocolParams(kind="diffusion", q=q)
+        assert ProtocolParams(kind="diffusion", q=1.0).q == 1.0  # flooding
         with pytest.raises(ValueError):
             ProtocolParams(kind="paad", g=0)
         with pytest.raises(ValueError):
@@ -162,7 +161,7 @@ class TestAdaptive:
                 b = spread_adaptive(generic, 0, p, np.random.default_rng(seed))
                 for field in ("time", "parent"):
                     assert list(getattr(a, field).items()) == list(getattr(b, field).items())
-                assert (a.centers, a.vs_events, a.h_history) == (b.centers, b.vs_events, b.h_history)
+                assert (a.centers, a.vs_events) == (b.centers, b.vs_events)
 
     def test_gw_needs_explicit_d0(self):
         net = galton_watson_tree({3: 0.5, 4: 0.5}, seed=1)
@@ -274,7 +273,7 @@ class TestFiniteGraphScans:
                 s = spread(graph, nodes[int(rng.integers(len(nodes)))], T, rng)
                 out.append([list(getattr(s, f).items())
                             for f in ("time", "parent", "direction", "level")]
-                           + [s.centers, s.mid_pass, s.vs_events, s.h_history, rng.random()])
+                           + [s.centers, s.mid_pass, s.vs_events, rng.random()])
         return out
 
     @pytest.mark.parametrize("kind", sorted(SPREADS))
@@ -387,7 +386,7 @@ class TestShuffleDraw:
 def _snapshot_items(s, rng):
     """What a spread leaves, in order, and the next draw of its stream."""
     return ([list(s.time.items()), list(s.parent.items())]
-            + [s.centers, s.mid_pass, s.vs_events, s.h_history, rng.random()])
+            + [s.centers, s.mid_pass, s.vs_events, rng.random()])
 
 
 class TestBallMemo:
@@ -494,8 +493,8 @@ class TestBallMemo:
 def _snapshot_fields(s):
     """Everything a snapshot holds, in order, as plain values."""
     return ([list(s.time.items()), list(s.parent.items())]
-            + [s.protocol, s.T, s.source, s.centers, s.mid_pass, s.vs_events, s.h_history,
-               list(s.direction.items()), list(s.level.items()), s.grid_displacement])
+            + [s.protocol, s.T, s.source, s.centers, s.mid_pass, s.vs_events,
+               list(s.direction.items()), list(s.level.items())])
 
 
 class TestEarlySnapshots:
@@ -519,8 +518,8 @@ class TestEarlySnapshots:
         "grid": (grid, (0, 0), dict(kind="grid-adaptive")),
         "tree-diffusion": (lambda: regular_tree(3), 0, dict(kind="diffusion", q=0.5)),
         "graph-diffusion": (lambda: TestEarlySnapshots.GRAPH, 7, dict(kind="diffusion", q=0.3)),
-        "tree-deterministic": (lambda: regular_tree(3), 0, dict(kind="deterministic")),
-        "graph-deterministic": (lambda: TestEarlySnapshots.GRAPH, 7, dict(kind="deterministic")),
+        "tree-flooding": (lambda: regular_tree(3), 0, dict(kind="diffusion", q=1.0)),
+        "graph-flooding": (lambda: TestEarlySnapshots.GRAPH, 7, dict(kind="diffusion", q=1.0)),
     }
     T = 9
 
@@ -550,17 +549,38 @@ class TestEarlySnapshots:
                 assert state_then == ref_rng.bit_generator.state, (seed, snap.T)
 
 
-class TestDeterministicAndDiffusion:
+class TestFloodingAndDiffusion:
+    FLOOD = dict(kind="diffusion", q=1.0)
+
     def test_flood_sizes(self):
-        assert spread_deterministic(regular_tree(3), 0, ProtocolParams(horizon=2),
-                                    np.random.default_rng(0)).n_infected == deterministic_n(3, 2) == 10
-        snap = spread_deterministic(grid(), 0, ProtocolParams(horizon=3),
-                                    np.random.default_rng(0))  # encoded origin is int 0
+        for d, T in ((2, 5), (3, 2), (4, 3)):
+            snap = spread_diffusion(regular_tree(d), 0, ProtocolParams(horizon=T, **self.FLOOD),
+                                    np.random.default_rng(0))
+            assert snap.n_infected == n_regular(d, 2 * T)
+        snap = spread_diffusion(grid(), 0, ProtocolParams(horizon=3, **self.FLOOD),
+                                np.random.default_rng(0))  # encoded origin is int 0
         assert snap.n_infected == grid_ball_size(3) == 25
 
     def test_flood_t0(self):
-        assert spread_deterministic(regular_tree(3), 0, ProtocolParams(horizon=0),
-                                    np.random.default_rng(0)).n_infected == 1
+        assert spread_diffusion(regular_tree(3), 0, ProtocolParams(horizon=0, **self.FLOOD),
+                                np.random.default_rng(0)).n_infected == 1
+
+    def test_q1_is_flooding(self):
+        # the same infection times and parent picks, in the same order, and the same stream after,
+        # with no coin drawn
+        graph = prune_min_degree(synthetic_heavy_tail(400, 3, seed=3), 3)
+        networks = [(regular_tree(2), 0), (regular_tree(3), 0),
+                    (galton_watson_tree({2: 0.3, 3: 0.4, 5: 0.3}, seed=6), 0),
+                    (graph, graph.nodes()[0]), (graph, graph.nodes()[57])]
+        for net, source in networks:
+            for T in range(9):
+                for seed in range(4):
+                    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                    snap = spread_diffusion(net, source, ProtocolParams(horizon=T, **self.FLOOD), a)
+                    time, parent = reference_flood(net, source, T, b)
+                    assert list(snap.time.items()) == list(time.items())
+                    assert list(snap.parent.items()) == list(parent.items())
+                    assert a.bit_generator.state == b.bit_generator.state
 
     def test_diffusion_one_step_mean(self):
         # E[N_1] = 1 + d q
@@ -665,7 +685,9 @@ class TestGridProtocol:
         rng = np.random.default_rng(14)
         for _ in range(50):
             s = spread_grid(g, (0, 0), ProtocolParams(kind="grid-adaptive", horizon=10), rng=rng)
-            hs = [h for _, h in s.h_history]
+            # each hand-off's h is its holder's L1 displacement from the source
+            assert all(abs(x) + abs(y) == h for _, (x, y), h in s.vs_events)
+            hs = [h for _, _, h in s.vs_events]
             assert all(b >= a for a, b in zip(hs, hs[1:]))
 
 
