@@ -189,7 +189,8 @@ def estimate_irregular_ml(net: ContactNetwork, snap: InfectionSnapshot, d0: int,
         score = likelihood = candidates = _token_path_scores(net, snap)
     else:
         score, likelihood = irregular_ml_scores(net, snap, d0)
-        candidates = {v: s for v, s in score.items() if v != snap.virtual_source}
+        root = snap.virtual_source
+        candidates = {v: s for v, s in score.items() if v != root}
         if not candidates:
             return _inconclusive("irregular-ml", ONLY_CENTERS)
     v_hat, ties = _argmax_pick(candidates, rng)
@@ -567,18 +568,15 @@ def estimate_multiple_snapshots(snap: InfectionSnapshot, observe_T: int, rng) ->
     distance."""
     if observe_T % 2:
         raise ValueError("observe_T must be even")
-    events = [e for e in snap.vs_events if e[0] <= observe_T]
-    t_vs, vs, h = events[-1]
+    seen = snap.at(observe_T)
+    vs, h = seen.virtual_source, seen.h_T
     later = [e for e in snap.vs_events if e[0] > observe_T]
     if not later:
         return _inconclusive("multi-snapshot", f"the token did not move after observe_T={observe_T}")
-    next_vs = later[0][1]
 
     # the ring h hops from vs in the infection tree as it stood at observe_T,
     # off the branch the token moved into next
-    blocked = {v for v, tv in snap.time.items() if tv > observe_T}
-    blocked.add(next_vs)
-    rings = [ring for ring, _ in graph.bfs(snap.subtree_adjacency().__getitem__, [vs], blocked, h)]
+    rings = [ring for ring, _ in graph.bfs(seen.subtree_adjacency().__getitem__, [vs], (later[0][1],), h)]
     candidates = rings[h] if len(rings) > h else []
     if not candidates:
         return _inconclusive("multi-snapshot", f"no node {h} hops from the token off the branch it moved into")

@@ -172,20 +172,14 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
     if T < latest:
         raise ValueError(f"T={T} lies before the trace's latest infection time {latest}")
     source = min(time, key=time.get)
-    in_window = [(t, v) for t, v in vs_marks if t <= T]
-    if not in_window:
+    if not vs_marks or vs_marks[0][0] > T:
         raise ValueError(f"trace {path} marks no virtual source at or before T={T}")
-    t_vs, vs = in_window[-1]
-    later = [(t, v) for t, v in vs_marks if t > T]
-    # mid-pass: the next hand-off, at T+1, is the second wave of a pass made at T-1
-    centers = [later[0][1], vs] if later and later[0][0] == T + 1 else [vs]
     return InfectionSnapshot(
         protocol="trace",
         T=T,
         source=source,
         time=time,
         parent=parent,
-        centers=centers,
         vs_events=[(t, v, i) for i, (t, v) in enumerate(vs_marks)],
         direction=direction,
         level=level,

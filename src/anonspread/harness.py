@@ -303,14 +303,14 @@ def _spies(cfg: ExperimentConfig, snap, rng) -> list:
     return observations_for(snap, assign_spies(snap, cfg.p, int(rng.integers(2**62))))
 
 
-def _polya_line(net, source, params: ProtocolParams, rng, early=None):
+def _polya_line(net, source, params: ProtocolParams, rng, states=()):
     """spread_polya_line, with its LineTrace on the snapshot.  It runs until
-    an end spy reports, whatever the horizon, so its one snapshot, at that
-    time, is handed to each early horizon (hand_over(snapshot, horizon))."""
+    an end spy reports, whatever the horizon, so each early horizon gets the
+    stream's state at the end, and the snapshot is every horizon's."""
     snap, trace = spread_polya_line(net.n_nodes - 2, source, rng)
     snap.line_trace = trace
-    for t in early[0] if early else ():
-        early[1](snap, t)
+    for t in states:
+        states[t] = rng.bit_generator.state
     return snap
 
 
@@ -327,8 +327,8 @@ NETWORKS = Registry("network kind", {
     "line": lambda cfg, rng, shared: (shared, int(rng.integers(1, cfg.line_n + 1))),
 })
 
-# (network, source, ProtocolParams, rng[, early]) -> InfectionSnapshot, where
-# early is the spread's _early: (horizons, hand_over), see spread._token_walk
+# (network, source, ProtocolParams, rng[, states]) -> InfectionSnapshot, where states = {t: None} for early
+# horizons t, which the spread fills with the stream's state as it passes each (see spread._token_walk)
 PROTOCOLS = Registry("protocol kind", {
     "adaptive": lambda *args: spread_adaptive(*args),
     "paad": lambda *args: spread_paad(*args),
@@ -411,20 +411,6 @@ def _score(index: int, net, source, snap, est) -> TrialRecord:
                        snap.n_infected, int(est.inconclusive))
 
 
-def _early_estimator(early, net, rng, scored):
-    """run_trial's hand-over: estimate the snapshot at each early horizon
-    (its T, or `horizon`) with that horizon's config, add (records,
-    snapshot, estimate) to scored, and put the stream's state back, so that
-    the spread draws on as a run to that horizon would have left it."""
-    def estimate(snap, horizon=None):
-        cfg, records = early[snap.T if horizon is None else horizon]
-        state = rng.bit_generator.state
-        scored.append((records, snap, ADVERSARIES[cfg.adversary](cfg, net, snap, rng)))
-        rng.bit_generator.state = state
-
-    return estimate
-
-
 def run_trial(cfg: ExperimentConfig, index: int, shared=None, early=None) -> TrialRecord:
     """Build network -> spread -> estimate -> score, on the trial's own RNG
     stream.
@@ -432,19 +418,21 @@ def run_trial(cfg: ExperimentConfig, index: int, shared=None, early=None) -> Tri
     early = {horizon: (config, records)} names configs equal to cfg but for
     a smaller horizon (and their label and trial_output).  Their trial
     `index` runs on the way: one stream, one network and source draw and one
-    spread to cfg's horizon, which hands over its snapshot at each early
-    horizon for that config's estimate (_early_estimator).  Each early
-    config's record, the one its own run would give, is appended to its
-    records.  The hop distances are taken after the spread."""
+    spread to cfg's horizon, which stores the stream's state at each early
+    horizon.  After cfg's own estimate, each early config estimates snap.at
+    its horizon from the state stored there; its record, the one its own
+    run would give, is appended to its records."""
     rng = _trial_rng(cfg.seed, index)
     net, source = NETWORKS[cfg.network](cfg, rng, shared_network(cfg) if shared is None else shared)
-    scored = []  # (records, snapshot, estimate) of each early config
-    hand_over = None if early is None else (early, _early_estimator(early, net, rng, scored))
-    snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng, hand_over)
-    est = ADVERSARIES[cfg.adversary](cfg, net, snap, rng)
-    for records, early_snap, early_est in scored:
-        records.append(_score(index, net, source, early_snap, early_est))
-    return _score(index, net, source, snap, est)
+    states = dict.fromkeys(early or ())
+    snap = PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng, states)
+    record = _score(index, net, source, snap, ADVERSARIES[cfg.adversary](cfg, net, snap, rng))
+    for t, (early_cfg, records) in (early or {}).items():
+        rng.bit_generator.state = states[t]
+        early_snap = snap.at(t)
+        records.append(_score(index, net, source, early_snap,
+                              ADVERSARIES[early_cfg.adversary](early_cfg, net, early_snap, rng)))
+    return record
 
 
 _worker_graph = None  # set in each pool worker, at start-up, to its experiments' shared network

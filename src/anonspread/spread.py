@@ -10,16 +10,18 @@ Flooding is plain diffusion at q=1.
 Timing convention used throughout: the token holder at an even epoch te
 decides to keep or pass; the resulting infection waves occupy steps te+1
 (and te+2 for a pass).  A snapshot at odd T after a pass is therefore
-mid-transition and has two symmetric centers.  _token_walk is the one home
-of that timing and of the mid-pass rule: adaptive diffusion, paad and the
-grid protocol all run on it.
+mid-transition and has two symmetric centers, which it reads from the
+token's hand-offs.  _token_walk is the one home of that timing: adaptive
+diffusion, paad and the grid protocol all run on it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from collections import Counter
+from itertools import islice
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -138,18 +140,17 @@ TRACE_COLUMNS = ("node", "infection_time", "parent", "direction", "level", "is_v
 @dataclass
 class InfectionSnapshot:
     """The infected subgraph at time T plus the full spread trace.  `time`'s
-    insertion order is the infection order, the source first.  `centers` is
-    the token holder, or mid-pass (at odd T, between a pass's two waves) the
-    new and the old holder; h in vs_events is the token's hops from the
-    source."""
+    insertion order is the infection order, the source first, and the other
+    dicts follow it.  h in vs_events is the token's hops from the source; the
+    snapshot's own hand-offs are those listed by T + T % 2, so one appended
+    later (as multi_snapshot_trial does) moves neither centers nor h_T."""
 
     protocol: str
     T: int
     source: object
     time: dict
     parent: dict
-    centers: list
-    vs_events: list = field(default_factory=list)  # (t, node, h) token handoffs
+    vs_events: list  # (t, node, h) token handoffs
     direction: dict = field(default_factory=dict)  # tree protocol metadata
     level: dict = field(default_factory=dict)
     line_trace: LineTrace | None = None  # what the end spies of a polya-line spread see
@@ -162,17 +163,45 @@ class InfectionSnapshot:
     def n_infected(self) -> int:
         return len(self.time)
 
+    def _handoffs(self) -> list:
+        events, last = self.vs_events, self.T + self.T % 2
+        return events if events[-1][0] <= last else [e for e in events if e[0] <= last]
+
+    @property
+    def centers(self) -> list:
+        """The token holder; or mid-pass, when the last hand-off is listed at
+        T+1 (at odd T, between a pass's two waves), the new and the old
+        holder."""
+        events = self._handoffs()
+        if events[-1][0] == self.T + 1:
+            return [events[-1][1], events[-2][1]]
+        return [events[-1][1]]
+
     @property
     def mid_pass(self) -> bool:
         return len(self.centers) == 2
 
     @property
     def virtual_source(self):
-        return self.centers[0]
+        return self._handoffs()[-1][1]
 
     @property
     def h_T(self) -> int:
-        return self.vs_events[-1][2]
+        return self._handoffs()[-1][2]
+
+    def at(self, t: int) -> InfectionSnapshot:
+        """The same spread's snapshot at time t <= T, which a spread to
+        horizon t on the same draws leaves: infection times never fall along
+        the infection order, so its nodes are a prefix of this one's, which
+        each dict's first n items hold.  A polya-line spread ignores its
+        horizon, so its snapshot returns itself."""
+        if self.protocol == "polya-line":
+            return self
+        n = bisect_right(list(self.time.values()), t)
+        last = t + t % 2
+        return InfectionSnapshot(self.protocol, t, self.source, dict(islice(self.time.items(), n)),
+                                 dict(islice(self.parent.items(), n)), [e for e in self.vs_events if e[0] <= last],
+                                 dict(islice(self.direction.items(), n)), dict(islice(self.level.items(), n)))
 
     def subtree_adjacency(self) -> dict:
         """Undirected adjacency of the infection tree (parent links)."""
@@ -222,12 +251,6 @@ class _State:
     def infect(self, v, t, parent):
         self.time[v] = t
         self.parent[v] = parent
-
-    def copy(self) -> _State:
-        """A state with dicts of its own, for a snapshot handed over early."""
-        st = _State(self.net)
-        st.time, st.parent = dict(self.time), dict(self.parent)
-        return st
 
 
 def _pick(rng: np.random.Generator, items):
@@ -324,7 +347,7 @@ BALL_MEMO_NODES = 1 << 16  # a lazy tree's memo holds balls of at most this many
 
 
 def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
-                    _early=None, _vs_weights=None, _protocol_name="adaptive") -> InfectionSnapshot:
+                    _states=(), _vs_weights=None, _protocol_name="adaptive") -> InfectionSnapshot:
     """Token-based spreading that keeps the infection balanced around a
     moving virtual source.
 
@@ -348,7 +371,7 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
     ball goes into the memo (see _lazy_tree_ball).
 
     _vs_weights(net, holder, candidates) -> weights replaces the uniform
-    pick of each holder.  _early is _token_walk's `early`.
+    pick of each holder.  _states is _token_walk's `states`.
     """
     cap = _default_cap(net, params)
     st = _State(net)
@@ -370,13 +393,11 @@ def spread_adaptive(net: ContactNetwork, source, params: ProtocolParams, rng,
         def wave(origin, blocked, t):
             plan.append((origin, blocked, t))
 
-    def snapshot(state, T, centers, vs_events):
-        if plan:  # vs_events[1] holds the first holder
-            _lazy_tree_ball(state, source, vs_events[1][1], tuple(plan))
-        return _adaptive_snapshot(_protocol_name, state, T, source, centers, vs_events)
-
-    return _token_walk(st, source, params.horizon, rng, params.keep_probability(net), list(net.neighbors(source)),
-                       moves, wave, snapshot, _early, _vs_weights)
+    vs_events = _token_walk(st, source, params.horizon, rng, params.keep_probability(net),
+                            list(net.neighbors(source)), moves, wave, _states, _vs_weights)
+    if plan:  # vs_events[1] holds the first holder
+        _lazy_tree_ball(st, source, vs_events[1][1], tuple(plan))
+    return InfectionSnapshot(_protocol_name, params.horizon, source, st.time, st.parent, vs_events)
 
 
 def _pick_holder(rng, weights, net, holder, candidates):
@@ -388,8 +409,8 @@ def _pick_holder(rng, weights, net, holder, candidates):
     return candidates[int(rng.choice(len(candidates), p=probs / probs.sum()))] if probs.any() else None
 
 
-def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, moves, wave, snapshot,
-                early=None, weights=None) -> InfectionSnapshot:
+def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, moves, wave,
+                states=(), weights=None) -> list:
     """The token walk of adaptive diffusion and the grid protocol, and the
     one home of their timing.
 
@@ -399,30 +420,26 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
     being the token's hops from the source, and its wave infects step te+1;
     or it passes the token to one of moves(holder, previous holder), whose
     wave away from the old holder infects step te+1 and again step te+2.  A
-    holder with no moves keeps the token.  A snapshot at odd T after a pass
-    is mid-transition, with the new and the old holder as its centers.
+    holder with no moves keeps the token.  Returns the hand-offs (t, node,
+    h): the first holder's listed at 1 and a pass's at te+2, the step its
+    second wave infects, from which the snapshot reads its centers.
 
     wave(origin, blocked, t) infects step t from origin, away from its
     neighbor `blocked` (None for a holder that kept the token).
-    snapshot(state, t, centers, vs_events) builds the snapshot at t from the
-    `centers` list that the walk carries and its hand-offs.  weights(net,
-    holder, candidates) -> weights replaces the uniform pick of each holder;
-    with every weight 0, the holder keeps.
+    weights(net, holder, candidates) -> weights replaces the uniform pick of
+    each holder; with every weight 0, the holder keeps.
 
-    early = (horizons, hand_over), every spread's _early: for each horizon t
-    in `horizons`, all below T, hand_over(snapshot at t) is called as the
-    spread passes t, before it draws on.  The snapshot equals that of a
-    spread to horizon t on the same draws, and owns its dicts and lists (it
-    is built from a copy of the state, the centers and the token trace).  At
-    an odd t after a pass it is taken between the pass's two waves."""
+    states = {t: None} for early horizons t below T, every spread's _states:
+    the walk stores the stream's state at each t as it passes it, before it
+    draws on, which is the state a walk to horizon t leaves.  At an odd t
+    after a pass it is taken between the pass's two waves."""
     st.infect(source, 0, None)
     vs_events = [(0, source, 0)]  # (t, node, h) of each hand-off
-    horizons, hand_over = early or ((), None)
 
-    if 0 in horizons:
-        hand_over(snapshot(st.copy(), 0, [source], list(vs_events)))
+    if 0 in states:
+        states[0] = rng.bit_generator.state
     if T == 0:
-        return snapshot(st, T, [source], vs_events)
+        return vs_events
 
     first = _pick_holder(rng, weights, st.net, source, first_holders)
     if first is None:  # the source must hand the token on at step 1
@@ -431,13 +448,12 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
     vs, prev = first, source
     h = 1
     vs_events.append((1, first, 1))
-    centers = [first]
-    if 1 in horizons:
-        hand_over(snapshot(st.copy(), 1, list(centers), list(vs_events)))
+    if 1 in states:
+        states[1] = rng.bit_generator.state
     if T >= 2:
         wave(vs, prev, 2)
-        if 2 in horizons:
-            hand_over(snapshot(st.copy(), 2, list(centers), list(vs_events)))
+        if 2 in states:
+            states[2] = rng.bit_generator.state
 
     te = 2
     while te + 1 <= T:
@@ -451,18 +467,16 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
             prev, vs = vs, new_vs
             h += 1
             vs_events.append((te + 2, vs, h))
-            centers = [vs, prev]
-        if te + 1 in horizons:
-            hand_over(snapshot(st.copy(), te + 1, list(centers), list(vs_events)))
+        if te + 1 in states:
+            states[te + 1] = rng.bit_generator.state
         te += 2
         if te <= T:
             if new_vs is not None:  # the pass's second wave
                 wave(vs, prev, te)
-                centers = [vs]
-            if te in horizons:
-                hand_over(snapshot(st.copy(), te, list(centers), list(vs_events)))
+            if te in states:
+                states[te] = rng.bit_generator.state
 
-    return snapshot(st, T, centers, vs_events)
+    return vs_events
 
 
 def _lazy_tree_ball(st: _State, source, first, plan: tuple) -> None:
@@ -489,18 +503,6 @@ def _lazy_tree_ball(st: _State, source, first, plan: tuple) -> None:
         memo.nodes += size
 
 
-def _adaptive_snapshot(name, st, T, source, centers, vs_events) -> InfectionSnapshot:
-    return InfectionSnapshot(
-        protocol=name,
-        T=T,
-        source=source,
-        time=st.time,
-        parent=st.parent,
-        centers=centers,
-        vs_events=vs_events,
-    )
-
-
 # ---------------------------------------------------------------------------
 # preferential-attachment adaptive diffusion
 
@@ -511,10 +513,10 @@ def _g_hop_neighborhood_size(net, v, blocked, g: int) -> int:
     return sum(len(level) for level, _ in bfs(net.neighbors, [v], (blocked,), g)) - 1
 
 
-def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng, _early=None) -> InfectionSnapshot:
+def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng, _states=()) -> InfectionSnapshot:
     """Always-pass adaptive diffusion with the next token holder picked
     proportionally to the size of its g-hop neighborhood away from the
-    current holder (for g=1, proportionally to degree-1).  _early is
+    current holder (for g=1, proportionally to degree-1).  _states is
     _token_walk's."""
     g = params.g
     p2 = replace(params, alpha_policy=ALWAYS_PASS)
@@ -522,7 +524,7 @@ def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng, _early
     def weights(net_, vs, candidates):
         return [_g_hop_neighborhood_size(net_, w, vs, g) for w in candidates]
 
-    return spread_adaptive(net, source, p2, rng=rng, _vs_weights=weights, _protocol_name="paad", _early=_early)
+    return spread_adaptive(net, source, p2, rng=rng, _vs_weights=weights, _protocol_name="paad", _states=_states)
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +532,18 @@ def spread_paad(net: ContactNetwork, source, params: ProtocolParams, rng, _early
 
 
 def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rng,
-                         _early=None) -> InfectionSnapshot:
+                         _states=()) -> InfectionSnapshot:
     """Distributed always-pass variant.  Each message carries (parent,
     direction, level); an up node extends the spine by one and sends level-1
     down messages to the rest; down nodes relay with decremented level and
     stop at level 0.  The true source keeps level 0 and the up flag, and ends
-    at a leaf of the infected subtree.  _early is _token_walk's."""
+    at a leaf of the infected subtree.  _states is _token_walk's.
+
+    The infection is balanced around the level-T/2 spine node, so the token's
+    hand-offs are the spine, timed as adaptive diffusion's token: spine[k] is
+    listed at step k for k < 2 and at 2k after that, while 2k <= T+1."""
     T = params.horizon
     cap = _default_cap(net, params)
-    horizons, hand_over = _early or ((), None)
 
     st = _State(net)
     direction: dict = {}
@@ -546,23 +551,20 @@ def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rn
     st.infect(source, 0, None)
     direction[source] = "up"
     level[source] = 0
-    spine = [source]
+    vs_events = [(0, source, 0)]
 
-    def early_snapshot(t):
-        return _tree_protocol_snapshot(st.copy(), t, source, spine, dict(direction), dict(level))
-
-    if 0 in horizons:
-        hand_over(early_snapshot(0))
+    if 0 in _states:
+        _states[0] = rng.bit_generator.state
     if T >= 1:
         w = _pick(rng, list(net.neighbors(source)))
         st.infect(w, 1, source)
         direction[w] = "up"
         level[w] = 1
-        spine.append(w)
+        vs_events.append((1, w, 1))
         active = [w]
         picked_up = set()
-        if 1 in horizons:
-            hand_over(early_snapshot(1))
+        if 1 in _states:
+            _states[1] = rng.bit_generator.state
         for t in range(2, T + 1):
             actors = [v for v in active if level[v] > 0]
             rng.shuffle(actors)
@@ -577,8 +579,9 @@ def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rn
                     up_child = _pick(rng, uninf)
                     st.infect(up_child, t, v)
                     direction[up_child] = "up"
-                    level[up_child] = level[v] + 1
-                    spine.append(up_child)
+                    k = level[up_child] = level[v] + 1
+                    if 2 * k <= T + 1:
+                        vs_events.append((2 * k, up_child, k))
                     picked_up.add(v)
                     new_nodes.append(up_child)
                     uninf = [u for u in uninf if u != up_child]
@@ -593,51 +596,27 @@ def spread_tree_protocol(net: ContactNetwork, source, params: ProtocolParams, rn
                 if any(u not in st.time for u in net.neighbors(v)):
                     still_active.append(v)
             active = still_active + new_nodes
-            if t in horizons:
-                hand_over(early_snapshot(t))
-    return _tree_protocol_snapshot(st, T, source, spine, direction, level)
-
-
-def _tree_protocol_snapshot(st, T, source, spine, direction, level) -> InfectionSnapshot:
-    # the infection is balanced around the level-T/2 spine node at even T;
-    # at odd T it is mid-transition across the spine edge (T-1)/2 -- (T+1)/2
-    if T % 2 == 1 and T > 1:
-        hi = min((T + 1) // 2, len(spine) - 1)
-        lo = max(hi - 1, 0)
-        centers = [spine[hi], spine[lo]]
-    else:
-        hi = min(T // 2, len(spine) - 1)
-        centers = [spine[hi]]
-    # the token trace is the center's walk up the spine, timed as adaptive
-    # diffusion's token: spine[1] at step 1, then spine[k] at epoch 2k
-    vs_events = [(k if k < 2 else 2 * k, spine[k], k) for k in range(hi + 1)]
-    snap = _adaptive_snapshot("tree-protocol", st, T, source, centers, vs_events)
-    snap.direction = direction
-    snap.level = level
-    return snap
+            if t in _states:
+                _states[t] = rng.bit_generator.state
+    return InfectionSnapshot("tree-protocol", T, source, st.time, st.parent, vs_events, direction, level)
 
 
 # ---------------------------------------------------------------------------
 # plain diffusion, which floods at q=1
 
 
-def _ball_snapshot(st, T, source) -> InfectionSnapshot:
-    return _adaptive_snapshot("diffusion", st, T, source, [source], [(0, source, 0)])
-
-
 def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng,
-                     _early=None) -> InfectionSnapshot:
+                     _states=()) -> InfectionSnapshot:
     """Discrete-time SI dynamics: each infected-uninfected edge fires
     independently with probability q per step; simultaneous infectors
     tie-break uniformly for parenthood.  At q=1 every edge fires, with no
     coin drawn: this is flooding, and the snapshot is the radius-T ball
-    around the source.  _early is _token_walk's."""
+    around the source.  _states is _token_walk's."""
     q, T = params.q, params.horizon
-    horizons, hand_over = _early or ((), None)
     st = _State(net)
     st.infect(source, 0, None)
-    if 0 in horizons:
-        hand_over(_ball_snapshot(st.copy(), 0, source))
+    if 0 in _states:
+        _states[0] = rng.bit_generator.state
     open_edges = {source: [w for w in net.neighbors(source) if w not in st.time]}
     for t in range(1, T + 1):
         hits: dict = {}
@@ -659,9 +638,9 @@ def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng,
                 open_edges[u] = remaining
             else:
                 del open_edges[u]
-        if t in horizons:
-            hand_over(_ball_snapshot(st.copy(), t, source))
-    return _ball_snapshot(st, T, source)
+        if t in _states:
+            _states[t] = rng.bit_generator.state
+    return InfectionSnapshot("diffusion", T, source, st.time, st.parent, [(0, source, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -671,14 +650,14 @@ def spread_diffusion(net: ContactNetwork, source, params: ProtocolParams, rng,
 _DIRECTION_OF = {step: d for d, step in GRID_DIRECTIONS.items()}
 
 
-def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng, _early=None) -> InfectionSnapshot:
+def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng, _states=()) -> InfectionSnapshot:
     """Adaptive diffusion on the lattice with directional bookkeeping, on
     _token_walk with alpha_grid for the keep-probability.
 
     The token carries the displacement (hH, hV) from the source; moves that
     would shrink |hH|+|hV| are forbidden, so h = |hH|+|hV|.  Branch messages
     carry up to two forbidden directions so each wave grows the ball by one
-    ring.  _early is _token_walk's.
+    ring.  _states is _token_walk's.
     """
     if not isinstance(net, Grid):
         raise ValueError("grid spreading requires a grid network")
@@ -719,12 +698,9 @@ def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng, _early=None) 
                     st.infect(xy, t, sender)
                     new_in_wave.add(xy)
 
-    def snapshot(state, T, centers, vs_events):
-        return _adaptive_snapshot("grid-adaptive", state, T, source, centers, vs_events)
-
     # at the source every direction is a move, so its moves are the first holders
-    return _token_walk(st, source, params.horizon, rng, alpha_grid, moves(source, None), moves, wave, snapshot,
-                       _early)
+    vs_events = _token_walk(st, source, params.horizon, rng, alpha_grid, moves(source, None), moves, wave, _states)
+    return InfectionSnapshot("grid-adaptive", params.horizon, source, st.time, st.parent, vs_events)
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +800,6 @@ def spread_polya_line(n: int, source: int, rng, horizon: int | None = None):
         source=source,
         time=time,
         parent=parent,
-        centers=[vs],
         vs_events=vs_events,
     )
     spy_times = {s: time[s] for s in (0, n + 1) if s in time}

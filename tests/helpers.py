@@ -68,7 +68,7 @@ def eight_node_snapshot():
             w = next(pendant)
             adj[v].append(w)
             adj[w] = [v]
-    snap = InfectionSnapshot(protocol="adaptive", T=4, source=1, time=time, parent=parent, centers=[3],
+    snap = InfectionSnapshot(protocol="adaptive", T=4, source=1, time=time, parent=parent,
                              vs_events=[(0, 1, 0), (1, 2, 1), (4, 3, 2)])
     return TreeAdjacency(adj), snap
 

@@ -130,7 +130,7 @@ def test_orientation_of_a_tree_whose_parent_pointers_start_at_the_center():
 def test_orientation_refuses_a_parent_listed_after_its_child(parent):
     # a cycle, a node its own parent, a child above its parent: each raises instead of looping
     snap = InfectionSnapshot(protocol="adaptive", T=2, source=1, time=dict.fromkeys(parent, 0), parent=parent,
-                             centers=[2], vs_events=[(0, 1, 0), (1, 2, 1)])
+                             vs_events=[(0, 1, 0), (1, 2, 1)])
     with pytest.raises(KeyError):
         _oriented_children(snap, 2)
 
@@ -142,7 +142,7 @@ class TestTokenPathScores:
         net = from_edges([(0, 1), (0, 3), (1, 2), (1, 5), (2, 4), (0, 6), (0, 7), (5, 8)])
         parent = {0: None, 1: 0, 3: 0, 2: 1, 5: 1, 4: 2}
         snap = InfectionSnapshot(protocol="adaptive", T=4, source=0, time=dict.fromkeys(parent, 0),
-                                 parent=parent, centers=[2], vs_events=[(0, 0, 0), (1, 1, 1), (4, 2, 2)])
+                                 parent=parent, vs_events=[(0, 0, 0), (1, 1, 1), (4, 2, 2)])
         assert _items(_token_path_scores(net, snap)) == [(0, 1 / 8), (5, 1 / 4)]
 
     @pytest.mark.parametrize("kind", sorted(TOKEN_WALK_PARAMS))
@@ -454,7 +454,7 @@ def _extreme_snapshot(T, d=5):
     parent = {u: (None if dist[u] == 0 else next(w for w in adj[u] if dist[w] == dist[u] - 1))
               for u in time}
     snap = InfectionSnapshot(
-        protocol="paad", T=T, source=special, time=time, parent=parent, centers=[center],
+        protocol="paad", T=T, source=special, time=time, parent=parent,
         vs_events=[(0, special, 0), (T, center, half)],
     )
     return TreeAdjacency(adj), snap, special

@@ -459,6 +459,34 @@ RUNNING_PAIRS = [(n, p) for n in sorted(SWEEP_NETWORKS) for p in sorted(SWEEP_PR
                  if n in RUNS_ON[SWEEP_PROTOCOLS[p]["kind"]]]
 
 
+def test_every_spread_stores_the_stream_state_at_each_early_horizon():
+    """Each registered protocol, on each network of its RUNS_ON row, fills
+    every early horizon of the states it is given; a spread that skipped
+    one would leave run_trial no stream to score that horizon from."""
+    graph = _heavy_tail(300, 3)
+    T = 6
+    for network, protocol in RUNNING_PAIRS:
+        fields = dict(SWEEP_NETWORKS[network], graph=graph) if network == "explicit" else SWEEP_NETWORKS[network]
+        cfg = ExperimentConfig(**fields, protocol=ProtocolParams(horizon=T, **SWEEP_PROTOCOLS[protocol]), line_n=9)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            net, source = NETWORKS[network](cfg, rng, shared_network(cfg))
+            states = dict.fromkeys(range(T))
+            PROTOCOLS[cfg.protocol.kind](net, source, cfg.protocol, rng, states)
+            assert None not in states.values(), (network, protocol, seed)
+    assert {SWEEP_PROTOCOLS[p]["kind"] for _, p in RUNNING_PAIRS} == set(PROTOCOLS)
+
+
+def test_tree_protocol_at_T_1_centers_on_the_first_holder():
+    """At T=1 the infected nodes are the source and the first holder, the
+    center, so the snapshot adversary names the source every time, on the
+    tree protocol as on adaptive diffusion."""
+    for kind in ("tree-protocol", "adaptive"):
+        cfg = ExperimentConfig(network="regular-tree", d=3, protocol=ProtocolParams(kind=kind, horizon=1),
+                               adversary="snapshot", trials=400, seed=1)
+        assert run_experiment(cfg).row().detections == 400, kind
+
+
 def _cli_flags(fields: dict) -> list:
     """An ExperimentConfig's or ProtocolParams's fields as CLI flags."""
     names = {"kind": "protocol", "horizon": "T"}
@@ -627,10 +655,10 @@ def test_every_inconclusive_estimate_gives_its_reason(tmp_path, monkeypatch):
                 if declared(network, protocol, adversary, T, 0):
                     cfg = TestHorizonSweep.cfg(network, protocol, adversary, edges)
                     run_experiment(with_options(cfg, {"T": T, "p": 0.05, "observe_T": 0}))
-    alone = InfectionSnapshot("diffusion", 2, 0, {0: 0}, {0: None}, [0], vs_events=[(0, 0, 0)])
+    alone = InfectionSnapshot("diffusion", 2, 0, {0: 0}, {0: None}, vs_events=[(0, 0, 0)])
     silent = replace(alone, line_trace=LineTrace(5, 0.5, "left", None, None, {}))
-    for kind, snap in (("snapshot", alone), ("irregular-ml", alone), ("line-ml", silent)):
-        ADVERSARIES[kind](ExperimentConfig(adversary=kind, estimator_d0=3), regular_tree(3), snap,
+    for kind, snap in (("snapshot", alone), ("irregular-ml", alone), ("multi-snapshot", alone), ("line-ml", silent)):
+        ADVERSARIES[kind](ExperimentConfig(adversary=kind, estimator_d0=3, observe_T=0), regular_tree(3), snap,
                           np.random.default_rng(0))
     inconclusive = [est for est in estimates if est.inconclusive]
     # the snapshot adversary's estimates are of kind snapshot-uniform

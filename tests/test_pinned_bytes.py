@@ -13,8 +13,8 @@ the estimators that read the network's degrees and neighbours, at several
 T on the spreads they read, and spy-snapshot on the regular tree.  Each
 ball cell runs first-spy, at T = 0..9, on plain diffusion or flooding.
 Each hand-over sweep runs irregular-ml, or first-spy on a ball spread,
-over T, so that every trial runs to the largest T and hands its snapshots
-over at the others, on the pool too.
+over T, so that every trial runs to the largest T and scores the others
+on its snapshot at each (InfectionSnapshot.at), on the pool too.
 irregular-ml scores only even T, where no snapshot is mid-pass; the
 estimators that orient a mid-pass snapshot are pinned by the paad-map
 cells at odd T.  To regenerate after a declared output change, print
@@ -114,8 +114,8 @@ BALL_CELLS = {f"{net}/{proto}/first-spy": ((NETWORKS[net], BALL_PROTOCOLS[proto]
               for net in NETWORKS for proto in BALL_PROTOCOLS}
 
 
-# name -> (config, T values): irregular-ml sweeps, whose trials run to the largest T and hand their
-# snapshots over at the others; the first two are the graph-sweep-pool bench's sweep on a smaller graph
+# name -> (config, T values): irregular-ml sweeps, whose trials run to the largest T and score the others on
+# their snapshots at each; the first two are the graph-sweep-pool bench's sweep on a smaller graph
 HAND_OVER_SWEEPS = {
     f"explicit/always-pass/irregular-ml/workers={w}": (
         _config(CELLS["explicit/always-pass"], 8, "irregular-ml", trials=25, workers=w), (4, 6, 8))
@@ -144,26 +144,28 @@ def sweep_digest(name: str, tmp_dir, cfg=None, values=(2, 5, 8)) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# the three tree-protocol cells were re-pinned when a tree-protocol snapshot at T=1 took the first holder as its
+# center, as every token walk does, where it had taken the source; only their T=1 rows moved
 CELL_DIGESTS = {
     "explicit/always-pass": "ffd9fd19f394bf38dd65edef6b35efdbe3bcd5f52a7617f9213953e33f028d1e",
     "explicit/capped": "475e80af1aea004c6ffb4f4379afde0a7b29c5ed115b6b747941a6374a37ec43",
     "explicit/exact": "c350a64612577501ed6e67f85105367cd07cf52c40b355441cce9a271c14dd1f",
     "explicit/paad-g1": "ad3f259fcc43acf552d94cf5d675c8c211da1cedacdeea3f6bc3da01f8ce9164",
     "explicit/paad-g2": "bc9b2bb18c14d22392c2266e9ca2742b454b0ccacdeafb87e055be32f89a3052",
-    "explicit/tree-protocol": "4c9b877315917ec04ddca5e93a4326ede48eddfa4d6ad3ce7a442b21ca49ff1c",
+    "explicit/tree-protocol": "f1466b52dd5dcb1c46e1a7d979c63f766b825226e0c339e7c32a5b756b28dc83",
     "galton-watson/always-pass": "6e502061a7d79415ab4f716242925880002bc39cd5d0aa4820ef6d3c64e1585a",
     "galton-watson/capped": "58991848be9faede7f28c2c00a65c36d09a4f5ea15b3a4adb649e44de6c8dbd2",
     "galton-watson/exact": "bccd8948ee8705a8db8005aa36c8b9d7b721211c75838cee62424d7f0a593d5a",
     "galton-watson/paad-g1": "feb6ded32bb487f21fc670ce74ed529b0f4ea71644de2d871636e29379ade49f",
     "galton-watson/paad-g2": "36710ddb062ac2e913f1391daa968bfbf9ccb52c1b97e572e92e456df0433960",
-    "galton-watson/tree-protocol": "8f7cfc69471582dcf8b982ae12f974b367c5cb35b9432ba5b7f50cd59c054544",
+    "galton-watson/tree-protocol": "85b7e758bdc3321895e69bd2627d37a314203d14d97d5c115f9e10cb7dcf502c",
     "grid/grid-adaptive": "a74513e2a787edb58c75638d8f8ab5b89bb0e2688f4b945a033df5c37a9f017b",
     "regular-tree/always-pass": "d4c5d2f5bebe081acf36480cfa3697219560ec84ff025d11a8db2564d0473e53",
     "regular-tree/capped": "8620be83d8b833ff444b5feb38bb2efaf89c0cc4d7847a79a579ee6a70a532d3",
     "regular-tree/exact": "a2041c6d0973959bf25285f479cebd947e60e8e6a55cb1d9af8193b02e8502de",
     "regular-tree/paad-g1": "c2a9cf6d2539dae265e9a0b9ba263a592f62ad9c9442cd2d67970198e861e47d",
     "regular-tree/paad-g2": "c2a9cf6d2539dae265e9a0b9ba263a592f62ad9c9442cd2d67970198e861e47d",
-    "regular-tree/tree-protocol": "b03c0465e872da20ece6a02844b909bf8540129edf28a6dc1324eb35315ae5a9",
+    "regular-tree/tree-protocol": "b8a956b8bb5821ba10a7e9a40fa616479944c82226b3bc64f475d68c7da4bf8a",
 }
 
 SWEEP_DIGESTS = {

@@ -498,9 +498,9 @@ def _snapshot_fields(s):
 
 
 class TestEarlySnapshots:
-    """A spread hands over its snapshot at each early horizon as it passes
-    it: the snapshot and the stream's state there equal those of a spread
-    to that horizon, and the spread going on changes neither."""
+    """A spread stores the stream's state as it passes each early horizon t,
+    and its snapshot at t (InfectionSnapshot.at) and that state equal those
+    of a spread to horizon t."""
 
     GRAPH = prune_min_degree(synthetic_heavy_tail(200, 3, seed=2), 3)
     CASES = {  # name -> (network, source, protocol fields)
@@ -531,22 +531,28 @@ class TestEarlySnapshots:
         spread = PROTOCOLS[fields["kind"]]
         net = make()
         for seed in range(15):
-            handed = []
-
-            def keep(snap):
-                handed.append((snap, _snapshot_fields(snap), rng.bit_generator.state))
-
-            rng = np.random.default_rng(seed)
-            final = spread(net, source, ProtocolParams(horizon=self.T, **fields), rng,
-                           (set(range(self.T)), keep))
-            assert [snap.T for snap, _, _ in handed] == list(range(self.T))
-            handed.append((final, _snapshot_fields(final), rng.bit_generator.state))
-            for snap, fields_then, state_then in handed:
-                assert _snapshot_fields(snap) == fields_then, (seed, snap.T)  # the spread went on without it
+            states = dict.fromkeys(range(self.T))
+            final = spread(net, source, ProtocolParams(horizon=self.T, **fields), np.random.default_rng(seed),
+                           states)
+            final_fields = _snapshot_fields(final)
+            for t in range(self.T):
                 ref_rng = np.random.default_rng(seed)
-                ref = spread(make(), source, ProtocolParams(horizon=snap.T, **fields), ref_rng)
-                assert fields_then == _snapshot_fields(ref), (seed, snap.T)
-                assert state_then == ref_rng.bit_generator.state, (seed, snap.T)
+                ref = spread(make(), source, ProtocolParams(horizon=t, **fields), ref_rng)
+                assert _snapshot_fields(final.at(t)) == _snapshot_fields(ref), (seed, t)
+                assert states[t] == ref_rng.bit_generator.state, (seed, t)
+            assert _snapshot_fields(final) == final_fields  # taking the earlier snapshots changed nothing
+
+    def test_a_hand_off_listed_past_T_plus_1_moves_no_center(self):
+        """multi_snapshot_trial appends the token's next hand-off to a
+        snapshot; the snapshot's centers and h_T stay its own."""
+        net = regular_tree(3)
+        for T in range(10):
+            for seed in range(20):
+                snap = spread_adaptive(net, 0, ProtocolParams(horizon=T), np.random.default_rng(seed))
+                before = (snap.centers, snap.mid_pass, snap.virtual_source, snap.h_T)
+                holder = snap.virtual_source
+                snap.vs_events.append((T + 2 + T % 2, net.neighbors(holder)[-1], snap.h_T + 1))
+                assert (snap.centers, snap.mid_pass, snap.virtual_source, snap.h_T) == before, (T, seed)
 
 
 class TestFloodingAndDiffusion:
