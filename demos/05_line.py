@@ -1,10 +1,11 @@
 """The line with a spy at each end, run via the latent-coin implementation.
 
-Drawing one direction bit and one pass probability up front reproduces the
-time-varying keep schedule exactly, and lets the protocol precompute every
-node's delay.  Even an adversary that recovers the coin, the direction, and
-the first receipt time exactly can only localize the source to about
-sqrt(n) positions.
+Drawing one direction bit and one pass probability up front, then keeping
+the token with the constant probability 1 - q at each even epoch of the
+shared token walk, reproduces the time-varying keep schedule's walk law
+exactly.  Even an adversary that recovers the coin, the direction, and the
+first receipt time exactly can only localize the source to about sqrt(n)
+positions.
 """
 
 import numpy as np

@@ -303,17 +303,6 @@ def _spies(cfg: ExperimentConfig, snap, rng) -> list:
     return observations_for(snap, assign_spies(snap, cfg.p, int(rng.integers(2**62))))
 
 
-def _polya_line(net, source, params: ProtocolParams, rng, states=()):
-    """spread_polya_line, with its LineTrace on the snapshot.  It runs until
-    an end spy reports, whatever the horizon, so each early horizon gets the
-    stream's state at the end, and the snapshot is every horizon's."""
-    snap, trace = spread_polya_line(net.n_nodes - 2, source, rng)
-    snap.line_trace = trace
-    for t in states:
-        states[t] = rng.bit_generator.state
-    return snap
-
-
 # One entry per kind, keyed by the config names, for run_trial and the CLI.
 # Entries look their callees up in this module's globals (and in `adv`) when
 # called, so a wrapper put over one of those names sees every call.
@@ -335,7 +324,9 @@ PROTOCOLS = Registry("protocol kind", {
     "tree-protocol": lambda *args: spread_tree_protocol(*args),
     "grid-adaptive": lambda *args: spread_grid(*args),
     "diffusion": lambda *args: spread_diffusion(*args),
-    "polya-line": _polya_line,
+    # the line runs until an end spy reports, whatever the horizon
+    "polya-line": lambda net, source, params, rng, states=(): spread_polya_line(net.n_nodes - 2, source, rng,
+                                                                                _states=states)[0],
 })
 
 # (cfg, network, snapshot, rng) -> Estimate; the spy kinds draw the spies first

@@ -12,7 +12,7 @@ decides to keep or pass; the resulting infection waves occupy steps te+1
 (and te+2 for a pass).  A snapshot at odd T after a pass is therefore
 mid-transition and has two symmetric centers, which it reads from the
 token's hand-offs.  _token_walk is the one home of that timing: adaptive
-diffusion, paad and the grid protocol all run on it.
+diffusion, paad, the grid protocol and the line all run on it.
 """
 
 from __future__ import annotations
@@ -254,7 +254,8 @@ class _State:
 
 
 def _pick(rng: np.random.Generator, items):
-    return items[int(rng.integers(len(items)))]
+    """A uniform pick; one item skips rng.integers(1), which draws nothing."""
+    return items[0] if len(items) == 1 else items[int(rng.integers(len(items)))]
 
 
 def _sample(rng: np.random.Generator, items: list, k: int) -> list:
@@ -410,9 +411,9 @@ def _pick_holder(rng, weights, net, holder, candidates):
 
 
 def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, moves, wave,
-                states=(), weights=None) -> list:
-    """The token walk of adaptive diffusion and the grid protocol, and the
-    one home of their timing.
+                states=(), weights=None, stop=None) -> list:
+    """The token walk of adaptive diffusion, the grid protocol and the line,
+    and the one home of their timing.
 
     The source hands the token to one of `first_holders` at step 1, and the
     first holder's wave, away from the source, infects step 2.  At each even
@@ -427,7 +428,8 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
     wave(origin, blocked, t) infects step t from origin, away from its
     neighbor `blocked` (None for a holder that kept the token).
     weights(net, holder, candidates) -> weights replaces the uniform pick of
-    each holder; with every weight 0, the holder keeps.
+    each holder; with every weight 0, the holder keeps.  stop() is asked
+    before each even epoch's coin; once it is true, the walk ends there.
 
     states = {t: None} for early horizons t below T, every spread's _states:
     the walk stores the stream's state at each t as it passes it, before it
@@ -456,7 +458,7 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
             states[2] = rng.bit_generator.state
 
     te = 2
-    while te + 1 <= T:
+    while te + 1 <= T and (stop is None or not stop()):
         children = moves(vs, prev)
         kept = rng.random() < alpha(te, h) or not children
         new_vs = None if kept else _pick_holder(rng, weights, st.net, vs, children)
@@ -711,24 +713,27 @@ def spread_grid(net: Grid, source_xy, params: ProtocolParams, rng, _states=()) -
 class LineTrace:
     """What the two end spies can reconstruct on the line: the latent pass
     probability, the initial direction, and the first receipt time measured
-    from the start of the spread."""
+    from the start of the spread.  They are the spies' whole observation, so
+    line-ml reads them here and nothing of the token's hand-offs."""
 
     n: int
     q: float
     direction: str  # 'left' | 'right'
     first_spy: int | None
     t_first: int | None
-    spy_times: dict
 
 
-def spread_polya_line(n: int, source: int, rng, horizon: int | None = None):
-    """Spread on the line 0..n+1 with spies at both ends.
+def spread_polya_line(n: int, source: int, rng, horizon: int | None = None, _states=()):
+    """Spread on the line 0..n+1 with spies at both ends, on _token_walk.
 
-    Instead of time-varying keep probabilities, draw a direction D uniformly
-    and a latent q ~ Uniform[0,1], then pass the token i.i.d. Bernoulli(q) at
-    each even epoch; the token walk has the same law as the exact schedule
-    for degree 2.  The trace lets the spies recover q, D and the first
-    receipt time exactly.
+    A direction D and a latent q ~ Uniform[0,1] are drawn first; the token
+    then keeps with probability 1 - q at each even epoch and else passes one
+    step on in direction D, which has the walk law of the exact schedule for
+    degree 2.  The snapshot carries the LineTrace returned with it.  Without
+    a horizon nothing past the spies is infected, the walk ends with the
+    epoch in which the first spy reports, and T is the last infection time.
+    The snapshot is every early horizon's (see InfectionSnapshot.at), so
+    each key of _states gets the stream's state at the end.
     """
     if n < 1:
         raise ValueError("need at least one non-spy node on the line")
@@ -737,82 +742,36 @@ def spread_polya_line(n: int, source: int, rng, horizon: int | None = None):
     direction = "right" if rng.random() < 0.5 else "left"
     q = rng.random()
     step = 1 if direction == "right" else -1
+    st = _State(None)
+    time, parent = st.time, st.parent
+    left, right = sorted((source, source + step))  # the segment's ends once the first holder is infected
+    lo, hi = (0, n + 1) if horizon is None else (-math.inf, math.inf)  # without a horizon, nothing past the spies
+    keep = 1.0 - q
 
-    time = {source: 0}
-    parent = {source: None}
-    left_edge = right_edge = source
+    def wave(origin, blocked, t):
+        # a kept token grows both ends, the left first; a passed one, the far end, which may pass a spy just reached
+        nonlocal left, right
+        if blocked is None or step < 0:
+            left -= 1
+            if left >= lo:
+                time[left] = t
+                parent[left] = left + 1
+        if blocked is None or step > 0:
+            right += 1
+            if right <= hi:
+                time[right] = t
+                parent[right] = right - 1
 
-    def infect(pos, t, par):  # without a horizon, nothing past the end spies
-        if pos not in time and (horizon is not None or 0 <= pos <= n + 1):
-            time[pos] = t
-            parent[pos] = par
-
-    def grow_far(t):
-        nonlocal left_edge, right_edge
-        if step > 0:
-            infect(right_edge + 1, t, right_edge)
-            right_edge += 1
-        else:
-            infect(left_edge - 1, t, left_edge)
-            left_edge -= 1
-
-    def within(t):
-        return horizon is None or t <= horizon
-
-    def done():
-        # without a horizon, stop once the earlier spy has reported
-        return horizon is None and (0 in time or (n + 1) in time)
-
-    vs_events = [(0, source, 0)]
-    h = 0
-    vs = source
-    if within(1):
-        vs = source + step
-        infect(vs, 1, source)
-        if step > 0:
-            right_edge = vs
-        else:
-            left_edge = vs
-        h = 1
-        vs_events.append((1, vs, 1))
-    if within(2):
-        grow_far(2)  # restores symmetry around the first token holder
-
-    te = 2
-    while within(te + 1) and not done():
-        if rng.random() < 1.0 - q:  # keep: symmetric ring
-            infect(left_edge - 1, te + 1, left_edge)
-            infect(right_edge + 1, te + 1, right_edge)
-            left_edge -= 1
-            right_edge += 1
-        else:  # pass: far edge advances twice
-            vs += step
-            h += 1
-            vs_events.append((te + 2, vs, h))
-            grow_far(te + 1)
-            if within(te + 2):
-                grow_far(te + 2)
-        te += 2
-
-    snap = InfectionSnapshot(
-        protocol="polya-line",
-        T=horizon if horizon is not None else max(time.values()),
-        source=source,
-        time=time,
-        parent=parent,
-        vs_events=vs_events,
-    )
-    spy_times = {s: time[s] for s in (0, n + 1) if s in time}
-    first_spy = min(spy_times, key=spy_times.get) if spy_times else None
-    trace = LineTrace(
-        n=n,
-        q=q,
-        direction=direction,
-        first_spy=first_spy,
-        t_first=spy_times.get(first_spy),
-        spy_times=spy_times,
-    )
-    return snap, trace
+    # without a horizon the walk stops once an end reaches a spy, which is by step 2n: the far end grows every epoch
+    vs_events = _token_walk(st, source, 2 * n + 2 if horizon is None else horizon, rng, lambda te, h: keep,
+                            [source + step], lambda vs, prev: [vs + step], wave,
+                            stop=(lambda: left < 1 or right > n) if horizon is None else None)
+    for t in _states:
+        _states[t] = rng.bit_generator.state
+    T = next(reversed(time.values())) if horizon is None else horizon  # the last infection time
+    t_first, first_spy = min(((time[s], s) for s in (0, n + 1) if s in time), default=(None, None))
+    trace = LineTrace(n, q, direction, first_spy, t_first)
+    return InfectionSnapshot("polya-line", T, source, time, parent, vs_events, line_trace=trace), trace
 
 
 # ---------------------------------------------------------------------------

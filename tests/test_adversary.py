@@ -626,19 +626,19 @@ class TestSpyIrregular:
 
 class TestLineML:
     def test_substitution_examples(self):
-        tr = LineTrace(n=101, q=0.5, direction="right", first_spy=0, t_first=3, spy_times={})
+        tr = LineTrace(n=101, q=0.5, direction="right", first_spy=0, t_first=3)
         assert estimate_line_ml(tr).v_hat == 1
-        tr = LineTrace(n=101, q=0.3, direction="left", first_spy=0, t_first=5, spy_times={})
+        tr = LineTrace(n=101, q=0.3, direction="left", first_spy=0, t_first=5)
         assert estimate_line_ml(tr).v_hat == 4  # (5+3)/2 + floor(.3*2)
 
     def test_even_away_impossible(self):
-        tr = LineTrace(n=11, q=0.5, direction="right", first_spy=0, t_first=4, spy_times={})
+        tr = LineTrace(n=11, q=0.5, direction="right", first_spy=0, t_first=4)
         with pytest.raises(ValueError):
             estimate_line_ml(tr)
 
     def test_mirrored_spy(self):
         # first report from the right end mirrors the left-end formulas
-        tr = LineTrace(n=11, q=0.5, direction="left", first_spy=12, t_first=3, spy_times={})
+        tr = LineTrace(n=11, q=0.5, direction="left", first_spy=12, t_first=3)
         assert estimate_line_ml(tr).v_hat == 11  # mirror of candidate 1
 
     def test_matches_enumerated_argmax(self):

@@ -656,7 +656,7 @@ def test_every_inconclusive_estimate_gives_its_reason(tmp_path, monkeypatch):
                     cfg = TestHorizonSweep.cfg(network, protocol, adversary, edges)
                     run_experiment(with_options(cfg, {"T": T, "p": 0.05, "observe_T": 0}))
     alone = InfectionSnapshot("diffusion", 2, 0, {0: 0}, {0: None}, vs_events=[(0, 0, 0)])
-    silent = replace(alone, line_trace=LineTrace(5, 0.5, "left", None, None, {}))
+    silent = replace(alone, line_trace=LineTrace(5, 0.5, "left", None, None))
     for kind, snap in (("snapshot", alone), ("irregular-ml", alone), ("multi-snapshot", alone), ("line-ml", silent)):
         ADVERSARIES[kind](ExperimentConfig(adversary=kind, estimator_d0=3, observe_T=0), regular_tree(3), snap,
                           np.random.default_rng(0))

@@ -17,21 +17,25 @@ over T, so that every trial runs to the largest T and scores the others
 on its snapshot at each (InfectionSnapshot.at), on the pool too.
 irregular-ml scores only even T, where no snapshot is mid-pass; the
 estimators that orient a mid-pass snapshot are pinned by the paad-map
-cells at odd T.  To regenerate after a declared output change, print
-cell_digest(name), sweep_digest(name, tmp_dir), estimator_digest(name),
+cells at odd T.  The line spread cell hashes spread_polya_line's own
+outputs, to a horizon of 0..9 and to the first end spy's report.  To
+regenerate after a declared output change, print cell_digest(name),
+sweep_digest(name, tmp_dir), estimator_digest(name),
 estimator_digest(name, BALL_CELLS), sweep_digest("hand-over", tmp_dir,
-*HAND_OVER_SWEEPS[name]) and line_digest() for every name."""
+*HAND_OVER_SWEEPS[name]) for every name, line_digest() and
+line_spread_digest()."""
 
 import hashlib
 import io
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from anonspread.graph import prune_min_degree, synthetic_heavy_tail
 from anonspread.harness import ExperimentConfig, multi_snapshot_detection_mc, run_trial, sweep, write_trial_csv
-from anonspread.spread import ProtocolParams
+from anonspread.spread import ProtocolParams, spread_polya_line
 from helpers import summary_csv_text
 
 GRAPH = prune_min_degree(synthetic_heavy_tail(200, 3, seed=2), 3)
@@ -132,6 +136,21 @@ def line_digest() -> str:
     buf = io.StringIO()
     write_trial_csv([run_trial(LINE, i) for i in range(LINE.trials)], buf)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def line_spread_digest() -> str:
+    """spread_polya_line itself, with and without a horizon: the infection
+    items in order, the hand-offs, T, what the end spies see and the
+    stream's next draw."""
+    h = hashlib.sha256()
+    for n in (1, 2, 9, 41):
+        for horizon in (None, *range(10)):
+            for seed in range(25):
+                rng = np.random.default_rng(seed)
+                snap, tr = spread_polya_line(n, int(rng.integers(1, n + 1)), rng, horizon)
+                h.update(repr((list(snap.time.items()), list(snap.parent.items()), snap.vs_events, snap.T,
+                               tr.n, tr.q, tr.direction, tr.first_spy, tr.t_first, rng.random())).encode())
+    return h.hexdigest()
 
 
 def sweep_digest(name: str, tmp_dir, cfg=None, values=(2, 5, 8)) -> str:
@@ -251,6 +270,11 @@ def test_ball_spread_records_keep_their_bytes(name):
 def test_hand_over_sweep_keeps_its_bytes(name, tmp_path):
     cfg, values = HAND_OVER_SWEEPS[name]
     assert sweep_digest("hand-over", tmp_path, cfg, values) == HAND_OVER_DIGESTS[name]
+
+
+def test_line_spread_keeps_its_bytes():
+    # taken from the code in which the line ran its own epoch loop beside the token walk
+    assert line_spread_digest() == "943ed47789bbcec02192a139a9b410379b1296f9c3f7550228d1f8d2903ab2ad"
 
 
 def test_line_trial_records_keep_their_bytes():

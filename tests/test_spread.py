@@ -383,6 +383,21 @@ class TestShuffleDraw:
                     assert a.random() == b.random()
 
 
+class TestPick:
+    def test_one_item_leaves_the_stream_as_it_was(self):
+        for seed in range(4):
+            for prior in (None, "int32"):  # a 32-bit draw leaves half a word buffered
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                for r in (rng, ref):
+                    if prior:
+                        r.integers(2**31 - 1, size=3, dtype=prior)
+                before = rng.bit_generator.state
+                assert spread_module._pick(rng, ["only"]) == "only"
+                assert rng.bit_generator.state == before
+                ref.integers(1)  # the call the one-item pick skips draws nothing either
+                assert ref.bit_generator.state == before
+
+
 def _snapshot_items(s, rng):
     """What a spread leaves, in order, and the next draw of its stream."""
     return ([list(s.time.items()), list(s.parent.items())]
@@ -747,12 +762,18 @@ class TestPaad:
 
 
 class TestPolyaLine:
-    def test_q_zero_token_freezes(self):
-        # inject the latent draws by seeding: simulate walk with forced q
-        rng = np.random.default_rng(17)
-        snap, tr = spread_polya_line(9, 5, rng=rng, horizon=12)
-        # after the draw, the number of moves equals h_T - 1 passes
-        assert tr.q >= 0.0 and snap.h_T >= 1
+    def test_each_pass_moves_the_token_one_step_on(self):
+        # a replay of the stream draws the direction, q and one keep coin per even epoch te < T
+        for T in (1, 2, 3, 8, 13, 40):
+            for seed in range(40):
+                snap, tr = spread_polya_line(9, 5, rng=np.random.default_rng(seed), horizon=T)
+                replay = np.random.default_rng(seed)
+                step = 1 if replay.random() < 0.5 else -1
+                q = replay.random()
+                passes = sum(replay.random() >= 1.0 - q for _ in range(2, T, 2))
+                assert tr.direction == ("right" if step == 1 else "left") and tr.q == q
+                assert [(v, h) for _, v, h in snap.vs_events] == [(5 + k * step, k) for k in range(len(snap.vs_events))]
+                assert snap.h_T - 1 == passes
 
     def test_marginal_keep_probability(self):
         # P(token still at its first holder after the t=2 decision) = 1/2
