@@ -1,16 +1,16 @@
-"""Closed-form predictions used as oracles by the experiment harness.
+"""The paper's closed forms, each a pure function of protocol parameters.
 
-Everything here is a pure function of protocol parameters: exact infection
-sizes, detection probabilities and bounds for the snapshot, spy, and
-spy+snapshot adversaries, the token-state distributions, the line bound,
-and the KL-constrained program giving the detection exponent on random
-irregular trees.
+Exact infection sizes, detection probabilities and bounds for the snapshot,
+spy, and spy+snapshot adversaries, the token-state distributions, the
+distance bound, the line bound, and the KL-constrained program giving the
+detection exponent on random irregular trees.  Each detection form is
+registered once, in harness.CLOSED_FORMS, which both `--compare` (a Monte
+Carlo rate against it) and the `predict` command read.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,26 +50,9 @@ def n_regular(d: int, T: int, branch: str = "even") -> int:
     raise ValueError("odd T takes branch='kept' or 'passed'")
 
 
-def leaf_count_regular(d: int, n_T: int) -> int:
-    """Boundary size of the even-time snapshot with n_T nodes."""
-    num = (d - 2) * n_T + 2
-    if num % (d - 1):
-        warnings.warn(f"n_T={n_T} is not an even-time snapshot size for d={d}")
-    return num // (d - 1)
-
-
 def grid_ball_size(r: int) -> int:
     """Nodes within L1 distance r on the lattice."""
     return 2 * r * r + 2 * r + 1
-
-
-def diffusion_expected_n(d: int, q: float, T: int) -> float:
-    """Coarse rate statement for probability-q spreading: q times the flood
-    ball.  Exact only at q=1 and T=1; see diffusion_mean_exact for the true
-    mean."""
-    if d == 2:
-        return 1 + 2 * q * T
-    return 1 + q * d * ((d - 1) ** T - 1) / (d - 2)
 
 
 def diffusion_mean_exact(d: int, q: float, T: int) -> float:
@@ -110,13 +93,6 @@ def pd_multiple_snapshots(d: int, T: int) -> float:
     if d <= 2 or T % 2 or T < 2:
         raise ValueError("needs d > 2 and even T >= 2")
     return (d - 2) / (d - 1) * (T / 2) / ((d - 1) ** (T // 2) - 1)
-
-
-def pd_multiple_snapshots_bound(d: int, T: int) -> float:
-    """Log-factor bound the exact value must respect."""
-    n = n_regular(d, T)
-    b = d - 1
-    return (d - 2) / (d - 1) * 3.0 / (n - 1) * (math.log(n, b) + math.log(d / 2 - 1, b))
 
 
 def state_distribution_regular(d: int, t: int) -> np.ndarray:
@@ -212,25 +188,6 @@ def pd_spy_adaptive(d: int, p: float, tol: float = 1e-14) -> float:
         k += 1
         if k > 10_000:
             break
-    return total
-
-
-def expected_distance_spy(d: int, p: float, tol: float = 1e-15) -> float:
-    """Lower bound on the expected source-to-estimate distance for the spy
-    adversary."""
-    if d <= 2:
-        raise ValueError("series defined for d > 2")
-    total = 0.0
-    k = 1
-    while k <= 10_000:
-        tk = _subtree_size(d, k)
-        x = (1.0 - p) ** tk
-        r_k = ((1.0 - x) ** (d - 1) + (d - 1) * x - (d - 2) * x ** (d - 1) - 1.0) / (d - 1)
-        term = 2.0 * k * r_k
-        total += term
-        if k > 1 and abs(term) < tol:
-            break
-        k += 1
     return total
 
 

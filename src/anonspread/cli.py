@@ -10,6 +10,7 @@ comparison-gate failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import replace
@@ -134,8 +135,6 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
     is the first below the header) with a cell not an integer or a parent not
     listed above it, no virtual source marked by T, a T before the latest
     infection time and a node that a finite network lacks raise ValueError."""
-    import csv as _csv
-
     def cell(column):  # row n's integer in `column`
         try:
             return int(row[column])
@@ -145,7 +144,7 @@ def load_trace(path: str, net, T: int | None = None) -> InfectionSnapshot:
     time, parent, direction, level = {}, {}, {}, {}
     vs_marks = []
     with open(path, "rt", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         missing = [c for c in TRACE_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"trace {path} lacks the column(s) {', '.join(missing)}")
@@ -232,45 +231,32 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    d = args.d
-    T = args.T
-    p = args.p
-    n = args.n
-    q = args.quantity
-    rows = []
-    if q == "n_regular":
-        rows.append((q, f"d={d};T={T};branch={args.branch}", analysis.n_regular(d, T, args.branch)))
-    elif q == "pd_snapshot_bound":
-        rows.append((q, f"d={d};T={T}", analysis.pd_snapshot_bound(d, T)))
-    elif q == "pd_always_pass":
-        n_t = analysis.n_regular(d, T)
-        rows.append((q, f"d={d};T={T};n={n_t}", analysis.pd_always_pass(d, n_t)))
-    elif q == "pd_multiple_snapshots":
-        rows.append((q, f"d={d};T={T}", analysis.pd_multiple_snapshots(d, T)))
-    elif q == "pd_spy_adaptive":
-        rows.append((q, f"d={d};p={p}", analysis.pd_spy_adaptive(d, p)))
-    elif q == "pd_spy_snapshot":
-        rows.append((q, f"d={d};p={p};T={T}", analysis.pd_spy_snapshot(d, p, T)))
+    """Print the named quantity at the config that the common flags give:
+    a CLOSED_FORMS entry, which `--compare` reads too, or one of the sizes
+    and the exponent, which predict no detection rate."""
+    opts = _collect_options(args)
+    cfg = config_from_options(opts)
+    q, d, T = args.quantity, cfg.d, cfg.protocol.horizon
+    if q == "n_regular":  # at odd T, both branches: the last epoch kept the token or passed it
+        names = {"even": q} if T % 2 == 0 else {b: f"{q}_{b}" for b in ("kept", "passed")}
+        rows = [(name, analysis.n_regular(d, T, b)) for b, name in names.items()]
     elif q == "grid":
         pred = analysis.grid_predictions(T)
-        rows.append(("grid_n_lower", f"T={T}", pred.n_lower_bound))
-        rows.append(("grid_pd_bound", f"T={T}", pred.pd_upper_bound))
+        rows = [("grid_n_lower", pred.n_lower_bound)]
         if pred.n_even_exact is not None:
-            rows.append(("grid_n_exact", f"T={T}", pred.n_even_exact))
-    elif q == "line_bound":
-        rows.append((q, f"n={n}", analysis.line_bound(n)))
+            rows.append(("grid_n_exact", pred.n_even_exact))
     elif q == "detection_exponent":
-        table = _parse_degree_table(args.degree_table)
-        res = analysis.detection_exponent(table)
-        rows.append(("exponent_log2", f"D={args.degree_table};case={res.case}", res.exponent_log2))
-        rows.append(("gap_log2", f"D={args.degree_table}", res.gap_log2))
-        for i, r in enumerate(res.r_star):
-            rows.append((f"r_star_{i}", f"D={args.degree_table}", r))
+        if cfg.degree_table is None:
+            raise ValueError("detection_exponent needs degree_table")
+        res = analysis.detection_exponent(cfg.degree_table)
+        rows = [("exponent_log2", res.exponent_log2), ("gap_log2", res.gap_log2)]
+        rows += [(f"r_star_{i}", r) for i, r in enumerate(res.r_star)]
     else:
-        raise ValueError(f"unknown quantity {q!r}")
-    print("quantity,parameters,value")
-    for name, params, value in rows:
-        print(f"{name},{params},{value:.12g}")
+        rows = [(q, CLOSED_FORMS[q](cfg)[0])]
+    params = ";".join(f"{k}={v}" for k, v in sorted(opts.items()))
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["quantity", "parameters", "value"])
+    writer.writerows((name, params, f"{value:.12g}") for name, value in rows)
     return 0
 
 
@@ -301,13 +287,8 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("predict", help="closed-form predictions as CSV")
-    sp.add_argument("quantity")
-    sp.add_argument("--d", type=int, default=3)
-    sp.add_argument("--T", type=int, default=4)
-    sp.add_argument("--p", type=float, default=0.1)
-    sp.add_argument("--n", type=int, default=101)
-    sp.add_argument("--branch", default="even")
-    sp.add_argument("--degree_table", default="3:0.5,4:0.5")
+    _add_common(sp)
+    sp.add_argument("quantity", help="a --compare quantity, n_regular, grid or detection_exponent")
     sp.set_defaults(fn=cmd_predict)
 
     args = parser.parse_args(argv)

@@ -411,8 +411,9 @@ def run_trial(cfg: ExperimentConfig, index: int, shared=None, early=None) -> Tri
     `index` runs on the way: one stream, one network and source draw and one
     spread to cfg's horizon, which stores the stream's state at each early
     horizon.  After cfg's own estimate, each early config estimates snap.at
-    its horizon from the state stored there; its record, the one its own
-    run would give, is appended to its records."""
+    its horizon, or snap itself for the line, which ignores the horizon,
+    from the state stored there; its record, the one its own run would
+    give, is appended to its records."""
     rng = _trial_rng(cfg.seed, index)
     net, source = NETWORKS[cfg.network](cfg, rng, shared_network(cfg) if shared is None else shared)
     states = dict.fromkeys(early or ())
@@ -420,7 +421,7 @@ def run_trial(cfg: ExperimentConfig, index: int, shared=None, early=None) -> Tri
     record = _score(index, net, source, snap, ADVERSARIES[cfg.adversary](cfg, net, snap, rng))
     for t, (early_cfg, records) in (early or {}).items():
         rng.bit_generator.state = states[t]
-        early_snap = snap.at(t)
+        early_snap = snap if cfg.protocol.kind == "polya-line" else snap.at(t)
         records.append(_score(index, net, source, early_snap,
                               ADVERSARIES[early_cfg.adversary](early_cfg, net, early_snap, rng)))
     return record
@@ -577,20 +578,27 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> ExperimentSummary:
 # theory comparison
 
 
-# quantity -> (summary row, the row's config) -> (value, mode), where mode is
-# 'match' for equalities and 'upper-bound' or 'lower-bound' for bounds
+def _pd_uniform(cfg: ExperimentConfig):
+    if cfg.protocol.horizon == 0:
+        raise ValueError("pd_uniform needs T >= 1: at T=0 the source is the only infected node")
+    return 1.0 / (analysis.n_regular(cfg.d, cfg.protocol.horizon) - 1), "match"
+
+
+# quantity -> (a config) -> (value, mode), where mode is 'match' for
+# equalities and 'upper-bound' or 'lower-bound' for bounds.  `--compare`
+# reads each summary row's config, `predict` the one its flags give.
 CLOSED_FORMS = Registry("quantity", {
-    "pd_uniform": lambda row, cfg: (1.0 / (analysis.n_regular(cfg.d, row.T) - 1), "match"),
-    "pd_always_pass": lambda row, cfg: (analysis.pd_always_pass(cfg.d, analysis.n_regular(cfg.d, row.T)),
-                                        "match"),
-    "pd_snapshot_bound": lambda row, cfg: (analysis.pd_snapshot_bound(cfg.d, row.T), "upper-bound"),
-    "pd_spy_adaptive": lambda row, cfg: (analysis.pd_spy_adaptive(cfg.d, row.p), "match"),
-    "pd_spy_snapshot": lambda row, cfg: (analysis.pd_spy_snapshot(cfg.d, row.p, row.T), "match"),
-    "pd_multiple_snapshots": lambda row, cfg: (analysis.pd_multiple_snapshots(cfg.d, cfg.observe_T or row.T),
-                                               "match"),
-    "grid_pd_bound": lambda row, cfg: (analysis.grid_predictions(row.T).pd_upper_bound, "upper-bound"),
-    "line_bound": lambda row, cfg: (analysis.line_bound(cfg.line_n), "upper-bound"),
-    "first_spy_floor": lambda row, cfg: (row.p, "lower-bound"),
+    "pd_uniform": _pd_uniform,
+    "pd_always_pass": lambda cfg: (analysis.pd_always_pass(cfg.d, analysis.n_regular(cfg.d, cfg.protocol.horizon)),
+                                   "match"),
+    "pd_snapshot_bound": lambda cfg: (analysis.pd_snapshot_bound(cfg.d, cfg.protocol.horizon), "upper-bound"),
+    "pd_spy_adaptive": lambda cfg: (analysis.pd_spy_adaptive(cfg.d, cfg.p), "match"),
+    "pd_spy_snapshot": lambda cfg: (analysis.pd_spy_snapshot(cfg.d, cfg.p, cfg.protocol.horizon), "match"),
+    "pd_multiple_snapshots": lambda cfg: (analysis.pd_multiple_snapshots(cfg.d, cfg.observe_T or cfg.protocol.horizon),
+                                          "match"),
+    "grid_pd_bound": lambda cfg: (analysis.grid_predictions(cfg.protocol.horizon).pd_upper_bound, "upper-bound"),
+    "line_bound": lambda cfg: (analysis.line_bound(cfg.line_n), "upper-bound"),
+    "first_spy_floor": lambda cfg: (cfg.p, "lower-bound"),
 })
 
 
@@ -599,7 +607,7 @@ def compare_with_theory(summary: ExperimentSummary, quantity: str, z: float = 3.
     matches must lie within z sigma, bounds must not be crossed by more than
     z sigma."""
     for row in summary.rows:
-        value, mode = CLOSED_FORMS[quantity](row, row.config)
+        value, mode = CLOSED_FORMS[quantity](row.config)
         row.predicted = value
         row.pred_mode = mode
         sigma = math.sqrt(max(value * (1 - value), 1e-12) / row.trials)

@@ -193,10 +193,7 @@ class InfectionSnapshot:
         """The same spread's snapshot at time t <= T, which a spread to
         horizon t on the same draws leaves: infection times never fall along
         the infection order, so its nodes are a prefix of this one's, which
-        each dict's first n items hold.  A polya-line spread ignores its
-        horizon, so its snapshot returns itself."""
-        if self.protocol == "polya-line":
-            return self
+        each dict's first n items hold."""
         n = bisect_right(list(self.time.values()), t)
         last = t + t % 2
         return InfectionSnapshot(self.protocol, t, self.source, dict(islice(self.time.items(), n)),
@@ -420,10 +417,11 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
     epoch te the holder keeps the token with probability alpha(te, h), h
     being the token's hops from the source, and its wave infects step te+1;
     or it passes the token to one of moves(holder, previous holder), whose
-    wave away from the old holder infects step te+1 and again step te+2.  A
-    holder with no moves keeps the token.  Returns the hand-offs (t, node,
-    h): the first holder's listed at 1 and a pass's at te+2, the step its
-    second wave infects, from which the snapshot reads its centers.
+    wave away from the old holder infects step te+1 and again step te+2.
+    moves is asked only once the coin says pass, and a holder with no moves
+    keeps the token.  Returns the hand-offs (t, node, h): the first
+    holder's listed at 1 and a pass's at te+2, the step its second wave
+    infects, from which the snapshot reads its centers.
 
     wave(origin, blocked, t) infects step t from origin, away from its
     neighbor `blocked` (None for a holder that kept the token).
@@ -459,9 +457,8 @@ def _token_walk(st: _State, source, T: int, rng, alpha, first_holders: list, mov
 
     te = 2
     while te + 1 <= T and (stop is None or not stop()):
-        children = moves(vs, prev)
-        kept = rng.random() < alpha(te, h) or not children
-        new_vs = None if kept else _pick_holder(rng, weights, st.net, vs, children)
+        children = [] if rng.random() < alpha(te, h) else moves(vs, prev)
+        new_vs = _pick_holder(rng, weights, st.net, vs, children) if children else None
         if new_vs is None:
             wave(vs, None, te + 1)
         else:
@@ -732,8 +729,8 @@ def spread_polya_line(n: int, source: int, rng, horizon: int | None = None, _sta
     degree 2.  The snapshot carries the LineTrace returned with it.  Without
     a horizon nothing past the spies is infected, the walk ends with the
     epoch in which the first spy reports, and T is the last infection time.
-    The snapshot is every early horizon's (see InfectionSnapshot.at), so
-    each key of _states gets the stream's state at the end.
+    The harness takes a horizon-free snapshot as every early horizon's (see
+    run_trial), so each key of _states gets the stream's state at the end.
     """
     if n < 1:
         raise ValueError("need at least one non-spy node on the line")

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from anonspread.cli import main, parse_config_file
+from anonspread.cli import config_from_options, main, parse_config_file
+from anonspread.harness import CLOSED_FORMS, compare_with_theory, run_experiment
 
 
 def run_cli(args):
@@ -19,6 +20,20 @@ def run_cli(args):
     finally:
         sys.stdout = old
     return code, out.getvalue()
+
+
+# a config, as flags, at which each CLOSED_FORMS quantity is defined and its experiment runs
+PREDICT_FLAGS = {
+    "pd_uniform": ["--d", "4", "--T", "4"],
+    "pd_always_pass": ["--d", "3", "--T", "6", "--d0", "inf"],
+    "pd_snapshot_bound": ["--d", "3", "--T", "4"],
+    "pd_spy_adaptive": ["--d", "4", "--p", "0.1", "--T", "6", "--protocol", "tree-protocol", "--adversary", "spy-ml"],
+    "pd_spy_snapshot": ["--d", "3", "--p", "0.2", "--T", "6", "--adversary", "spy-snapshot"],
+    "pd_multiple_snapshots": ["--d", "3", "--T", "8", "--observe_T", "4", "--adversary", "multi-snapshot"],
+    "grid_pd_bound": ["--network", "grid", "--protocol", "grid-adaptive", "--T", "4"],
+    "line_bound": ["--network", "line", "--protocol", "polya-line", "--adversary", "line-ml", "--line_n", "41"],
+    "first_spy_floor": ["--p", "0.2", "--T", "4", "--adversary", "first-spy"],
+}
 
 
 class TestPredict:
@@ -41,6 +56,24 @@ class TestPredict:
     def test_unknown_quantity_is_config_error(self):
         code, _ = run_cli(["predict", "no_such_thing"])
         assert code == 1
+
+    def test_odd_T_n_regular_prints_both_branches(self):
+        code, out = run_cli(["predict", "n_regular", "--d", "3", "--T", "5"])
+        assert code == 0
+        assert out.splitlines()[1:] == ["n_regular_kept,T=5;d=3,22", "n_regular_passed,T=5;d=3,14"]
+
+    @pytest.mark.parametrize("quantity", sorted(CLOSED_FORMS))
+    def test_predict_prints_what_compare_writes(self, quantity):
+        """predict and --compare read one registry: at a config where the
+        form is defined, predict prints the value a row of that config gets."""
+        flags = PREDICT_FLAGS[quantity]
+        code, out = run_cli(["predict", quantity, *flags])
+        assert code == 0
+        (name, _, value), = list(csv.reader(out.splitlines()))[1:]
+        opts = dict(zip((flag[2:] for flag in flags[::2]), flags[1::2]), trials="5")
+        row = compare_with_theory(run_experiment(config_from_options(opts)), quantity).row()
+        assert (name, value) == (quantity, f"{row.predicted:.12g}")
+
 
 
 class TestSpreadEstimate:
@@ -280,6 +313,10 @@ class TestSpreadEstimate:
     (["spread", "--protocol", "deterministic", "--T", "2"], "unknown protocol kind 'deterministic'"),
     (["spread", "--protocol", "diffusion", "--q", "0", "--T", "2"], "diffusion requires q in (0, 1]"),
     (["spread", "--protocol", "diffusion", "--q", "1.5", "--T", "2"], "diffusion requires q in (0, 1]"),
+    (["predict", "pd_uniform"], "pd_uniform needs T >= 1: at T=0 the source is the only infected node"),
+    (["experiment", "--trials", "20", "--compare", "pd_uniform"],
+     "pd_uniform needs T >= 1: at T=0 the source is the only infected node"),
+    (["predict", "detection_exponent"], "detection_exponent needs degree_table"),
 ])
 def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
@@ -480,7 +517,7 @@ class TestExperiment:
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-m", "anonspread.cli", "predict",
-                              "line_bound", "--n", "101"],
+                              "line_bound", "--line_n", "101"],
                              capture_output=True, text=True, env=env)
         assert out.returncode == 0
         assert "0.9039" in out.stdout
