@@ -74,9 +74,9 @@ def diffusion_mean_exact(d: int, q: float, T: int) -> float:
 
 def pd_snapshot_bound(d: int, T: int) -> float:
     """Upper bound on ML detection under the exact keep schedule."""
+    if T < 1:
+        raise ValueError("bound defined for T >= 1")
     if d == 2:
-        if T < 1:
-            raise ValueError("bound defined for T >= 1")
         return 1.0 / T
     return (d - 2) / (2.0 * (d - 1) ** ((T + 1) / 2) - d)
 

@@ -196,9 +196,11 @@ class InfectionSnapshot:
         each dict's first n items hold."""
         n = bisect_right(list(self.time.values()), t)
         last = t + t % 2
+        trace = self.line_trace  # a line's end spies at t: the same q and direction, and no report made after t
+        trace = replace(trace, first_spy=None, t_first=None) if trace and (trace.t_first or 0) > t else trace
         return InfectionSnapshot(self.protocol, t, self.source, dict(islice(self.time.items(), n)),
                                  dict(islice(self.parent.items(), n)), [e for e in self.vs_events if e[0] <= last],
-                                 dict(islice(self.direction.items(), n)), dict(islice(self.level.items(), n)))
+                                 dict(islice(self.direction.items(), n)), dict(islice(self.level.items(), n)), trace)
 
     def subtree_adjacency(self) -> dict:
         """Undirected adjacency of the infection tree (parent links)."""

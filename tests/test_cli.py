@@ -75,7 +75,6 @@ class TestPredict:
         assert (name, value) == (quantity, f"{row.predicted:.12g}")
 
 
-
 class TestSpreadEstimate:
     def test_trace_roundtrip(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -317,6 +316,7 @@ class TestSpreadEstimate:
     (["experiment", "--trials", "20", "--compare", "pd_uniform"],
      "pd_uniform needs T >= 1: at T=0 the source is the only infected node"),
     (["predict", "detection_exponent"], "detection_exponent needs degree_table"),
+    (["predict", "pd_snapshot_bound", "--d", "3"], "bound defined for T >= 1"),
 ])
 def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     trace = tmp_path / "trace.csv"

@@ -820,11 +820,16 @@ class TestPolyaLine:
         # only the harness takes a horizon-free line spread as every horizon's; one with a horizon has a past
         snap = spread_polya_line(41, 20, np.random.default_rng(3), 8)[0]
         assert (snap.at(2).T, snap.at(2).n_infected) == (2, 3)
-        for seed in range(20):
-            for t in range(9):
-                final = spread_polya_line(41, 20, np.random.default_rng(seed), 8)[0]
-                ref = spread_polya_line(41, 20, np.random.default_rng(seed), t)[0]
-                assert _snapshot_fields(final.at(t)) == _snapshot_fields(ref), (seed, t)
+        reports = set()
+        for n, source, T in ((41, 20, 8), (9, 5, 14)):  # on the short line an end spy reports before T
+            for seed in range(20):
+                final = spread_polya_line(n, source, np.random.default_rng(seed), T)[0]
+                reports.add(final.line_trace.t_first)
+                for t in range(T + 1):
+                    ref = spread_polya_line(n, source, np.random.default_rng(seed), t)[0]
+                    assert _snapshot_fields(final.at(t)) == _snapshot_fields(ref), (n, seed, t)
+                    assert final.at(t).line_trace == ref.line_trace, (n, seed, t)
+        assert None in reports and len(reports) > 2  # some spreads report by T, at more than one time, some do not
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
