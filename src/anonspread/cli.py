@@ -200,14 +200,16 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _report(args, run) -> int:
+def _report(args, run, reported=lambda cfg: [cfg]) -> int:
     """Run `experiment` or `sweep`, compare with the closed form if asked,
-    and print and write the summary."""
+    and print and write the summary; `reported` gives the configs of the
+    run's rows."""
     opts = _collect_options(args)
     cfg = config_from_options(opts)
     compare = opts.get("compare")
     if compare:
-        CLOSED_FORMS[compare]  # an unknown name raises here, before any trial runs
+        for row_cfg in reported(cfg):  # an unknown name or a config outside the form's range raises here,
+            CLOSED_FORMS[compare](row_cfg)  # before any trial runs
     summary = run(cfg)
     if compare:
         compare_with_theory(summary, compare)
@@ -227,7 +229,8 @@ def cmd_sweep(args) -> int:
     # a degree table is itself comma-separated, so tables are separated by ';'
     sep = ";" if parse is _parse_degree_table else ","
     values = [parse(text) for text in args.values.split(sep)]
-    return _report(args, lambda cfg: run_sweep(cfg, args.parameter, values))
+    return _report(args, lambda cfg: run_sweep(cfg, args.parameter, values),
+                   lambda cfg: [with_options(cfg, {args.parameter: v}) for v in values])
 
 
 def cmd_predict(args) -> int:

@@ -584,13 +584,19 @@ def _pd_uniform(cfg: ExperimentConfig):
     return 1.0 / (analysis.n_regular(cfg.d, cfg.protocol.horizon) - 1), "match"
 
 
+def _pd_always_pass(cfg: ExperimentConfig):
+    T = cfg.protocol.horizon
+    if T < 2 or T % 2:
+        raise ValueError(f"pd_always_pass needs an even T >= 2: its leaf count holds only after a pass, not at T={T}")
+    return analysis.pd_always_pass(cfg.d, analysis.n_regular(cfg.d, T)), "match"
+
+
 # quantity -> (a config) -> (value, mode), where mode is 'match' for
 # equalities and 'upper-bound' or 'lower-bound' for bounds.  `--compare`
 # reads each summary row's config, `predict` the one its flags give.
 CLOSED_FORMS = Registry("quantity", {
     "pd_uniform": _pd_uniform,
-    "pd_always_pass": lambda cfg: (analysis.pd_always_pass(cfg.d, analysis.n_regular(cfg.d, cfg.protocol.horizon)),
-                                   "match"),
+    "pd_always_pass": _pd_always_pass,
     "pd_snapshot_bound": lambda cfg: (analysis.pd_snapshot_bound(cfg.d, cfg.protocol.horizon), "upper-bound"),
     "pd_spy_adaptive": lambda cfg: (analysis.pd_spy_adaptive(cfg.d, cfg.p), "match"),
     "pd_spy_snapshot": lambda cfg: (analysis.pd_spy_snapshot(cfg.d, cfg.p, cfg.protocol.horizon), "match"),

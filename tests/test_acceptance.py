@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they pass.
 
 import math
 import time as clock
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +14,8 @@ from scipy.stats import chi2_contingency, chisquare
 
 from anonspread import analysis
 from anonspread.adversary import (
-    estimate_first_spy,
-    estimate_line_ml,
     estimate_map_leaf,
     estimate_snapshot_regular,
-    estimate_spy_irregular,
-    estimate_spy_snapshot,
     irregular_ml_scores,
 )
 from anonspread.graph import (
@@ -31,22 +28,21 @@ from anonspread.graph import (
 )
 from anonspread.harness import (
     ExperimentConfig,
+    compare_with_theory,
     gw_map_detection_mc,
     multi_snapshot_detection_mc,
     run_experiment,
     spy_tree_detection_mc,
+    sweep,
 )
 from anonspread.spread import (
     ProtocolParams,
-    assign_spies,
-    observations_for,
     spread_adaptive,
-    spread_diffusion,
     spread_grid,
     spread_polya_line,
     spread_tree_protocol,
 )
-from helpers import eight_node_snapshot, oracle_trajectory_likelihood
+from helpers import eight_node_snapshot, oracle_trajectory_likelihood, summary_csv_text
 
 import os
 
@@ -61,25 +57,91 @@ def sigma(p, n):
     return math.sqrt(max(p * (1 - p), 1e-12) / n)
 
 
+def compared(summaries, quantity):
+    """The rows of `summaries` compared with the closed form `quantity`:
+    each row's flag is set where it lies more than 3 sigma past it."""
+    return [row for summary in summaries for row in compare_with_theory(summary, quantity).rows]
+
+
+def z_of(row):
+    """A compared row's distance from its prediction, in sigmas."""
+    return (row.p_hat - row.predicted) / sigma(row.predicted, row.trials)
+
+
+# Each criterion's runs through run_experiment or sweep on `workers` workers;
+# test_pooled_rows_equal_serial_rows runs each on a slice of its trials.
+
+
+def criterion_01_runs(workers, trials=100_000):
+    """The exact schedule to T=8 on the 3- and 4-regular trees, read by the
+    snapshot adversary."""
+    return [run_experiment(ExperimentConfig(network="regular-tree", d=d, protocol=ProtocolParams(horizon=8),
+                                            adversary="snapshot", trials=trials, seed=101 + d, workers=workers))
+            for d in (3, 4)]
+
+
+def criterion_03_runs(workers, trials=20_000):
+    """Always-pass to T=4 on the 3-regular tree, read by the leaf MAP rule."""
+    return [run_experiment(ExperimentConfig(network="regular-tree", d=3,
+                                            protocol=ProtocolParams(alpha_policy="always-pass", horizon=4),
+                                            adversary="map-leaf", trials=trials, seed=303, workers=workers))]
+
+
+def criterion_08_runs(workers, trials=10_000):
+    """The first spy against (a) probability-q spreading on the 5-regular
+    tree and (b) the tree protocol on the 3-regular tree."""
+    q_spreading = ExperimentConfig(network="regular-tree", d=5,
+                                   protocol=ProtocolParams(kind="diffusion", q=0.3, horizon=6),
+                                   adversary="first-spy", p=0.2, trials=trials, seed=808, workers=workers)
+    balanced = ExperimentConfig(network="regular-tree", d=3, protocol=ProtocolParams(kind="tree-protocol", horizon=12),
+                                adversary="first-spy", p=0.15, trials=trials, seed=809, workers=workers)
+    return [run_experiment(q_spreading), run_experiment(balanced)]
+
+
+def criterion_10_runs(workers, trials=20_000):
+    """The line protocol, read by its end spies, at 101 and 401 nodes."""
+    cfg = ExperimentConfig(network="line", protocol=ProtocolParams(kind="polya-line"), adversary="line-ml",
+                           trials=trials, seed=1010, workers=workers)
+    return [sweep(cfg, "line_n", [101, 401])]
+
+
+def criterion_11_runs(workers, trials=6000):
+    """The tree protocol to T=8 on the 3-regular tree, read by the spy and
+    snapshot adversary, over five spy probabilities."""
+    cfg = ExperimentConfig(network="regular-tree", d=3, protocol=ProtocolParams(kind="tree-protocol", horizon=8),
+                           adversary="spy-snapshot", trials=trials, seed=1111, workers=workers)
+    return [sweep(cfg, "p", [0.05, 0.1, 0.2, 0.35, 0.5])]
+
+
+def criterion_12_graph():
+    """The pruned synthetic heavy-tailed graph that stands in for the
+    Facebook sample."""
+    return prune_min_degree(synthetic_heavy_tail(1500, 5, seed=5), 3)
+
+
+def criterion_12_runs(workers, trials, graph):
+    """Balanced spreading read by the degree-weighted pivot estimator, and
+    plain probability-0.1 spreading read by the first spy, to T=24 on
+    `graph`, over three spy probabilities.  Both halves run on one seed, so
+    trial i has the same source in each."""
+    balanced = ExperimentConfig(network="explicit", graph=graph, protocol=ProtocolParams(kind="tree-protocol",
+                                                                                         horizon=24),
+                                adversary="spy-irregular", trials=trials, seed=1212, workers=workers)
+    plain = replace(balanced, protocol=ProtocolParams(kind="diffusion", q=0.1, horizon=24), adversary="first-spy")
+    return [sweep(cfg, "p", [0.05, 0.10, 0.15]) for cfg in (balanced, plain)]
+
+
 def test_criterion_01_perfect_obfuscation():
     """Exact-schedule snapshots leave the adversary a uniform guess."""
     t0 = clock.time()
-    results = []
-    for d in (3, 4):
-        n_t = analysis.n_regular(d, 8)
-        target = 1.0 / (n_t - 1)
-        cfg = ExperimentConfig(network="regular-tree", d=d,
-                               protocol=ProtocolParams(horizon=8),
-                               adversary="snapshot", trials=100_000, seed=101 + d)
-        row = run_experiment(cfg).row()
-        assert row.mean_n_infected == pytest.approx(n_t)
-        assert row.inconclusive == 0
-        z = (row.p_hat - target) / sigma(target, row.trials)
-        results.append((d, row.p_hat, target, z))
-        assert abs(z) <= 3.0
+    rows = compared(criterion_01_runs(workers=2), "pd_uniform")
     elapsed = clock.time() - t0
+    for row in rows:
+        assert row.mean_n_infected == pytest.approx(analysis.n_regular(row.config.d, 8))
+        assert row.inconclusive == 0
+        assert row.flag == 0
     report("criterion 1 PASS: " + "; ".join(
-        f"d={d}: p_hat={ph:.5f} vs {tg:.5f} (z={z:+.2f})" for d, ph, tg, z in results)
+        f"d={r.config.d}: p_hat={r.p_hat:.5f} vs {r.predicted:.5f} (z={z_of(r):+.2f})" for r in rows)
         + f"; runtime {elapsed:.0f}s")
     assert elapsed < 60.0
 
@@ -100,22 +162,17 @@ def test_criterion_02_state_distribution():
 
 
 def test_criterion_03_always_pass_detection():
-    d, T, n = 3, 4, 20_000
-    cfg = ExperimentConfig(network="regular-tree", d=d,
-                           protocol=ProtocolParams(alpha_policy="always-pass", horizon=T),
-                           adversary="map-leaf", trials=n, seed=303)
-    row = run_experiment(cfg).row()
-    target = 1.0 / 6.0
-    z = (row.p_hat - target) / sigma(target, n)
+    row, = compared(criterion_03_runs(workers=2), "pd_always_pass")
+    assert row.predicted == pytest.approx(1 / 6)
     # every trial offers exactly six boundary leaves
-    net = regular_tree(d)
+    net = regular_tree(3)
     rng = np.random.default_rng(304)
     for _ in range(500):
-        s = spread_adaptive(net, 0, ProtocolParams(alpha_policy="always-pass", horizon=T), rng=rng)
+        s = spread_adaptive(net, 0, ProtocolParams(alpha_policy="always-pass", horizon=4), rng=rng)
         assert len(s.boundary()) == 6
         assert estimate_map_leaf(net, s, rng=rng).tie_count == 6
-    report(f"criterion 3 PASS: p_hat={row.p_hat:.4f} vs 1/6 (z={z:+.2f}); 6 leaves every trial")
-    assert abs(z) <= 3.0
+    assert row.flag == 0
+    report(f"criterion 3 PASS: p_hat={row.p_hat:.4f} vs 1/6 (z={z_of(row):+.2f}); 6 leaves every trial")
 
 
 def test_criterion_04_irregular_ml_vs_oracle():
@@ -215,32 +272,18 @@ def test_criterion_07_series_asymptote():
 
 
 def test_criterion_08_first_spy_bounds():
+    q_spreading, balanced = criterion_08_runs(workers=2)
     # probability-q spreading: the first spy's parent beats 1-(1-qp)^d
-    d, q, p, n = 5, 0.3, 0.2, 10_000
-    net = regular_tree(d)
-    rng = np.random.default_rng(808)
-    det = 0
-    for _ in range(n):
-        s = spread_diffusion(net, 0, ProtocolParams(kind="diffusion", q=q, horizon=6), rng=rng)
-        spies = assign_spies(s, p, int(rng.integers(2**62)))
-        est = estimate_first_spy(observations_for(s, spies), rng=rng)
-        det += int(not est.inconclusive and est.v_hat == 0)
-    bound1 = 1.0 - (1.0 - q * p) ** d
-    z1 = (det / n - bound1) / sigma(bound1, n)
-    assert det / n >= bound1 - 3.0 * sigma(bound1, n)
-
+    row = q_spreading.row()
+    cfg = row.config
+    bound = 1.0 - (1.0 - cfg.protocol.q * cfg.p) ** cfg.d
+    assert row.p_hat >= bound - 3.0 * sigma(bound, row.trials)
     # any protocol: the floor p
-    p2, n2 = 0.15, 10_000
-    net3 = regular_tree(3)
-    det2 = 0
-    for _ in range(n2):
-        s = spread_tree_protocol(net3, 0, ProtocolParams(kind="tree-protocol", horizon=12), rng=rng)
-        spies = assign_spies(s, p2, int(rng.integers(2**62)))
-        est = estimate_first_spy(observations_for(s, spies), rng=rng)
-        det2 += int(not est.inconclusive and est.v_hat == 0)
-    assert det2 / n2 >= p2 - 3.0 * sigma(p2, n2)
-    report(f"criterion 8 PASS: first-spy on q-spreading {det/n:.3f} >= {bound1:.3f}; "
-           f"balanced protocol {det2/n2:.3f} >= p={p2}")
+    floor, = compared([balanced], "first_spy_floor")
+    assert floor.flag == 0
+    report(f"criterion 8 PASS: first-spy on q-spreading {row.p_hat:.3f} >= {bound:.3f} "
+           f"(z={(row.p_hat - bound) / sigma(bound, row.trials):+.2f}); "
+           f"balanced protocol {floor.p_hat:.3f} >= p={floor.p} (z={z_of(floor):+.2f})")
 
 
 def test_criterion_09_grid():
@@ -283,22 +326,14 @@ def test_criterion_10_line():
     assert pval > 0.001
 
     # (b), (c): end-spy detection against the closed-form bound and scaling
-    rates = {}
-    for n_line, trials in ((101, 20_000), (401, 20_000)):
-        det = 0
-        for _ in range(trials):
-            src = int(rng.integers(1, n_line + 1))
-            snap, tr = spread_polya_line(n_line, src, rng=rng)
-            est = estimate_line_ml(tr)
-            det += int(not est.inconclusive and est.v_hat == src)
-        rates[n_line] = det / trials
-        bound = analysis.line_bound(n_line)
-        assert rates[n_line] <= bound + 3.0 * sigma(bound, trials)
-    ratio = rates[401] / rates[101]
+    rows = compared(criterion_10_runs(workers=2), "line_bound")
+    assert [r.flag for r in rows] == [0, 0]
+    short, long = rows
+    ratio = long.p_hat / short.p_hat
     assert abs(ratio - 0.5) <= 0.1
-    report(f"criterion 10 PASS: walk-equivalence p={pval:.3f}; detection "
-           f"n=101: {rates[101]:.3f} (bound {analysis.line_bound(101):.3f}), "
-           f"n=401: {rates[401]:.3f} (bound {analysis.line_bound(401):.3f}); ratio {ratio:.3f}")
+    report(f"criterion 10 PASS: walk-equivalence p={pval:.3f}; detection " + ", ".join(
+        f"n={r.config.line_n}: {r.p_hat:.3f} (bound {r.predicted:.3f}, z={z_of(r):+.2f})" for r in rows)
+        + f"; ratio {ratio:.3f}")
 
 
 def test_criterion_11_spy_snapshot():
@@ -308,26 +343,14 @@ def test_criterion_11_spy_snapshot():
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     # Monte Carlo at five grid points
-    net = regular_tree(3)
-    rng = np.random.default_rng(1111)
-    T, trials = 8, 6000
-    lines = []
-    for p in (0.05, 0.1, 0.2, 0.35, 0.5):
-        pred = analysis.pd_spy_snapshot(3, p, T)
-        det = 0
-        for _ in range(trials):
-            s = spread_tree_protocol(net, 0, ProtocolParams(kind="tree-protocol", horizon=T), rng=rng)
-            spies = assign_spies(s, p, int(rng.integers(2**62)))
-            est = estimate_spy_snapshot(s, observations_for(s, spies), rng=rng)
-            det += int(not est.inconclusive and est.v_hat == 0)
-        z = (det / trials - pred) / sigma(pred, trials)
-        lines.append(f"p={p}: {det/trials:.4f} vs {pred:.4f} (z={z:+.2f})")
-        assert abs(z) <= 3.0
+    rows = compared(criterion_11_runs(workers=2), "pd_spy_snapshot")
+    assert [r.flag for r in rows] == [0] * 5
 
     gap = abs(analysis.pd_spy_snapshot(3, 0.2, 16) - analysis.pd_spy_adaptive(3, 0.2))
     assert gap < 0.02
-    report("criterion 11 PASS: monotone curves; " + "; ".join(lines) +
-           f"; depth-16 gap to the pure-spy value {gap:.5f}")
+    report("criterion 11 PASS: monotone curves; " + "; ".join(
+        f"p={r.p}: {r.p_hat:.4f} vs {r.predicted:.4f} (z={z_of(r):+.2f})" for r in rows) +
+        f"; depth-16 gap to the pure-spy value {gap:.5f}")
 
 
 def test_criterion_12_real_graph_pipeline():
@@ -339,7 +362,7 @@ def test_criterion_12_real_graph_pipeline():
         assert g.n_nodes == 9502
         gated = True
     else:
-        g = prune_min_degree(synthetic_heavy_tail(1500, 5, seed=5), 3)
+        g = criterion_12_graph()
         gated = False
     nodes = g.nodes()
 
@@ -352,27 +375,14 @@ def test_criterion_12_real_graph_pipeline():
     if gated:
         assert reach >= 0.75
 
-    rows = []
-    for p in (0.05, 0.10, 0.15):
-        det_a = det_d = 0
-        trials = 150 if not gated else 200
-        for _ in range(trials):
-            src = nodes[int(rng.integers(len(nodes)))]
-            s = spread_tree_protocol(g, src, ProtocolParams(kind="tree-protocol", horizon=24), rng=rng)
-            spies = assign_spies(s, p, int(rng.integers(2**62)))
-            est = estimate_spy_irregular(g, observations_for(s, spies), rng=rng, time=s.time)
-            det_a += int(not est.inconclusive and est.v_hat == src)
-            s2 = spread_diffusion(g, src, ProtocolParams(kind="diffusion", q=0.1, horizon=24), rng=rng)
-            spies2 = assign_spies(s2, p, int(rng.integers(2**62)))
-            est2 = estimate_first_spy(observations_for(s2, spies2), rng=rng)
-            det_d += int(not est2.inconclusive and est2.v_hat == src)
-        rows.append((p, det_a / trials, det_d / trials))
-        assert det_a < det_d  # balanced spreading hides better than plain spreading
-        if gated and p == 0.05:
-            assert 0.04 <= det_a / trials <= 0.16
+    balanced, plain = criterion_12_runs(workers=2, trials=200 if gated else 150, graph=g)
+    for a, d in zip(balanced.rows, plain.rows):
+        assert a.detections < d.detections  # balanced spreading hides better than plain spreading
+    if gated:
+        assert 0.04 <= balanced.row(0).p_hat <= 0.16  # at p=0.05
     label = "dataset" if gated else "synthetic substitute"
     report(f"criterion 12 PASS ({label}): reach@20={reach:.2f}; " + "; ".join(
-        f"p={p}: balanced {a:.3f} < plain {d:.3f}" for p, a, d in rows))
+        f"p={a.p}: balanced {a.p_hat:.3f} < plain {d.p_hat:.3f}" for a, d in zip(balanced.rows, plain.rows)))
 
 
 def test_criterion_13_multiple_snapshots():
@@ -385,3 +395,19 @@ def test_criterion_13_multiple_snapshots():
         assert abs(z) <= 3.0
         assert inc == 0
     report("criterion 13 PASS: " + "; ".join(lines))
+
+
+@pytest.mark.parametrize("runs, trials", [
+    (criterion_01_runs, 300),
+    (criterion_03_runs, 300),
+    (criterion_08_runs, 300),
+    (criterion_10_runs, 300),
+    (criterion_11_runs, 200),
+    (lambda workers, trials: criterion_12_runs(workers, trials, criterion_12_graph()), 10),
+], ids=["criterion-01", "criterion-03", "criterion-08", "criterion-10", "criterion-11", "criterion-12"])
+def test_pooled_rows_equal_serial_rows(runs, trials):
+    """A slice of each criterion's runs gives the same rows, field for
+    field, on one worker and on two.  Criterion 12's trials take about 25 ms
+    each, so its slice is 10 trials per cell."""
+    serial, pooled = ([summary_csv_text(s) for s in runs(workers, trials)] for workers in (1, 2))
+    assert pooled == serial

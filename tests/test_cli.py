@@ -317,6 +317,10 @@ class TestSpreadEstimate:
      "pd_uniform needs T >= 1: at T=0 the source is the only infected node"),
     (["predict", "detection_exponent"], "detection_exponent needs degree_table"),
     (["predict", "pd_snapshot_bound", "--d", "3"], "bound defined for T >= 1"),
+    (["predict", "pd_always_pass"], "pd_always_pass needs an even T >= 2"),
+    (["predict", "pd_always_pass", "--T", "5"], "pd_always_pass needs an even T >= 2"),
+    (["experiment", "--d0", "inf", "--adversary", "map-leaf", "--T", "0", "--trials", "50", "--compare",
+      "pd_always_pass"], "pd_always_pass needs an even T >= 2"),
 ])
 def test_bad_input_exits_1_with_message(args, message, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
@@ -366,6 +370,19 @@ def test_bad_input_fails_before_the_first_trial(command, args, message, tmp_path
     code, _ = run_cli([command[0], *flags, "--trials", "2", *command[1:]])
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["experiment", "--T", "0"], ["sweep", "T", "0,2"]])
+def test_compare_outside_the_forms_range_fails_before_the_first_trial(command, capsys, monkeypatch):
+    from anonspread import harness
+
+    def no_trial(*a, **k):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    code, _ = run_cli([command[0], "--compare", "pd_uniform", "--trials", "2", *command[1:]])
+    assert code == 1
+    assert "error: pd_uniform needs T >= 1: at T=0 the source is the only infected node" in capsys.readouterr().err
 
 
 def test_diffusion_at_q_1_floods(tmp_path):

@@ -21,6 +21,7 @@ from anonspread.harness import (
     STREAM_BLOCK,
     ExperimentConfig,
     ExperimentSummary,
+    SummaryRow,
     _trial_rng,
     compare_with_theory,
     gw_map_detection_mc,
@@ -111,6 +112,23 @@ class TestRunner:
         compare_with_theory(s, "pd_snapshot_bound")
         assert s.row().pred_mode == "upper-bound"
         assert s.row().flag == 0
+
+    @pytest.mark.parametrize("quantity, options, flags", [
+        ("pd_uniform", {"d": 2}, [1, 0, 0, 1]),
+        ("pd_snapshot_bound", {"d": 2}, [0, 0, 0, 1]),
+        ("first_spy_floor", {"p": 0.5}, [1, 0, 0, 0]),
+    ], ids=["match", "upper-bound", "lower-bound"])
+    def test_compare_flags_only_rows_past_3_sigma(self, quantity, options, flags):
+        """Each form predicts 1/2 at T=2 here, so over 64 trials sigma is
+        1/16 and 3 sigma is 12 detections, all exact in binary: 20 and 44
+        detections lie on the lines and are not flagged, 19 and 45 lie one
+        past them."""
+        cfg = with_options(small_cfg(trials=64), {"T": 2, **options})
+        rows = [SummaryRow("", cfg.network, cfg.protocol.kind, cfg.adversary, cfg.p, 2, 64, k, k / 64, 0.0, 0.0,
+                           0.0, 0, config=cfg) for k in (19, 20, 44, 45)]
+        compare_with_theory(ExperimentSummary(rows, cfg), quantity)
+        assert [r.predicted for r in rows] == [0.5] * 4
+        assert [r.flag for r in rows] == flags
 
     def test_compare_flags_wrong_prediction(self):
         s = run_experiment(small_cfg(trials=3000))
